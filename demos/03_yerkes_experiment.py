@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from kafcm.cli_harness import build_dataset, canonical_config, run_pipeline, split_for
-from kafcm.metrics_eval import append_comparison_row
+from kafcm.metrics_eval import upsert_comparison_row
 from kafcm.symbolic import curve_to_csv, sample_edge
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
@@ -29,15 +29,13 @@ print(
 splits = split_for(base, build_dataset(base))
 
 table = os.path.join(OUT, "yerkes_comparison.csv")
-if os.path.exists(table):
-    os.remove(table)
 
 results = {}
 for kind in ("kafcm", "fcm", "mlp"):
     cfg = canonical_config("yerkes", model=kind)
     results[kind] = run_pipeline(cfg, splits=splits)
     m = results[kind].metrics
-    append_comparison_row(table, kind, m)
+    upsert_comparison_row(table, kind, m)
     print(f"  {kind:6s} test mse {m.mse:.3e}  max|err| {m.max_abs_error:.3f}")
 
 gap = results["fcm"].metrics.mse / results["kafcm"].metrics.mse

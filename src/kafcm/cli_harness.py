@@ -41,7 +41,7 @@ from .datagen import (
     yerkes_law,
 )
 from .edge_functions import EdgeFunction
-from .metrics_eval import MetricsReport, append_comparison_row, compute_metrics, save_metrics_json
+from .metrics_eval import MetricsReport, compute_metrics, save_metrics_json, upsert_comparison_row
 from .spline_core import make_uniform_grid
 from .symbolic import curve_to_csv, fit_candidates, fits_to_json, sample_edge
 from .training import (
@@ -315,9 +315,13 @@ def load_model(path):
         n = payload["n_nodes"]
         mask = np.zeros((n, n), dtype=bool)
         edges = [[None] * n for _ in range(n)]
+        grids = {}  # one KnotGrid per distinct grid record
         for rec in payload["edges"]:
             g = rec["grid"]
-            grid = make_uniform_grid(g["domain_lo"], g["domain_hi"], g["grid_size"], g["degree"])
+            key = (g["domain_lo"], g["domain_hi"], g["grid_size"], g["degree"])
+            if key not in grids:
+                grids[key] = make_uniform_grid(*key)
+            grid = grids[key]
             i, j = rec["i"], rec["j"]
             mask[i, j] = True
             edges[i][j] = EdgeFunction(
@@ -540,7 +544,7 @@ def cmd_evaluate(config: ExperimentConfig) -> int:
         report, metrics_path, model_id=config.model, dataset_id=config.experiment
     )
     table_path = config.table or os.path.join(config.out, "comparison.csv")
-    append_comparison_row(table_path, config.model, report)
+    upsert_comparison_row(table_path, config.model, report)
     print(f"wrote {metrics_path} (mse {report.mse:.3e})")
     return 0
 

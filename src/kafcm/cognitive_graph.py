@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edge_functions import EdgeFunction, base_eval, edge_eval, init_edge
-from .spline_core import KnotGrid, basis_matrix, make_uniform_grid
+from .edge_functions import BASE_KINDS, base_eval, init_edge
+from .spline_core import KnotGrid, basis_tensor, make_uniform_grid
 
 __all__ = [
     "BOUNDING_KINDS",
+    "DenseKAFCM",
     "DivergenceError",
     "KAFCMModel",
     "StandardFCM",
@@ -78,7 +79,8 @@ class KAFCMModel:
 
     edges[i][j] is phi_ij, the influence of source node j on target node i;
     mask[i, j] False means the edge is absent (its entry may be None or an
-    ignored EdgeFunction). All present edges share the grid degree and domain.
+    ignored EdgeFunction). All present edges share one knot grid, compared by
+    value; inference and training reject a model whose edge grids differ.
     """
 
     n_nodes: int
@@ -163,13 +165,102 @@ def _check_state(n: int, state) -> np.ndarray:
     return state
 
 
+def _grid_key(grid: KnotGrid) -> tuple:
+    return (grid.domain_lo, grid.domain_hi, grid.grid_size, grid.degree)
+
+
+def _shared_grid(present: list) -> KnotGrid | None:
+    """The knot grid of every (i, j, edge) in present, or None if it is empty.
+
+    Grids are compared by value, so edges holding equal but distinct grid
+    objects share one grid. Raises ValueError if two edges' grids differ.
+    """
+    grid = None
+    for i, j, e in present:
+        if grid is None:
+            grid, key = e.grid, _grid_key(e.grid)
+        elif e.grid is not grid and _grid_key(e.grid) != key:
+            raise ValueError(f"edge ({i}, {j}) does not share the knot grid of the other edges")
+    return grid
+
+
+class DenseKAFCM:
+    """The present edges of a KA-FCM as dense arrays over their shared grid.
+
+    w_base, w_spline (N, N) and alpha (N, N, K) are views into one flat
+    buffer `theta` and are zero where the mask is False. kind_mask[i, k, j]
+    is 1.0 where edge (i, j) is present with base kind BASE_KINDS[k], else
+    0.0. Every inference and training path uses the one forward
+
+        pre = base @ Wb.T + B @ (w_spline[..., None] * alpha).reshape(N, N*K).T
+
+    where `base` holds the states under each base kind, one N-column block
+    per kind, Wb = (w_base[:, None, :] * kind_mask).reshape(N, -1) the base
+    weights in the same blocks, and B the basis tensor of the states.
+    """
+
+    def __init__(self, model: KAFCMModel):
+        n = model.n_nodes
+        self.n_nodes = n
+        self.bounding = model.bounding
+        present = list(model.present_edges())
+        self.grid = _shared_grid(present)
+        self.K = 0 if self.grid is None else self.grid.basis_count
+        edges = [e for _, _, e in present]
+        self.mask = model.mask
+        kind = np.full((n, n), -1)
+        kind[self.mask] = [BASE_KINDS.index(e.base) for e in edges]
+        self.kind_mask = (kind[:, None, :] == np.arange(len(BASE_KINDS))[:, None]).astype(float)
+        self.theta = np.zeros(n * n * (2 + self.K))
+        self.w_base, self.w_spline, self.alpha = self.views(self.theta)
+        self.w_base[self.mask] = [e.w_base for e in edges]
+        self.w_spline[self.mask] = [e.w_spline for e in edges]
+        self.alpha[self.mask] = [e.alpha for e in edges]
+
+    def views(self, flat: np.ndarray):
+        """(w_base, w_spline, alpha) views into a buffer laid out like theta."""
+        n = self.n_nodes
+        nn = n * n
+        return flat[:nn].reshape(n, n), flat[nn : 2 * nn].reshape(n, n), flat[2 * nn :].reshape(n, n, self.K)
+
+    def features(self, states: np.ndarray):
+        """(base, B) of states with shape (T, N)."""
+        base = np.concatenate([base_eval(kind, states) for kind in BASE_KINDS], axis=1)
+        B = basis_tensor(self.grid, states) if self.K else np.zeros((len(states), 0))
+        return base, B
+
+    def weights(self, rows=slice(None)):
+        """(Wb, Ws) for the target nodes in `rows`, a basic slice."""
+        Wb = self.w_base[rows, None, :] * self.kind_mask[rows]
+        Ws = self.w_spline[rows, :, None] * self.alpha[rows]
+        return Wb.reshape(len(Wb), -1), Ws.reshape(len(Ws), -1)
+
+    @staticmethod
+    def forward(features, weights) -> np.ndarray:
+        """Pre-activation sums, shape (T, rows)."""
+        (base, B), (Wb, Ws) = features, weights
+        return base @ Wb.T + B @ Ws.T
+
+    def stepper(self):
+        """The update c -> sigma(pre(c)) of one state, weights computed once."""
+        weights = self.weights()
+
+        def step(state: np.ndarray) -> np.ndarray:
+            pre = self.forward(self.features(state[None, :]), weights)[0]
+            return np.asarray(apply_bounding(self.bounding, pre))
+
+        return step
+
+    def write_back(self, model: KAFCMModel) -> None:
+        """Copy the parameters into the model's edge objects."""
+        values = self.w_base[self.mask].tolist(), self.w_spline[self.mask].tolist(), self.alpha[self.mask]
+        for (_, _, e), w_base, w_spline, alpha in zip(model.present_edges(), *values):
+            e.w_base, e.w_spline, e.alpha = w_base, w_spline, alpha
+
+
 def kafcm_step(model: KAFCMModel, state) -> np.ndarray:
     """One synchronous update: out_i = sigma(sum_j phi_ij(c_j))."""
-    state = _check_state(model.n_nodes, state)
-    pre = np.zeros(model.n_nodes)
-    for i, j, e in model.present_edges():
-        pre[i] += edge_eval(e, state[j])
-    return np.asarray(apply_bounding(model.bounding, pre))
+    return DenseKAFCM(model).stepper()(_check_state(model.n_nodes, state))
 
 
 def fcm_step(model: StandardFCM, state) -> np.ndarray:
@@ -178,62 +269,15 @@ def fcm_step(model: StandardFCM, state) -> np.ndarray:
     return np.asarray(apply_bounding(model.activation, model.weights @ state))
 
 
-def _shared_grid(model: KAFCMModel) -> KnotGrid | None:
-    """The single KnotGrid shared by all present edges, or None."""
-    grid = None
-    for _, _, e in model.present_edges():
-        if grid is None:
-            grid = e.grid
-        elif e.grid is not grid:
-            return None
-    return grid
-
-
-def _pack(model: KAFCMModel):
-    """Dense parameter arrays for the vectorized step over a shared grid."""
-    n = model.n_nodes
-    grid = _shared_grid(model)
-    if grid is None:
-        return None
-    K = grid.basis_count
-    w_base = np.zeros((n, n))
-    w_spline = np.zeros((n, n))
-    alpha = np.zeros((n, n, K))
-    is_silu = np.zeros((n, n), dtype=bool)
-    for i, j, e in model.present_edges():
-        w_base[i, j] = e.w_base
-        w_spline[i, j] = e.w_spline
-        alpha[i, j] = e.alpha
-        is_silu[i, j] = e.base == "silu"
-    w_base = np.where(model.mask, w_base, 0.0)
-    w_spline = np.where(model.mask, w_spline, 0.0)
-    return grid, w_base, w_spline, alpha, is_silu, model.mask
-
-
-def _packed_step(packed, bounding: str, state: np.ndarray) -> np.ndarray:
-    grid, w_base, w_spline, alpha, is_silu, mask = packed
-    b = basis_matrix(grid, state)  # (N, K) rows indexed by source node
-    spline_vals = np.einsum("ijk,jk->ij", alpha, b)
-    silu_vals = base_eval("silu", state)
-    base_vals = np.where(is_silu, silu_vals[None, :], state[None, :])
-    contrib = np.where(mask, w_base * base_vals + w_spline * spline_vals, 0.0)
-    return np.asarray(apply_bounding(bounding, contrib.sum(axis=1)))
-
-
 def simulate(model, c0, T: int) -> Trajectory:
     """Iterate the model T steps from c0; aborts on a non-finite state."""
     if T < 1:
         raise ValueError(f"T must be at least 1, got {T}")
+    state = _check_state(model.n_nodes, c0)
     if isinstance(model, StandardFCM):
         step = lambda s: fcm_step(model, s)
-        state = _check_state(model.n_nodes, c0)
     else:
-        state = _check_state(model.n_nodes, c0)
-        packed = _pack(model)
-        if packed is None:
-            step = lambda s: kafcm_step(model, s)
-        else:
-            step = lambda s: _packed_step(packed, model.bounding, s)
+        step = DenseKAFCM(model).stepper()
     states = np.empty((T + 1, model.n_nodes))
     states[0] = state
     for t in range(T):

@@ -3,9 +3,10 @@
 Each directed edge carries phi(x) = w_base * b(x) + w_spline * sum_k alpha_k
 B_{k,p}(x). The base path b is a SiLU by default (identity is available for
 exact equivalence checks against scalar-weight maps) and is evaluated on the
-raw input; only the spline path clamps its input to the grid domain, so the
-residual base signal survives outside the grid while the spline contributes
-nothing beyond its support.
+raw input. Only the spline path clamps its input to the grid domain, so
+outside the domain the spline holds its boundary value as a constant (phi
+differs between x = 1 and x = 5 on a [-1, 1] grid only through the base
+path), while the base signal keeps varying.
 """
 
 from __future__ import annotations

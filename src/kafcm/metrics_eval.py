@@ -19,7 +19,7 @@ __all__ = [
     "compute_metrics",
     "metrics_to_dict",
     "save_metrics_json",
-    "append_comparison_row",
+    "upsert_comparison_row",
 ]
 
 
@@ -76,17 +76,25 @@ def save_metrics_json(report: MetricsReport, path, model_id: str = "", dataset_i
 COMPARISON_HEADER = "model,mse,mape_percent,max_abs_error,std_dev_error,n"
 
 
-def append_comparison_row(path, model_name: str, report: MetricsReport) -> None:
-    """Append one model row to a comparison table, creating the header first.
+def upsert_comparison_row(path, model_name: str, report: MetricsReport) -> None:
+    """Write one model's row into a comparison table, creating the header first.
 
-    Stacking the FCM, MLP, and KA-FCM rows for one dataset yields the usual
-    three-row comparison layout.
+    A model already in the table has its row replaced in place and a new
+    model is appended, so evaluating the FCM, MLP, and KA-FCM in turn yields
+    the usual three-row layout, and rerunning an evaluation leaves the table
+    byte-identical.
     """
-    new = not os.path.exists(path) or os.path.getsize(path) == 0
     mape = "" if report.mape_percent is None else repr(report.mape_percent)
-    with open(path, "a") as fh:
-        if new:
-            fh.write(COMPARISON_HEADER + "\n")
-        fh.write(
-            f"{model_name},{report.mse!r},{mape},{report.max_abs_error!r},{report.std_dev_error!r},{report.n}\n"
-        )
+    row = f"{model_name},{report.mse!r},{mape},{report.max_abs_error!r},{report.std_dev_error!r},{report.n}"
+    lines = []
+    if os.path.exists(path):
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    lines = lines or [COMPARISON_HEADER]
+    names = [line.split(",", 1)[0] for line in lines]
+    if model_name in names[1:]:
+        lines[names.index(model_name, 1)] = row
+    else:
+        lines.append(row)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

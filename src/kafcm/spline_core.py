@@ -18,6 +18,7 @@ __all__ = [
     "basis_value",
     "basis_vector",
     "basis_matrix",
+    "basis_tensor",
     "basis_derivative_vector",
     "basis_derivative_matrix",
     "clamp_to_domain",
@@ -142,6 +143,26 @@ def basis_matrix(grid: KnotGrid, xs) -> np.ndarray:
         right = np.where(den_r != 0.0, num_r / np.where(den_r == 0.0, 1.0, den_r), 0.0) * b[:, 1 : 1 + m]
         b = left + right
     return b[:, : grid.basis_count]
+
+
+BASIS_BLOCK_POINTS = 1024
+
+
+def basis_tensor(grid: KnotGrid, states: np.ndarray) -> np.ndarray:
+    """B of shape (T, N*K): row t is basis_matrix(grid, states[t]) flattened.
+
+    Filled a block of source columns at a time, each block at most
+    BASIS_BLOCK_POINTS points (or one column), which bounds the temporaries
+    of basis_matrix however many rows the states have.
+    """
+    T, n = states.shape
+    K = grid.basis_count
+    B = np.empty((T, n, K))
+    cols = max(1, BASIS_BLOCK_POINTS // max(T, 1))
+    for j in range(0, n, cols):
+        block = states[:, j : j + cols]
+        B[:, j : j + cols] = basis_matrix(grid, block.ravel()).reshape(*block.shape, K)
+    return B.reshape(T, n * K)
 
 
 def basis_vector(grid: KnotGrid, x: float) -> np.ndarray:

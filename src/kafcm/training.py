@@ -11,6 +11,14 @@ learning rate. Plain constant-step descent stalls two orders of magnitude
 short of the accuracy the benchmarks require, so the adaptive step is the
 shipped default; the update is still computed from exact full-batch
 gradients of the total loss.
+
+The loss and its gradients are dense, with no loop over edges. A fit builds
+the (T, N*K) basis tensor B of its input states once (see
+cognitive_graph.DenseKAFCM); each epoch is then one matmul forward over the
+output rows and one backward, C = (u.T @ B).reshape(n_out, N, K) for the
+upstream gradient u, and one Adam update of the flat buffer that holds
+w_base, w_spline and alpha. This needs every edge on one knot grid (equal by
+value); a model whose edge grids differ raises ValueError.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ import zlib
 import numpy as np
 
 from .cognitive_graph import (
+    DenseKAFCM,
     DivergenceError,
     KAFCMModel,
     StandardFCM,
@@ -31,8 +40,6 @@ from .cognitive_graph import (
     bounding_grad,
 )
 from .datagen import Dataset
-from .edge_functions import base_eval
-from .spline_core import basis_matrix
 
 __all__ = [
     "TrainConfig",
@@ -187,23 +194,20 @@ def _state_matrix(n_nodes: int, data: Dataset, input_idx) -> np.ndarray:
     return states
 
 
+def _output_rows(output_idx) -> slice:
+    """supervision_layout's output nodes, always a contiguous range, as a slice."""
+    return slice(int(output_idx[0]), int(output_idx[-1]) + 1)
+
+
 def predict_one_step(model, data: Dataset) -> np.ndarray:
     """One-step predictions for the supervised (output) nodes, shape (T, d_out)."""
-    if isinstance(model, StandardFCM):
-        input_idx, output_idx = supervision_layout(model.n_nodes, data)
-        states = _state_matrix(model.n_nodes, data, input_idx)
-        return np.asarray(apply_bounding(model.activation, states @ model.weights.T))[:, output_idx]
     input_idx, output_idx = supervision_layout(model.n_nodes, data)
     states = _state_matrix(model.n_nodes, data, input_idx)
-    pre = np.zeros((len(data), model.n_nodes))
-    cache = {}
-    for i, j, e in model.present_edges():
-        key = (j, id(e.grid))
-        if key not in cache:
-            cache[key] = basis_matrix(e.grid, states[:, j])
-        b = cache[key]
-        pre[:, i] += e.w_base * base_eval(e.base, states[:, j]) + e.w_spline * (b @ e.alpha)
-    return np.asarray(apply_bounding(model.bounding, pre))[:, output_idx]
+    if isinstance(model, StandardFCM):
+        return np.asarray(apply_bounding(model.activation, states @ model.weights.T))[:, output_idx]
+    dense = DenseKAFCM(model)
+    pre = dense.forward(dense.features(states), dense.weights(_output_rows(output_idx)))
+    return np.asarray(apply_bounding(model.bounding, pre))
 
 
 @dataclass
@@ -216,81 +220,44 @@ class ModelGradient:
 
 
 class _Workspace:
-    """Per-run caches: supervision layout, states, basis and base values."""
+    """One fit: the model's dense parameters, the features of the data, and a
+    gradient buffer laid out like the parameter buffer."""
 
     def __init__(self, model: KAFCMModel, data: Dataset):
-        self.model = model
-        self.input_idx, self.output_idx = supervision_layout(model.n_nodes, data)
-        self.states = _state_matrix(model.n_nodes, data, self.input_idx)
+        self.dense = DenseKAFCM(model)
+        input_idx, output_idx = supervision_layout(model.n_nodes, data)
+        self.rows = _output_rows(output_idx)
+        self.features = self.dense.features(_state_matrix(model.n_nodes, data, input_idx))
         self.targets = np.asarray(data.targets, dtype=float)
-        self.edges = list(model.present_edges())
-        # only edges feeding a supervised node shape the reconstruction loss
-        out_set = set(int(o) for o in self.output_idx)
-        self.live = [idx for idx, (i, _, _) in enumerate(self.edges) if i in out_set]
-        self.basis = {}
-        self.base_vals = {}
-        for _, j, e in self.edges:
-            key = (j, id(e.grid))
-            if key not in self.basis:
-                self.basis[key] = basis_matrix(e.grid, self.states[:, j])
-            bkey = (j, e.base)
-            if bkey not in self.base_vals:
-                self.base_vals[bkey] = base_eval(e.base, self.states[:, j])
-        self.K = max((e.grid.basis_count for _, _, e in self.edges), default=0)
-        self.out_pos = {int(o): p for p, o in enumerate(self.output_idx)}
+        self.grad = np.zeros_like(self.dense.theta)
+        self.grads = self.dense.views(self.grad)
 
-    def forward(self, w_base, w_spline, alpha):
-        """Pre-activation sums for output nodes given packed parameters."""
-        T = len(self.states)
-        pre = np.zeros((T, len(self.output_idx)))
-        for idx in self.live:
-            i, j, e = self.edges[idx]
-            b = self.basis[(j, id(e.grid))]
-            vals = w_base[idx] * self.base_vals[(j, e.base)] + w_spline[idx] * (
-                b @ alpha[idx, : e.grid.basis_count]
-            )
-            pre[:, self.out_pos[i]] += vals
-        return pre
+    def loss_and_grads(self, lam: float) -> float:
+        """Total loss at the current parameters; fills self.grad.
 
-    def pack(self):
-        E = len(self.edges)
-        w_base = np.array([e.w_base for _, _, e in self.edges])
-        w_spline = np.array([e.w_spline for _, _, e in self.edges])
-        alpha = np.zeros((E, self.K))
-        for idx, (_, _, e) in enumerate(self.edges):
-            alpha[idx, : e.grid.basis_count] = e.alpha
-        return w_base, w_spline, alpha
-
-    def unpack(self, w_base, w_spline, alpha):
-        for idx, (_, _, e) in enumerate(self.edges):
-            e.w_base = float(w_base[idx])
-            e.w_spline = float(w_spline[idx])
-            e.alpha = alpha[idx, : e.grid.basis_count].copy()
-
-    def loss_and_grads(self, w_base, w_spline, alpha, lam: float):
-        """Total loss and packed gradients at the packed parameter point."""
-        T = len(self.states)
-        pre = self.forward(w_base, w_spline, alpha)
-        pred = np.asarray(apply_bounding(self.model.bounding, pre))
-        resid = pred - self.targets
+        Only output rows shape the reconstruction loss, so the backward is
+        one matmul against the basis tensor, C = (u.T @ B).reshape(n_out, N, K),
+        from which d alpha = w_spline * C and d w_spline = sum_k alpha * C.
+        """
+        d, rows = self.dense, self.rows
+        base, B = self.features
+        pre = d.forward(self.features, d.weights(rows))
+        resid = np.asarray(apply_bounding(d.bounding, pre)) - self.targets
         loss = float(np.mean(np.sum(resid**2, axis=1)))
-        upstream = (2.0 / T) * resid * bounding_grad(self.model.bounding, pre)
-        g_wb = np.zeros_like(w_base)
-        g_ws = np.zeros_like(w_spline)
-        g_al = np.zeros_like(alpha)
-        for idx in self.live:
-            i, j, e = self.edges[idx]
-            u = upstream[:, self.out_pos[i]]
-            b = self.basis[(j, id(e.grid))]
-            kc = e.grid.basis_count
-            spline_vals = b @ alpha[idx, :kc]
-            g_wb[idx] = u @ self.base_vals[(j, e.base)]
-            g_ws[idx] = u @ spline_vals
-            g_al[idx, :kc] = w_spline[idx] * (b.T @ u)
+        u = ((2.0 / len(resid)) * resid * bounding_grad(d.bounding, pre)).T
+        g_wb, g_ws, g_al = self.grads
+        kind_mask = d.kind_mask[rows]
+        g_wb[rows] = ((u @ base).reshape(kind_mask.shape) * kind_mask).sum(axis=1)
+        C = (u @ B).reshape(len(u), d.n_nodes, d.K)
+        g_ws[rows] = (d.alpha[rows] * C).sum(axis=2)
         if lam > 0:
-            loss += lam * float(np.abs(alpha).sum())
-            g_al += lam * np.sign(alpha)
-        return loss, g_wb, g_ws, g_al
+            # the penalty covers every present edge, also edges into inputs
+            loss += lam * float(np.abs(d.alpha).sum())
+            np.multiply(lam, np.sign(d.alpha), out=g_al)
+            g_al[rows] += d.w_spline[rows, :, None] * C
+        else:
+            g_al[rows] = d.w_spline[rows, :, None] * C
+        return loss
 
 
 def model_gradient(model: KAFCMModel, batch: Dataset, lam: float = 0.0) -> ModelGradient:
@@ -298,20 +265,10 @@ def model_gradient(model: KAFCMModel, batch: Dataset, lam: float = 0.0) -> Model
     if len(batch) == 0:
         raise ValueError("empty batch")
     ws = _Workspace(model, batch)
-    w_base, w_spline, alpha = ws.pack()
-    loss, g_wb, g_ws, g_al = ws.loss_and_grads(w_base, w_spline, alpha, lam)
-    finite = np.isfinite(g_wb).all() and np.isfinite(g_ws).all() and np.isfinite(g_al).all()
-    if not (np.isfinite(loss) and finite):
+    loss = ws.loss_and_grads(lam)
+    if not (np.isfinite(loss) and np.isfinite(ws.grad).all()):
         raise DivergenceError("non-finite loss or gradient")
-    n = model.n_nodes
-    d_wb = np.zeros((n, n))
-    d_ws = np.zeros((n, n))
-    d_al = np.zeros((n, n, ws.K))
-    for idx, (i, j, _) in enumerate(ws.edges):
-        d_wb[i, j] = g_wb[idx]
-        d_ws[i, j] = g_ws[idx]
-        d_al[i, j] = g_al[idx]
-    return ModelGradient(d_wb, d_ws, d_al)
+    return ModelGradient(*ws.grads)
 
 
 def train_gd(model: KAFCMModel, train: Dataset, config: TrainConfig):
@@ -324,10 +281,9 @@ def train_gd(model: KAFCMModel, train: Dataset, config: TrainConfig):
     if len(train) == 0:
         raise ValueError("empty training set")
     ws = _Workspace(model, train)
-    w_base, w_spline, alpha = ws.pack()
-    params = [w_base, w_spline, alpha]
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
+    theta, grad = ws.dense.theta, ws.grad
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
     history = np.empty(config.epochs)
 
     def abort(message: str, epochs_done: int):
@@ -336,25 +292,23 @@ def train_gd(model: KAFCMModel, train: Dataset, config: TrainConfig):
         raise err
 
     for epoch in range(config.epochs):
-        loss, g_wb, g_ws, g_al = ws.loss_and_grads(w_base, w_spline, alpha, config.lam)
+        loss = ws.loss_and_grads(config.lam)
         if not np.isfinite(loss):
             abort(f"non-finite loss at epoch {epoch}", epoch)
         history[epoch] = loss
-        grads = [g_wb, g_ws, g_al]
+        if not np.isfinite(grad).all():
+            abort(f"non-finite gradient at epoch {epoch}", epoch + 1)
         t = epoch + 1
-        for p, g, mm, vv in zip(params, grads, m, v):
-            if not np.isfinite(g).all():
-                abort(f"non-finite gradient at epoch {epoch}", epoch + 1)
-            mm *= ADAM_BETA1
-            mm += (1 - ADAM_BETA1) * g
-            vv *= ADAM_BETA2
-            vv += (1 - ADAM_BETA2) * g * g
-            mhat = mm / (1 - ADAM_BETA1**t)
-            vhat = vv / (1 - ADAM_BETA2**t)
-            p -= config.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
-            if not np.isfinite(p).all():
-                abort(f"non-finite parameters after epoch {epoch}", epoch + 1)
-    ws.unpack(w_base, w_spline, alpha)
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * grad * grad
+        mhat = m / (1 - ADAM_BETA1**t)
+        vhat = v / (1 - ADAM_BETA2**t)
+        theta -= config.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        if not np.isfinite(theta).all():
+            abort(f"non-finite parameters after epoch {epoch}", epoch + 1)
+    ws.dense.write_back(model)
     return model, history
 
 

@@ -22,7 +22,7 @@ from kafcm.cli_harness import (
     save_model,
     split_for,
 )
-from kafcm.cognitive_graph import KAFCMModel, StandardFCM, new_kafcm
+from kafcm.cognitive_graph import KAFCMModel, StandardFCM, new_kafcm, simulate
 from kafcm.datagen import yerkes_law
 from kafcm.spline_core import make_uniform_grid
 from kafcm.training import TrainConfig, predict_one_step
@@ -168,6 +168,37 @@ class TestModelFiles:
         with pytest.raises(ValueError, match="kind"):
             load_model(path)
 
+    def test_reloaded_mackey_model_matches_memory(self, tmp_path):
+        cfg = config_from_dict(
+            {"experiment": "mackey", "grid_size": 5, "dataset": SMALL_MACKEY, "train": {"epochs": 30}}
+        )
+        result = run_pipeline(cfg)
+        path = tmp_path / "m.json"
+        save_model(result.model, path)
+        back = load_model(path)
+        assert len({id(e.grid) for _, _, e in back.present_edges()}) == 1  # one grid per file
+        np.testing.assert_array_equal(
+            predict_one_step(back, result.test_data), predict_one_step(result.model, result.test_data)
+        )
+        c0 = np.append(result.test_data.inputs[0], 0.0)
+        np.testing.assert_array_equal(simulate(back, c0, 10).states, simulate(result.model, c0, 10).states)
+
+    def test_edges_on_different_grids_rejected(self, tmp_path):
+        cfg = write_config(tmp_path, experiment="mackey", dataset=SMALL_MACKEY, grid_size=4)
+        assert main(["generate", "--config", cfg]) == 0
+        assert main(["train", "--config", cfg]) == 0
+        path = tmp_path / "out" / "model_kafcm.json"
+        payload = json.loads(path.read_text())
+        edge = payload["edges"][0]
+        edge["grid"]["grid_size"] = 6
+        edge["alpha"] = [0.0] * (6 + edge["grid"]["degree"])
+        path.write_text(json.dumps(payload))
+        model = load_model(path)
+        data = build_dataset(load_config(cfg))
+        with pytest.raises(ValueError, match="knot grid"):
+            predict_one_step(model, data)
+        assert main(["evaluate", "--config", cfg]) == 2
+
 
 class TestPipelinePieces:
     def test_dataset_shapes(self):
@@ -285,6 +316,21 @@ class TestCommands:
         table = (tmp_path / "out" / "comparison.csv").read_text().splitlines()
         assert table[0].startswith("model,")
         assert table[1].startswith("kafcm,")
+
+    def test_evaluate_rerun_leaves_comparison_identical(self, tmp_path):
+        configs = {kind: write_config(tmp_path, name=f"{kind}.json", model=kind) for kind in ("fcm", "mlp", "kafcm")}
+        assert main(["generate", "--config", configs["kafcm"]]) == 0
+        assert main(["train", "--config", configs["kafcm"]]) == 0
+        save_model(StandardFCM(weights=np.array([[0.0, 0.0], [0.5, 0.0]])), tmp_path / "out" / "model_fcm.json")
+        save_model(mlp_init(1, 1, seed=0), tmp_path / "out" / "model_mlp.json")
+        table = tmp_path / "out" / "comparison.csv"
+        for kind in ("fcm", "mlp", "kafcm"):
+            assert main(["evaluate", "--config", configs[kind]]) == 0
+        first = table.read_bytes()
+        for kind in ("kafcm", "fcm", "mlp", "kafcm"):
+            assert main(["evaluate", "--config", configs[kind]]) == 0
+        assert table.read_bytes() == first
+        assert [line.split(",")[0] for line in first.decode().splitlines()] == ["model", "fcm", "mlp", "kafcm"]
 
     def test_train_byte_determinism(self, tmp_path):
         cfg = write_config(tmp_path)

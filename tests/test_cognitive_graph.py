@@ -20,7 +20,7 @@ from kafcm.cognitive_graph import (
     trajectory_from_csv,
     trajectory_to_csv,
 )
-from kafcm.edge_functions import EdgeFunction, silu
+from kafcm.edge_functions import EdgeFunction, edge_eval, silu
 from kafcm.spline_core import make_uniform_grid
 
 
@@ -200,11 +200,16 @@ class TestSimulate:
     def test_packed_path_matches_stepwise(self):
         grid = make_uniform_grid(-1, 1, 7, 3)
         m = new_kafcm(5, grid, mask=np.ones((5, 5), dtype=bool), bounding="tanh", seed=12)
+        m.edges[2][3].base = "identity"
         c0 = np.random.default_rng(0).uniform(-1, 1, 5)
-        traj = simulate(m, c0, 8)  # packed fast path
+        traj = simulate(m, c0, 8)  # dense path
         state = c0
         for t in range(8):
-            state = kafcm_step(m, state)
+            # reference: the per-edge loop sigma(sum_j phi_ij(c_j))
+            pre = np.zeros(5)
+            for i, j, e in m.present_edges():
+                pre[i] += edge_eval(e, state[j])
+            state = np.tanh(pre)
             npt.assert_allclose(traj.states[t + 1], state, atol=1e-12)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from kafcm.metrics_eval import (
     MetricsReport,
-    append_comparison_row,
+    upsert_comparison_row,
     compute_metrics,
     save_metrics_json,
 )
@@ -102,8 +102,18 @@ class TestSerialization:
             "kafcm": MetricsReport(4.1e-5, None, 0.02, 0.006, 200),
         }
         for name, rep in rows.items():
-            append_comparison_row(path, name, rep)
+            upsert_comparison_row(path, name, rep)
         lines = path.read_text().splitlines()
         assert lines[0] == "model,mse,mape_percent,max_abs_error,std_dev_error,n"
         assert len(lines) == 4
         assert lines[1].startswith("fcm,0.396,,")
+
+    def test_comparison_row_replaced_in_place(self, tmp_path):
+        path = tmp_path / "table.csv"
+        for name in ("fcm", "mlp", "kafcm"):
+            upsert_comparison_row(path, name, MetricsReport(0.5, None, 0.9, 0.3, 200))
+        upsert_comparison_row(path, "mlp", MetricsReport(0.25, 12.5, 0.5, 0.1, 100))
+        lines = path.read_text().splitlines()
+        assert len(lines) == 4
+        assert lines[2] == "mlp,0.25,12.5,0.5,0.1,100"
+        assert [line.split(",")[0] for line in lines[1:]] == ["fcm", "mlp", "kafcm"]

@@ -327,6 +327,66 @@ class TestTrainGD:
             )
 
 
+class TestOneBufferAdam:
+    """train_gd updates every parameter group as one Adam buffer."""
+
+    def test_one_epoch_is_one_adam_step(self):
+        rng = np.random.default_rng(21)
+        model = random_model(rng, 4, 3, 3, "tanh")
+        model.mask[2, 0] = model.mask[0, 2] = False
+        model.mask[2, 1] = model.mask[0, 3] = True  # an output edge and an L1-only input edge
+        grid = make_uniform_grid(-1.0, 1.0, 3, 3)
+        for i, j in ((2, 1), (0, 3)):
+            model.edges[i][j] = EdgeFunction(0.3, -0.4, rng.normal(0, 0.5, grid.basis_count), grid)
+        # two inputs, two outputs: edges into nodes 0 and 1 feel only the L1 term
+        data = Dataset(rng.uniform(-1, 1, (12, 2)), rng.uniform(-1, 1, (12, 2)))
+        config = TrainConfig(learning_rate=0.05, epochs=1, lam=0.01)
+        grad = model_gradient(model, data, config.lam)
+
+        def adam_step(p, g):
+            mhat = (1 - 0.9) * g / (1 - 0.9)
+            vhat = (1 - 0.999) * g * g / (1 - 0.999)
+            return p - config.learning_rate * mhat / (np.sqrt(vhat) + 1e-8)
+
+        expected = {
+            (i, j): (
+                adam_step(e.w_base, grad.d_w_base[i, j]),
+                adam_step(e.w_spline, grad.d_w_spline[i, j]),
+                adam_step(e.alpha, grad.d_alpha[i, j]),
+            )
+            for i, j, e in model.present_edges()
+        }
+        loss0 = loss_total(model, predict_one_step(model, data), data.targets, config.lam)
+        _, history = train_gd(model, data, config)
+        assert history[0] == pytest.approx(loss0, rel=1e-14)
+        for i, j, e in model.present_edges():
+            w_base, w_spline, alpha = expected[i, j]
+            assert e.w_base == pytest.approx(w_base, rel=1e-14, abs=1e-15)
+            assert e.w_spline == pytest.approx(w_spline, rel=1e-14, abs=1e-15)
+            np.testing.assert_allclose(e.alpha, alpha, rtol=1e-14, atol=1e-15)
+
+    def test_non_finite_gradient_keeps_partial_history(self):
+        # a huge spline weight over zero coefficients: finite loss, infinite d alpha
+        model = feedforward_model(seed=0, bounding="identity")
+        e = model.edges[1][0]
+        e.w_spline = 1e308
+        e.alpha = np.zeros(e.grid.basis_count)
+        data = Dataset(inputs=np.full(4, 0.5), targets=np.full(4, 100.0))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as info:
+            train_gd(model, data, TrainConfig(learning_rate=0.1, epochs=5))
+        assert str(info.value) == "non-finite gradient at epoch 0"
+        assert len(info.value.history) == 1
+        assert np.isfinite(info.value.history).all()
+
+    def test_non_finite_loss_keeps_partial_history(self):
+        data = gen_yerkes(8, noise_sd=0.0, seed=9)
+        model = feedforward_model(seed=4, bounding="identity")
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as info:
+            train_gd(model, data, TrainConfig(learning_rate=1e200, epochs=5))
+        assert str(info.value) == "non-finite loss at epoch 1"
+        assert len(info.value.history) == 1
+
+
 # ---------------------------------------------------------------- PSO
 
 
