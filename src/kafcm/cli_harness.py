@@ -166,6 +166,7 @@ class ExperimentConfig:
             "fcm_encoding": self.fcm_encoding,
             "out": self.out,
             "seed": self.seed,
+            "curve_points": self.curve_points,
         }
         for key in ("data_path", "space", "table"):
             if getattr(self, key) is not None:
@@ -304,47 +305,85 @@ def save_model(model, path) -> None:
         fh.write("\n")
 
 
+def _require(record, keys, where: str) -> dict:
+    """record itself, after checking it is an object holding every key."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    missing = [k for k in keys if k not in record]
+    if missing:
+        raise ValueError(f"{where} is missing keys {missing}")
+    return record
+
+
+def _finite(values, where: str) -> np.ndarray:
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{where} is not numeric: {err}") from err
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{where} holds non-finite values")
+    return arr
+
+
+_GRID_KEYS = ("domain_lo", "domain_hi", "grid_size", "degree")
+_EDGE_KEYS = ("i", "j", "w_base", "w_spline", "alpha", "base", "grid")
+_MLP_KEYS = ("W1", "b1", "W2", "b2", "W3", "b3")
+
+
 def load_model(path):
+    """Read a model file written by save_model.
+
+    Raises ValueError for an unknown version or kind, a missing key, an edge
+    index out of range, a non-finite parameter, or (from EdgeFunction) an
+    alpha length that does not match its grid.
+    """
     with open(path) as fh:
-        payload = json.load(fh)
+        payload = _require(json.load(fh), (), f"model file {path}")
     version = payload.get("version")
     if version != MODEL_FILE_VERSION:
         raise ValueError(f"unsupported model file version: {version!r}")
     kind = payload.get("kind")
     if kind == "kafcm":
+        _require(payload, ("n_nodes", "bounding", "edges"), "kafcm model")
         n = payload["n_nodes"]
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"n_nodes must be a positive integer, got {n!r}")
         mask = np.zeros((n, n), dtype=bool)
         edges = [[None] * n for _ in range(n)]
         grids = {}  # one KnotGrid per distinct grid record
-        for rec in payload["edges"]:
-            g = rec["grid"]
-            key = (g["domain_lo"], g["domain_hi"], g["grid_size"], g["degree"])
+        for idx, rec in enumerate(payload["edges"]):
+            where = f"edge {idx}"
+            _require(rec, _EDGE_KEYS, where)
+            g = _require(rec["grid"], _GRID_KEYS, f"{where} grid")
+            lo, hi = _finite([g["domain_lo"], g["domain_hi"]], f"{where} grid domain")
+            if not (isinstance(g["grid_size"], int) and isinstance(g["degree"], int)):
+                raise ValueError(f"{where} grid_size and degree must be integers")
+            key = (float(lo), float(hi), g["grid_size"], g["degree"])
             if key not in grids:
                 grids[key] = make_uniform_grid(*key)
             grid = grids[key]
             i, j = rec["i"], rec["j"]
+            if not all(isinstance(v, int) and 0 <= v < n for v in (i, j)):
+                raise ValueError(f"{where} index ({i!r}, {j!r}) out of range for {n} nodes")
+            alpha = _finite(rec["alpha"], f"{where} alpha")
+            w_base, w_spline = _finite([rec["w_base"], rec["w_spline"]], f"{where} weights")
             mask[i, j] = True
             edges[i][j] = EdgeFunction(
-                w_base=rec["w_base"],
-                w_spline=rec["w_spline"],
-                alpha=np.array(rec["alpha"], dtype=float),
+                w_base=float(w_base),
+                w_spline=float(w_spline),
+                alpha=alpha,
                 grid=grid,
                 base=rec["base"],
             )
         return KAFCMModel(n_nodes=n, edges=edges, mask=mask, bounding=payload["bounding"])
     if kind == "fcm":
+        _require(payload, ("weights", "activation"), "fcm model")
         return StandardFCM(
-            weights=np.array(payload["weights"], dtype=float), activation=payload["activation"]
+            weights=_finite(payload["weights"], "fcm weights"), activation=payload["activation"]
         )
     if kind == "mlp":
-        return MLPParams(
-            W1=np.array(payload["W1"]),
-            b1=np.array(payload["b1"]),
-            W2=np.array(payload["W2"]),
-            b2=np.array(payload["b2"]),
-            W3=np.array(payload["W3"]),
-            b3=np.array(payload["b3"]),
-        )
+        _require(payload, _MLP_KEYS, "mlp model")
+        return MLPParams(**{k: _finite(payload[k], f"mlp {k}") for k in _MLP_KEYS})
     raise ValueError(f"unknown model kind: {kind!r}")
 
 
@@ -621,6 +660,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config.seed = args.seed
             config.train.seed = args.seed
+            if config.pso is not None:
+                config.pso.seed = args.seed
         if args.command == "generate":
             return cmd_generate(config)
         if args.command == "train":

@@ -1,14 +1,19 @@
 """Uniform knot grids and B-spline basis evaluation.
 
-Basis functions follow the Cox-de Boor recursion with the usual 0/0 := 0
-convention for vanishing knot differences. Grids are uniform partitions of a
-closed domain, extended by `degree` extra knots beyond each end so that every
-point of the domain is covered by exactly degree+1 basis functions.
+Grids are uniform partitions of a closed domain, extended by `degree` extra
+knots beyond each end so that every point of the domain is covered by exactly
+degree+1 basis functions. These depend only on the point's span (knot
+interval) and offset into it, so the dense evaluators compute them as a
+polynomial in the offset with one constant matrix per degree: the local-support
+form of de Boor's algorithm (Piegl & Tiller, *The NURBS Book*, Alg. A2.2).
+`basis_value` keeps the scalar Cox-de Boor recursion as the test reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import comb, factorial
 
 import numpy as np
 
@@ -105,44 +110,56 @@ def basis_value(grid: KnotGrid, k: int, p: int, x: float) -> float:
     return left + right
 
 
-def _degree0_matrix(grid: KnotGrid, xs: np.ndarray) -> np.ndarray:
-    """Indicator matrix of shape (n, len(knots)-1) at clamped points.
+@lru_cache(maxsize=None)
+def _power_basis(p: int) -> np.ndarray:
+    """(p+1, p+1) read-only M: the p+1 bases nonzero at offset u are u**arange(p+1) @ M.
 
-    Points are clamped to the domain and x = domain_hi is assigned to the last
-    domain interval (left limit), so the basis never collapses to all zeros at
-    the right boundary.
+    Column r is the cardinal B-spline of degree p on its piece p - r, from its
+    closed form sum_j (-1)**j C(p+1, j) (t - j)**p / p!, expanded exactly in
+    integers and rounded once.
     """
-    t = grid.knots
-    xc = clamp_to_domain(grid, np.asarray(xs, dtype=float))
-    idx = np.searchsorted(t, xc, side="right") - 1
-    top = grid.degree + grid.grid_size  # index of the knot equal to domain_hi
-    idx = np.minimum(idx, top - 1)
-    b0 = np.zeros((xc.size, len(t) - 1))
-    b0[np.arange(xc.size), idx.ravel()] = 1.0
-    return b0
+    def coef(m, r):
+        terms = ((-1) ** j * comb(p + 1, j) * (p - r - j) ** (p - m) for j in range(p - r + 1))
+        return sum(terms) * comb(p, m) / factorial(p)
+
+    M = np.array([[coef(m, r) for r in range(p + 1)] for m in range(p + 1)])
+    M.setflags(write=False)
+    return M
+
+
+def _local_eval(grid: KnotGrid, xs, coef: np.ndarray) -> np.ndarray:
+    """(n, K) rows holding u**arange(len(coef)) @ coef in columns span-p .. span.
+
+    The span of a clamped point is the last knot at or left of it, capped at the
+    last domain interval so that x = domain_hi is a left limit, and u is the
+    offset into that span in units of the spacing. A NaN point gives a NaN row.
+    """
+    p = grid.degree
+    K = grid.basis_count
+    xc = clamp_to_domain(grid, np.atleast_1d(np.asarray(xs, dtype=float)))
+    n = xc.shape[0]
+    span = np.minimum(np.searchsorted(grid.knots, xc, side="right") - 1, p + grid.grid_size - 1)
+    u = (xc - grid.knots[span]) / grid.spacing
+    out = np.zeros((n, K))
+    start = np.arange(0, n * K, K) + span - p
+    out.ravel()[start[:, None] + np.arange(p + 1)] = np.vander(u, len(coef), increasing=True) @ coef
+    nan = np.isnan(xc)
+    if nan.any():
+        out[nan] = np.nan
+    return out
 
 
 def basis_matrix(grid: KnotGrid, xs) -> np.ndarray:
     """All K = G + p basis values of degree grid.degree at each point of xs.
 
     Returns shape (len(xs), basis_count). Inputs are clamped to the domain
-    first; the right domain endpoint is evaluated as a left limit.
+    first; the right domain endpoint is evaluated as a left limit, and a point
+    on an interior knot takes the interval to its right. Only the p+1 bases
+    whose support holds the point are evaluated, from its span and offset;
+    they are clipped at 0, since rounding leaves some at -1e-15 on knots.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    t = grid.knots
-    xc = clamp_to_domain(grid, xs)[:, None]
-    b = _degree0_matrix(grid, xs)
-    for q in range(1, grid.degree + 1):
-        m = b.shape[1] - 1
-        tk = t[:m]
-        num_l = xc - tk
-        den_l = t[q : q + m] - tk
-        num_r = t[q + 1 : q + 1 + m] - xc
-        den_r = t[q + 1 : q + 1 + m] - t[1 : 1 + m]
-        left = np.where(den_l != 0.0, num_l / np.where(den_l == 0.0, 1.0, den_l), 0.0) * b[:, :m]
-        right = np.where(den_r != 0.0, num_r / np.where(den_r == 0.0, 1.0, den_r), 0.0) * b[:, 1 : 1 + m]
-        b = left + right
-    return b[:, : grid.basis_count]
+    b = _local_eval(grid, xs, _power_basis(grid.degree))
+    return np.maximum(b, 0.0, out=b)
 
 
 BASIS_BLOCK_POINTS = 1024
@@ -173,36 +190,15 @@ def basis_vector(grid: KnotGrid, x: float) -> np.ndarray:
 def basis_derivative_matrix(grid: KnotGrid, xs) -> np.ndarray:
     """First derivatives of all K basis functions at each point of xs.
 
-    Uses the classical identity
-        dB_{k,p}/dx = p/(t_{k+p} - t_k) B_{k,p-1} - p/(t_{k+p+1} - t_{k+1}) B_{k+1,p-1}
-    with 0/0 := 0. Requires degree >= 1. Points are clamped, and boundary
-    points take the one-sided interior limit.
+    Differentiates basis_matrix's polynomial in the offset over the same span,
+    divided by the spacing. Requires degree >= 1. Points are clamped, and
+    boundary points take the one-sided interior limit.
     """
     p = grid.degree
     if p < 1:
         raise ValueError("derivative undefined for degree-zero bases")
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    t = grid.knots
-    # Degree p-1 bases over the same knot vector, then the difference rule.
-    b = _degree0_matrix(grid, xs)
-    for q in range(1, p):
-        m = b.shape[1] - 1
-        tk = t[:m]
-        xc = clamp_to_domain(grid, xs)[:, None]
-        num_l = xc - tk
-        den_l = t[q : q + m] - tk
-        num_r = t[q + 1 : q + 1 + m] - xc
-        den_r = t[q + 1 : q + 1 + m] - t[1 : 1 + m]
-        left = np.where(den_l != 0.0, num_l / np.where(den_l == 0.0, 1.0, den_l), 0.0) * b[:, :m]
-        right = np.where(den_r != 0.0, num_r / np.where(den_r == 0.0, 1.0, den_r), 0.0) * b[:, 1 : 1 + m]
-        b = left + right
-    K = grid.basis_count
-    k = np.arange(K)
-    den_a = t[k + p] - t[k]
-    den_b = t[k + p + 1] - t[k + 1]
-    coef_a = np.where(den_a != 0.0, p / np.where(den_a == 0.0, 1.0, den_a), 0.0)
-    coef_b = np.where(den_b != 0.0, p / np.where(den_b == 0.0, 1.0, den_b), 0.0)
-    return coef_a * b[:, :K] - coef_b * b[:, 1 : K + 1]
+    M = _power_basis(p)
+    return _local_eval(grid, xs, np.arange(1, p + 1)[:, None] * M[1:] / grid.spacing)
 
 
 def basis_derivative_vector(grid: KnotGrid, x: float) -> np.ndarray:

@@ -47,6 +47,19 @@ def write_config(tmp_path, name="config.json", **overrides):
 SMALL_MACKEY = {"lag": 4, "total_steps": 140, "washout": 20}
 
 
+# model-file corruption -> the ValueError message load_model must raise
+MALFORMED_KAFCM = {
+    "missing-edges": (lambda p: p.pop("edges"), r"missing keys \['edges'\]"),
+    "missing-grid-key": (lambda p: p["edges"][0]["grid"].pop("degree"), "edge 0 grid is missing"),
+    "text-grid-size": (lambda p: p["edges"][1]["grid"].update(grid_size="4"), "edge 1 grid_size and degree"),
+    "index-too-large": (lambda p: p["edges"][1].update(i=2), r"edge 1 index \(2, 0\) out of range"),
+    "negative-index": (lambda p: p["edges"][0].update(j=-1), "out of range"),
+    "short-alpha": (lambda p: p["edges"][0]["alpha"].pop(), r"alpha length \(6,\) does not match"),
+    "nan-weight": (lambda p: p["edges"][1].update(w_spline=float("nan")), "edge 1 weights holds non-finite"),
+    "text-in-alpha": (lambda p: p["edges"][0]["alpha"].__setitem__(2, "x"), "edge 0 alpha is not numeric"),
+}
+
+
 class TestConfig:
     def test_defaults_fill_in(self):
         cfg = config_from_dict({"experiment": "sine"})
@@ -82,6 +95,12 @@ class TestConfig:
         cfg = canonical_config("mackey")
         again = config_from_dict(cfg.to_dict())
         assert again.to_dict() == cfg.to_dict()
+
+    def test_round_trip_keeps_curve_points(self):
+        cfg = config_from_dict({"experiment": "sine", "curve_points": 37, "edge": [1, 0]})
+        again = config_from_dict(cfg.to_dict())
+        assert again.curve_points == 37
+        assert again == cfg
 
     def test_load_config_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -182,6 +201,47 @@ class TestModelFiles:
         )
         c0 = np.append(result.test_data.inputs[0], 0.0)
         np.testing.assert_array_equal(simulate(back, c0, 10).states, simulate(result.model, c0, 10).states)
+
+    @pytest.mark.parametrize("case", list(MALFORMED_KAFCM))
+    def test_malformed_kafcm_file_rejected(self, tmp_path, case):
+        corrupt, message = MALFORMED_KAFCM[case]
+        path = tmp_path / "m.json"
+        mask = np.array([[False, True], [True, False]])
+        save_model(new_kafcm(2, make_uniform_grid(-1, 1, 4, 3), mask=mask, seed=3), path)
+        payload = json.loads(path.read_text())
+        corrupt(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
+            load_model(path)
+
+    def test_malformed_fcm_and_mlp_files_rejected(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(StandardFCM(weights=np.zeros((2, 2)), activation="tanh"), path)
+        payload = json.loads(path.read_text())
+        payload["weights"][0][1] = float("inf")
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="fcm weights holds non-finite"):
+            load_model(path)
+        save_model(mlp_init(2, 1, seed=0), path)
+        payload = json.loads(path.read_text())
+        del payload["b3"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=r"missing keys \['b3'\]"):
+            load_model(path)
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            load_model(path)
+
+    def test_malformed_model_file_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path)
+        assert main(["generate", "--config", cfg]) == 0
+        assert main(["train", "--config", cfg]) == 0
+        path = tmp_path / "out" / "model_kafcm.json"
+        payload = json.loads(path.read_text())
+        del payload["edges"]
+        path.write_text(json.dumps(payload))
+        assert main(["evaluate", "--config", cfg]) == 2
+        assert main(["extract", "--config", cfg]) == 2
 
     def test_edges_on_different_grids_rejected(self, tmp_path):
         cfg = write_config(tmp_path, experiment="mackey", dataset=SMALL_MACKEY, grid_size=4)
@@ -440,6 +500,21 @@ class TestCommands:
         assert main(["generate", "--config", cfg, "--out", str(alt), "--seed", "7"]) == 0
         seeded = (alt / "data.json").read_text()
         assert json.loads(seeded)["seed"] == 7
+
+    def test_seed_overrides_explicit_pso_seed(self, tmp_path):
+        pso = {"swarm_size": 4, "iterations": 5}
+        model_file = tmp_path / "out" / "model_fcm.json"
+
+        def trained(seed_arg, **config):
+            cfg = write_config(tmp_path, model="fcm", **config)
+            argv = ["train", "--config", cfg] + (["--seed", seed_arg] if seed_arg else [])
+            assert main(argv) == 0
+            return model_file.read_bytes()
+
+        assert main(["generate", "--config", write_config(tmp_path)]) == 0
+        overridden = trained("9", pso={**pso, "seed": 5})
+        assert overridden == trained(None, seed=9, pso={**pso, "seed": 9})
+        assert overridden != trained(None, seed=9, pso={**pso, "seed": 5})
 
     def test_missing_config_file(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 4

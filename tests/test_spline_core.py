@@ -1,4 +1,10 @@
-"""Knot grids and Cox-de Boor basis evaluation."""
+"""Knot grids, the local-support dense basis and the scalar Cox-de Boor reference.
+
+basis_matrix and basis_derivative_matrix evaluate only the p+1 bases nonzero
+at each point. They and basis_value (the recursion) are each checked here
+against scipy's BSpline as an independent oracle; random-grid properties,
+including agreement with basis_value, are in test_spline_properties.py.
+"""
 
 import numpy as np
 import numpy.testing as npt
