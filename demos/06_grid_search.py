@@ -29,8 +29,8 @@ cfg = canonical_config("sine")
 splits = split_for(cfg, build_dataset(cfg))
 
 t0 = time.perf_counter()
-report = grid_search(space, splits, make_grid_task(cfg), base_seed=cfg.seed, jobs=2)
-print(f"swept in {time.perf_counter() - t0:.1f}s with 2 workers\n")
+report = grid_search(space, splits, make_grid_task(cfg), base_seed=cfg.seed)
+print(f"swept in {time.perf_counter() - t0:.1f}s\n")
 
 print(f"{'G':>4s}{'eta':>8s}{'epochs':>8s}{'val error':>12s}")
 for row in sorted(report.rows, key=lambda r: r.val_error):

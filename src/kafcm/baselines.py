@@ -3,6 +3,14 @@
 One training recipe is used everywhere (full-batch gradient descent,
 learning rate 0.05, 1500 epochs) so the comparison stays honest: only the
 KA-FCM gets hyperparameter search.
+
+Training and mlp_gradient share one backward, a per-batch _Workspace that
+allocates the (T, 64) activations, the (T, n_out) outputs and the gradient
+buffers once and fills them in place each epoch (matmul, bias add, ReLU,
+tanh and reductions all with out=). Fresh batch-sized arrays on every epoch
+cost page faults that doubled the epoch time. The in-place steps keep the
+order of float operations of the plain expressions, so results are
+bit-identical to them.
 """
 
 from __future__ import annotations
@@ -104,24 +112,58 @@ def mlp_forward(params: MLPParams, x) -> np.ndarray:
     return out[0] if single else out
 
 
-def _loss_and_grads(params: MLPParams, X: np.ndarray, Y: np.ndarray):
-    T = len(X)
-    Z1, H1, Z2, H2, P = _forward_full(params, X)
-    loss = float(np.mean(np.sum((P - Y) ** 2, axis=1)))
-    dZ3 = (2.0 / T) * (P - Y) * (1.0 - P**2)
-    dH2 = dZ3 @ params.W3
-    dZ2 = dH2 * (Z2 > 0)
-    dH1 = dZ2 @ params.W2
-    dZ1 = dH1 * (Z1 > 0)
-    grads = MLPParams(
-        W1=dZ1.T @ X,
-        b1=dZ1.sum(axis=0),
-        W2=dZ2.T @ H1,
-        b2=dZ2.sum(axis=0),
-        W3=dZ3.T @ H2,
-        b3=dZ3.sum(axis=0),
-    )
-    return loss, grads
+class _Workspace:
+    """One batch's forward and backward buffers, allocated once.
+
+    loss_and_grads fills the (T, 64) activations, the (T, n_out) output
+    arrays and the gradient buffers in place, so a training epoch allocates
+    no batch-sized array. The float operations and their order are those of
+    the plain allocating expressions, so results are bit-identical to them.
+    """
+
+    def __init__(self, params: MLPParams, X: np.ndarray, Y: np.ndarray):
+        T, h = len(X), HIDDEN_WIDTH
+        self.X, self.Y = X, Y
+        self.Z1, self.H1, self.Z2, self.H2, self.dH1, self.dH2 = (np.empty((T, h)) for _ in range(6))
+        self.P, self.R, self.dZ3, self.tmp = (np.empty((T, params.n_out)) for _ in range(4))
+        self.row_loss = np.empty(T)
+        self.mask = np.empty((T, h), dtype=bool)
+        self.grads = MLPParams(*(np.empty_like(a) for a in params.arrays()))
+
+    def loss_and_grads(self, p: MLPParams) -> float:
+        """Mean squared error at parameters p; fills self.grads with its gradient."""
+        X, g = self.X, self.grads
+        Z1, H1, Z2, H2, dH1, dH2 = self.Z1, self.H1, self.Z2, self.H2, self.dH1, self.dH2
+        P, R, dZ3, tmp, mask = self.P, self.R, self.dZ3, self.tmp, self.mask
+        # forward: Z1 = X W1^T + b1, H1 = relu(Z1), ..., P = tanh(H2 W3^T + b3)
+        np.matmul(X, p.W1.T, out=Z1)
+        Z1 += p.b1
+        np.maximum(Z1, 0.0, out=H1)
+        np.matmul(H1, p.W2.T, out=Z2)
+        Z2 += p.b2
+        np.maximum(Z2, 0.0, out=H2)
+        np.matmul(H2, p.W3.T, out=P)
+        P += p.b3
+        np.tanh(P, out=P)
+        np.subtract(P, self.Y, out=R)
+        np.square(R, out=tmp)
+        loss = float(np.mean(np.sum(tmp, axis=1, out=self.row_loss)))
+        # backward: dZ3 = (2/T) R (1 - P^2); the ReLU subgradient at 0 is 0
+        np.multiply(2.0 / len(X), R, out=dZ3)
+        np.square(P, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        dZ3 *= tmp
+        np.matmul(dZ3, p.W3, out=dH2)
+        dH2 *= np.greater(Z2, 0, out=mask)  # dH2 now holds dZ2
+        np.matmul(dH2, p.W2, out=dH1)
+        dH1 *= np.greater(Z1, 0, out=mask)  # dH1 now holds dZ1
+        np.matmul(dH1.T, X, out=g.W1)
+        np.sum(dH1, axis=0, out=g.b1)
+        np.matmul(dH2.T, H1, out=g.W2)
+        np.sum(dH2, axis=0, out=g.b2)
+        np.matmul(dZ3.T, H2, out=g.W3)
+        np.sum(dZ3, axis=0, out=g.b3)
+        return loss
 
 
 def mlp_gradient(params: MLPParams, data: Dataset) -> MLPParams:
@@ -131,7 +173,9 @@ def mlp_gradient(params: MLPParams, data: Dataset) -> MLPParams:
     Y = np.asarray(data.targets, dtype=float)
     if len(X) == 0:
         raise ValueError("empty batch")
-    return _loss_and_grads(params, X, Y)[1]
+    ws = _Workspace(params, X, Y)
+    ws.loss_and_grads(params)
+    return ws.grads
 
 
 def default_mlp_config(seed: int = 0) -> TrainConfig:
@@ -162,8 +206,10 @@ def mlp_train(params: MLPParams, train: Dataset, config: TrainConfig):
         err.history = history[:epochs_done].copy()  # partial record for callers
         raise err
 
+    ws = _Workspace(params, X, Y)
+    grads = ws.grads
     for epoch in range(config.epochs):
-        loss, grads = _loss_and_grads(params, X, Y)
+        loss = ws.loss_and_grads(params)
         if not np.isfinite(loss):
             abort(f"non-finite loss at epoch {epoch}", epoch)
         history[epoch] = loss

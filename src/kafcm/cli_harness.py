@@ -2,8 +2,9 @@
 
 Subcommands: generate, train, evaluate, gridsearch, extract. Each takes
 --config <path> plus optional --out <dir> and --seed <int> overrides;
-gridsearch also accepts --jobs <k>. Exit codes: 0 success, 2 config error,
-3 divergence, 4 I/O error.
+gridsearch also accepts --jobs <k>, which is ignored (cells run one after
+another). Exit codes: 0 success, 2 config or data error, 3 divergence, 4 I/O
+error.
 
 A config plus the code version determines every output byte: datasets,
 models, histories, and reports all serialize with full round-trip precision
@@ -20,6 +21,7 @@ import sys
 
 import numpy as np
 
+from .atomic_io import atomic_write, write_json
 from .baselines import MLPParams, default_mlp_config, mlp_forward, mlp_init, mlp_train
 from .cognitive_graph import (
     BOUNDING_KINDS,
@@ -48,6 +50,7 @@ from .training import (
     GridSearchSpace,
     PSOConfig,
     TrainConfig,
+    grid_csv_line,
     grid_search,
     load_grid_rows,
     loss_rec,
@@ -300,9 +303,7 @@ def save_model(model, path) -> None:
             payload[name] = [float(v) for v in getattr(model, name)]
     else:
         raise TypeError(f"cannot serialize model of type {type(model).__name__}")
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(payload, path)
 
 
 def _require(record, keys, where: str) -> dict:
@@ -536,7 +537,7 @@ def _model_path(config: ExperimentConfig) -> str:
 
 
 def save_history_csv(history, path) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("epoch,loss\n")
         for epoch, loss in enumerate(history):
             fh.write(f"{epoch},{float(loss)!r}\n")
@@ -594,14 +595,27 @@ def cmd_gridsearch(config: ExperimentConfig, jobs: int = 1) -> int:
     splits = split_for(config, data)
     os.makedirs(config.out, exist_ok=True)
     grid_path = os.path.join(config.out, "grid.csv")
-    completed = {}
-    if os.path.exists(grid_path):
-        completed = {(r.G, r.eta, r.epochs): r for r in load_grid_rows(grid_path)}
+    done = load_grid_rows(grid_path) if os.path.exists(grid_path) else []
+    # rewrite what survives (dropping a torn last row), then append each
+    # finished cell so an interrupted run leaves its rows to resume from
+    save_grid_csv(done, grid_path)
     task = make_grid_task(config)
-    report = grid_search(
-        space, splits, task, base_seed=config.seed, jobs=jobs, completed=completed
-    )
-    save_grid_csv(report.rows, grid_path)
+    with open(grid_path, "a") as fh:
+
+        def append(row):
+            fh.write(grid_csv_line(row))
+            fh.flush()
+
+        report = grid_search(
+            space,
+            splits,
+            task,
+            base_seed=config.seed,
+            jobs=jobs,
+            completed={(r.G, r.eta, r.epochs): r for r in done},
+            on_row=append,
+        )
+    save_grid_csv(report.rows, grid_path)  # canonical cell order
     summary_path = os.path.join(config.out, "grid_summary.json")
     save_grid_summary(report, summary_path)
     best = report.best
@@ -651,7 +665,9 @@ def main(argv=None) -> int:
         p.add_argument("--out", help="override the output directory")
         p.add_argument("--seed", type=int, help="override every derived seed")
         if name == "gridsearch":
-            p.add_argument("--jobs", type=int, default=1, help="parallel grid cells")
+            p.add_argument(
+                "--jobs", type=int, default=1, help="accepted and ignored; grid cells run one after another"
+            )
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic_io import atomic_write
 from .edge_functions import BASE_KINDS, base_eval, init_edge
 from .spline_core import KnotGrid, basis_tensor, make_uniform_grid
 
@@ -292,7 +293,7 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write `t,c_0,...,c_{N-1}` rows with full float precision."""
     n = traj.states.shape[1]
     header = "t," + ",".join(f"c_{i}" for i in range(n))
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(header + "\n")
         for t, row in enumerate(traj.states):
             fh.write(str(t) + "," + ",".join(repr(float(v)) for v in row) + "\n")

@@ -14,6 +14,7 @@ import json
 
 import numpy as np
 
+from .atomic_io import atomic_write, write_json
 from .cognitive_graph import DivergenceError
 
 
@@ -276,13 +277,11 @@ def save_dataset(data: Dataset, csv_path) -> None:
     d_in = data.inputs.shape[1]
     d_out = data.targets.shape[1]
     header = ",".join([f"x_{i}" for i in range(d_in)] + [f"y_{i}" for i in range(d_out)])
-    with open(csv_path, "w") as fh:
+    with atomic_write(csv_path) as fh:
         fh.write(header + "\n")
         for xs, ys in zip(data.inputs, data.targets):
             fh.write(",".join(repr(float(v)) for v in list(xs) + list(ys)) + "\n")
-    with open(_sidecar_path(csv_path), "w") as fh:
-        json.dump(data.metadata, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(data.metadata, _sidecar_path(csv_path))
 
 
 def _sidecar_path(csv_path: str) -> str:
@@ -290,10 +289,25 @@ def _sidecar_path(csv_path: str) -> str:
 
 
 def load_dataset(csv_path) -> Dataset:
+    """Read a dataset written by save_dataset.
+
+    Raises ValueError if the rows do not have the header's column count, and
+    names the first row and column that hold a NaN or an infinity: every model would train on them (or silently skip them if they
+    fall outside the training split), so they are a data error, not a
+    divergence.
+    """
     csv_path = str(csv_path)
     with open(csv_path) as fh:
         header = fh.readline().strip().split(",")
         rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if len(rows) and rows.shape[1] != len(header):
+        raise ValueError(f"{csv_path}: the header names {len(header)} columns, the rows hold {rows.shape[1]}")
+    bad = np.argwhere(~np.isfinite(rows))
+    if len(bad):
+        r, c = bad[0]
+        raise ValueError(
+            f"{csv_path}: non-finite value {rows[r, c]} in data row {r} (line {r + 2}), column {header[c]}"
+        )
     d_in = sum(1 for c in header if c.startswith("x_"))
     with open(_sidecar_path(csv_path)) as fh:
         meta = json.load(fh)

@@ -9,10 +9,11 @@ deviation of the signed residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import json
 import os
 
 import numpy as np
+
+from .atomic_io import atomic_write, write_json
 
 __all__ = [
     "MetricsReport",
@@ -68,9 +69,7 @@ def metrics_to_dict(report: MetricsReport, model_id: str = "", dataset_id: str =
 
 
 def save_metrics_json(report: MetricsReport, path, model_id: str = "", dataset_id: str = "") -> None:
-    with open(path, "w") as fh:
-        json.dump(metrics_to_dict(report, model_id, dataset_id), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(metrics_to_dict(report, model_id, dataset_id), path)
 
 
 COMPARISON_HEADER = "model,mse,mape_percent,max_abs_error,std_dev_error,n"
@@ -96,5 +95,5 @@ def upsert_comparison_row(path, model_name: str, report: MetricsReport) -> None:
         lines[names.index(model_name, 1)] = row
     else:
         lines.append(row)
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")

@@ -16,6 +16,7 @@ import json
 
 import numpy as np
 
+from .atomic_io import atomic_write, write_json
 from .edge_functions import EdgeFunction, edge_eval
 
 __all__ = [
@@ -204,7 +205,7 @@ def fit_candidates(curve: EdgeCurve) -> list[CandidateFit]:
 
 
 def curve_to_csv(curve: EdgeCurve, path) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("x,phi\n")
         for x, y in zip(curve.xs, curve.ys):
             fh.write(f"{float(x)!r},{float(y)!r}\n")
@@ -231,9 +232,7 @@ def fits_to_json(fits, path) -> None:
         }
         for f in fits
     ]
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(payload, path)
 
 
 def fits_from_json(path) -> list[CandidateFit]:

@@ -23,13 +23,12 @@ value); a model whose edge grids differ raises ValueError.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-import json
 import zlib
 
 import numpy as np
 
+from .atomic_io import atomic_write, write_json
 from .cognitive_graph import (
     DenseKAFCM,
     DivergenceError,
@@ -57,6 +56,7 @@ __all__ = [
     "pso_train_fcm",
     "grid_search",
     "derive_cell_seed",
+    "grid_csv_line",
     "save_grid_csv",
     "load_grid_rows",
     "save_grid_summary",
@@ -315,38 +315,49 @@ def train_gd(model: KAFCMModel, train: Dataset, config: TrainConfig):
 def pso_train_fcm(model: StandardFCM, train: Dataset, config: PSOConfig):
     """Global-best particle swarm over the weight matrix; returns
     (trained model, best-fitness history). Fitness is loss_rec of one-step
-    predictions on the supervised nodes."""
+    predictions on the supervised nodes.
+
+    The whole swarm is scored at once: one stacked product of the states with
+    every particle's W^T into an (S, T, N) buffer allocated once, bounded on
+    the output columns only. Computing the full product and slicing it keeps
+    the arithmetic of scoring one particle at a time, so results are
+    bit-identical to that loop; a product over the output rows of W alone
+    is not.
+    """
     n = model.n_nodes
+    S = config.swarm_size
     input_idx, output_idx = supervision_layout(n, train)
     states = _state_matrix(n, train, input_idx)
     targets = np.asarray(train.targets, dtype=float)
+    rows = _output_rows(output_idx)
     lo, hi = config.weight_bounds
     rng = np.random.default_rng(config.seed)
     dim = n * n
+    pre = np.empty((S, len(states), n))
 
-    def fitness(flat_w: np.ndarray) -> float:
-        W = flat_w.reshape(n, n)
-        pred = np.asarray(apply_bounding(model.activation, states @ W.T))[:, output_idx]
-        return float(np.mean(np.sum((pred - targets) ** 2, axis=1)))
+    def fitness(swarm: np.ndarray) -> np.ndarray:
+        np.matmul(states, swarm.reshape(S, n, n).transpose(0, 2, 1), out=pre)
+        pred = np.asarray(apply_bounding(model.activation, pre[:, :, rows]))
+        return np.mean(np.sum((pred - targets) ** 2, axis=2), axis=1)
 
-    pos = rng.uniform(lo, hi, (config.swarm_size, dim))
+    pos = rng.uniform(lo, hi, (S, dim))
     vel = np.zeros_like(pos)
     pbest = pos.copy()
-    pbest_fit = np.array([fitness(p) for p in pos])
+    pbest_fit = fitness(pos)
     g_idx = int(np.argmin(pbest_fit))
     gbest = pbest[g_idx].copy()
     gbest_fit = float(pbest_fit[g_idx])
     history = np.empty(config.iterations)
     for it in range(config.iterations):
-        r1 = rng.random((config.swarm_size, dim))
-        r2 = rng.random((config.swarm_size, dim))
+        r1 = rng.random((S, dim))
+        r2 = rng.random((S, dim))
         vel = (
             config.inertia * vel
             + config.cognitive * r1 * (pbest - pos)
             + config.social * r2 * (gbest[None, :] - pos)
         )
         pos = np.clip(pos + vel, lo, hi)
-        fits = np.array([fitness(p) for p in pos])
+        fits = fitness(pos)
         better = fits < pbest_fit
         pbest[better] = pos[better]
         pbest_fit[better] = fits[better]
@@ -380,37 +391,38 @@ def grid_search(
     base_seed: int = 0,
     jobs: int = 1,
     completed: dict | None = None,
+    on_row=None,
 ) -> GridSearchReport:
-    """Evaluate every (G, eta, epochs) cell of the space.
+    """Evaluate every (G, eta, epochs) cell of the space, one after another.
 
     task(G, config, splits) must build, train, and score one model, returning
     the validation error. Each cell gets a seed derived from its own key, so
     results do not depend on evaluation order; `completed` maps (G, eta,
-    epochs) to a finished GridRow for resumption. Divergent cells are recorded
+    epochs) to a finished GridRow for resumption, and on_row(row), if given,
+    is called as each remaining cell finishes. Divergent cells are recorded
     with status "failed" and NaN error; correlations are Pearson coefficients
     of validation error against each hyperparameter over the ok rows.
+
+    `jobs` is accepted and ignored: cells run in the calling thread, because
+    a thread pool measured slower than one thread (NumPy-bound cells on a
+    few cores gain nothing from threads).
     """
     completed = completed or {}
-    cells = list(space.cells())
-
-    def run_cell(cell):
-        G, eta, epochs = cell
-        if cell in completed:
-            return completed[cell]
-        config = TrainConfig(
-            learning_rate=eta, epochs=epochs, lam=0.0, seed=derive_cell_seed(base_seed, G, eta, epochs)
-        )
-        try:
-            err = float(task(G, config, splits))
-            return GridRow(G, eta, epochs, err, "ok")
-        except DivergenceError:
-            return GridRow(G, eta, epochs, float("nan"), "failed")
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run_cell, cells))
-    else:
-        rows = [run_cell(c) for c in cells]
+    rows = []
+    for cell in space.cells():
+        row = completed.get(cell)
+        if row is None:
+            G, eta, epochs = cell
+            config = TrainConfig(
+                learning_rate=eta, epochs=epochs, lam=0.0, seed=derive_cell_seed(base_seed, G, eta, epochs)
+            )
+            try:
+                row = GridRow(G, eta, epochs, float(task(G, config, splits)), "ok")
+            except DivergenceError:
+                row = GridRow(G, eta, epochs, float("nan"), "failed")
+            if on_row is not None:
+                on_row(row)
+        rows.append(row)
     ok = [r for r in rows if r.status == "ok"]
     if not ok:
         raise DivergenceError("every grid cell failed")
@@ -434,27 +446,32 @@ def grid_search(
 GRID_CSV_HEADER = "G,eta,epochs,val_error,status"
 
 
+def grid_csv_line(r: GridRow) -> str:
+    """One grid.csv row, newline included, with round-trip float precision."""
+    return f"{int(r.G)},{float(r.eta)!r},{int(r.epochs)},{float(r.val_error)!r},{r.status}\n"
+
+
 def save_grid_csv(rows, path) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(GRID_CSV_HEADER + "\n")
-        for r in rows:
-            fh.write(f"{int(r.G)},{float(r.eta)!r},{int(r.epochs)},{float(r.val_error)!r},{r.status}\n")
+        fh.writelines(grid_csv_line(r) for r in rows)
 
 
 def load_grid_rows(path) -> list[GridRow]:
+    """Rows of a grid.csv. A last line without its newline is a row torn by
+    an interrupted append and is dropped."""
     rows = []
     with open(path) as fh:
         header = fh.readline().strip()
         if header != GRID_CSV_HEADER:
             raise ValueError(f"unexpected grid csv header: {header!r}")
         for line in fh:
+            if not line.endswith("\n"):
+                break
             G, eta, epochs, err, status = line.strip().split(",")
             rows.append(GridRow(int(G), float(eta), int(epochs), float(err), status))
     return rows
 
 
 def save_grid_summary(report: GridSearchReport, path) -> None:
-    payload = {"best": report.best, "correlations": report.correlations}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json({"best": report.best, "correlations": report.correlations}, path)

@@ -40,6 +40,49 @@ def reference_forward(params, x):
     return np.array(out)
 
 
+def reference_loss_and_grads(params, X, Y):
+    """The allocating MLP epoch, one fresh array per expression: the oracle
+    the in-place workspace must match bit for bit."""
+    T = len(X)
+    Z1 = X @ params.W1.T + params.b1
+    H1 = np.maximum(Z1, 0.0)
+    Z2 = H1 @ params.W2.T + params.b2
+    H2 = np.maximum(Z2, 0.0)
+    P = np.tanh(H2 @ params.W3.T + params.b3)
+    loss = float(np.mean(np.sum((P - Y) ** 2, axis=1)))
+    dZ3 = (2.0 / T) * (P - Y) * (1.0 - P**2)
+    dZ2 = (dZ3 @ params.W3) * (Z2 > 0)
+    dZ1 = (dZ2 @ params.W2) * (Z1 > 0)
+    grads = MLPParams(
+        W1=dZ1.T @ X,
+        b1=dZ1.sum(axis=0),
+        W2=dZ2.T @ H1,
+        b2=dZ2.sum(axis=0),
+        W3=dZ3.T @ H2,
+        b3=dZ3.sum(axis=0),
+    )
+    return loss, grads
+
+
+def reference_train(params, X, Y, learning_rate, epochs):
+    history = np.empty(epochs)
+    for epoch in range(epochs):
+        history[epoch], grads = reference_loss_and_grads(params, X, Y)
+        for p, g in zip(params.arrays(), grads.arrays()):
+            p -= learning_rate * g
+    return params, history
+
+
+# (T, n_in, n_out): random batches, one output and several, up to mackey's
+# 957-row training split
+EXACT_SHAPES = [(1, 1, 1), (37, 3, 2), (400, 1, 1), (957, 4, 1), (1200, 2, 3)]
+
+
+def random_batch(T, n_in, n_out, seed):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-1, 1, (T, n_in)), rng.uniform(-0.9, 0.9, (T, n_out))
+
+
 def zero_params(n_in=1, n_out=1):
     h = HIDDEN_WIDTH
     return MLPParams(
@@ -174,6 +217,35 @@ class TestGradient:
         assert np.all(grads.W1 == 0.0)
         assert np.all(grads.b1 == 0.0)
         assert np.any(grads.b3 != 0.0)
+
+
+class TestExactness:
+    """The in-place workspace against the allocating reference, bit for bit."""
+
+    @pytest.mark.parametrize("T,n_in,n_out", EXACT_SHAPES)
+    def test_gradient_equals_reference(self, T, n_in, n_out):
+        X, Y = random_batch(T, n_in, n_out, seed=T)
+        p = mlp_init(n_in, n_out, seed=n_in + n_out)
+        grads = mlp_gradient(p, Dataset(X, Y))
+        _, ref = reference_loss_and_grads(p, X, Y)
+        for name, g, r in zip(("W1", "b1", "W2", "b2", "W3", "b3"), grads.arrays(), ref.arrays()):
+            assert np.array_equal(g, r), name
+
+    @pytest.mark.parametrize("T,n_in,n_out", EXACT_SHAPES)
+    def test_training_equals_reference(self, T, n_in, n_out):
+        X, Y = random_batch(T, n_in, n_out, seed=T + 1)
+        trained, hist = mlp_train(mlp_init(n_in, n_out, seed=T), Dataset(X, Y), TrainConfig(0.05, epochs=25))
+        ref, ref_hist = reference_train(mlp_init(n_in, n_out, seed=T), X, Y, 0.05, 25)
+        assert np.array_equal(hist, ref_hist)
+        for a, b in zip(trained.arrays(), ref.arrays()):
+            assert np.array_equal(a, b)
+
+    def test_yerkes_recipe_equals_reference(self):
+        train, _, _ = split_dataset(gen_yerkes(400, seed=0), (0.64, 0.16, 0.2), seed=0)
+        trained, hist = mlp_train(mlp_init(1, 1, seed=0), train, TrainConfig(0.05, epochs=200))
+        ref, ref_hist = reference_train(mlp_init(1, 1, seed=0), train.inputs, train.targets, 0.05, 200)
+        assert np.array_equal(hist, ref_hist)
+        assert all(np.array_equal(a, b) for a, b in zip(trained.arrays(), ref.arrays()))
 
 
 class TestTrain:

@@ -22,6 +22,7 @@ from kafcm.cli_harness import (
     save_model,
     split_for,
 )
+import kafcm.cli_harness as cli_harness
 from kafcm.cognitive_graph import KAFCMModel, StandardFCM, new_kafcm, simulate
 from kafcm.datagen import yerkes_law
 from kafcm.spline_core import make_uniform_grid
@@ -480,6 +481,50 @@ class TestCommands:
         assert main(["gridsearch", "--config", cfg]) == 0
         assert grid_file.read_bytes() == uninterrupted
 
+    def test_gridsearch_resumes_after_interrupt(self, tmp_path, monkeypatch):
+        space = {"grid_sizes": [3, 4], "learning_rates": [0.05], "epoch_values": [20, 40]}
+        ref = write_config(tmp_path, name="ref.json", experiment="sine", dataset={"n": 80},
+                           space=space, out=str(tmp_path / "ref"))
+        assert main(["gridsearch", "--config", ref]) == 0
+        uninterrupted = (tmp_path / "ref" / "grid.csv").read_bytes()
+
+        cfg = write_config(tmp_path, experiment="sine", dataset={"n": 80}, space=space)
+        real_train = cli_harness.train_gd
+        trained = []
+
+        def interrupted_on_third(model, data, config):
+            if len(trained) == 2:
+                raise KeyboardInterrupt
+            trained.append(model.edges[1][0].grid.grid_size)
+            return real_train(model, data, config)
+
+        monkeypatch.setattr(cli_harness, "train_gd", interrupted_on_third)
+        with pytest.raises(KeyboardInterrupt):
+            main(["gridsearch", "--config", cfg])
+        grid_file = tmp_path / "out" / "grid.csv"
+        assert grid_file.read_bytes().splitlines() == uninterrupted.splitlines()[:3]
+
+        def counted(model, data, config):
+            trained.append(model.edges[1][0].grid.grid_size)
+            return real_train(model, data, config)
+
+        monkeypatch.setattr(cli_harness, "train_gd", counted)
+        assert main(["gridsearch", "--config", cfg]) == 0
+        assert trained == [3, 3, 4, 4]  # the rerun trained only the two missing cells
+        assert grid_file.read_bytes() == uninterrupted
+        assert sorted(p.name for p in grid_file.parent.iterdir()) == ["grid.csv", "grid_summary.json"]
+
+    def test_gridsearch_drops_torn_last_row(self, tmp_path):
+        space = {"grid_sizes": [3, 4], "learning_rates": [0.05], "epoch_values": [20]}
+        cfg = write_config(tmp_path, experiment="sine", dataset={"n": 80}, space=space)
+        assert main(["gridsearch", "--config", cfg]) == 0
+        grid_file = tmp_path / "out" / "grid.csv"
+        uninterrupted = grid_file.read_bytes()
+        lines = uninterrupted.decode().splitlines()
+        grid_file.write_text("\n".join(lines[:2]) + "\n" + lines[2][:9])  # killed mid-append
+        assert main(["gridsearch", "--config", cfg]) == 0
+        assert grid_file.read_bytes() == uninterrupted
+
     def test_gridsearch_jobs_equivalent(self, tmp_path):
         space = {"grid_sizes": [3, 4], "learning_rates": [0.05], "epoch_values": [20, 40]}
         a = write_config(tmp_path, name="a.json", experiment="sine", dataset={"n": 80},
@@ -515,6 +560,26 @@ class TestCommands:
         overridden = trained("9", pso={**pso, "seed": 5})
         assert overridden == trained(None, seed=9, pso={**pso, "seed": 9})
         assert overridden != trained(None, seed=9, pso={**pso, "seed": 5})
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("command,kind", [("train", "kafcm"), ("train", "fcm"), ("train", "mlp"), ("evaluate", "kafcm")])
+    def test_non_finite_data_exits_2(self, tmp_path, capsys, command, kind, column, value):
+        cfg = write_config(tmp_path, model=kind, pso={"swarm_size": 4, "iterations": 5})
+        assert main(["generate", "--config", cfg]) == 0
+        if command == "evaluate":
+            save_model(build_model(load_config(cfg)), tmp_path / "out" / f"model_{kind}.json")
+        data_csv = tmp_path / "out" / "data.csv"
+        lines = data_csv.read_text().splitlines()
+        cells = lines[7].split(",")
+        cells[column] = value
+        lines[7] = ",".join(cells)
+        data_csv.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"data row 6 (line 8), column {['x_0', 'y_0'][column]}" in err
+        assert not (tmp_path / "out" / f"history_{kind}.csv").exists()
 
     def test_missing_config_file(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 4

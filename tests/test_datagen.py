@@ -225,3 +225,12 @@ class TestDatasetFiles:
         save_dataset(regenerate(ds.metadata), p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_rows_wider_than_header_rejected(self, tmp_path):
+        ds = gen_sine(5, 3.0, seed=1)
+        path = tmp_path / "d.csv"
+        save_dataset(ds, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0]] + [line + ",nan" for line in lines[1:]]) + "\n")
+        with pytest.raises(ValueError, match="header names 2 columns, the rows hold 3"):
+            load_dataset(path)

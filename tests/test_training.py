@@ -10,6 +10,7 @@ from kafcm.cognitive_graph import (
     KAFCMModel,
     StandardFCM,
     Trajectory,
+    apply_bounding,
     kafcm_step,
     new_kafcm,
 )
@@ -390,7 +391,69 @@ class TestOneBufferAdam:
 # ---------------------------------------------------------------- PSO
 
 
+def reference_pso(model, train, config):
+    """Particle swarm that scores one particle per Python call: the oracle
+    the swarm-batched fitness must match bit for bit."""
+    n = model.n_nodes
+    input_idx, output_idx = supervision_layout(n, train)
+    states = np.zeros((len(train), n))
+    states[:, input_idx] = train.inputs
+    lo, hi = config.weight_bounds
+    rng = np.random.default_rng(config.seed)
+
+    def fitness(flat_w):
+        pred = np.asarray(apply_bounding(model.activation, states @ flat_w.reshape(n, n).T))[:, output_idx]
+        return float(np.mean(np.sum((pred - train.targets) ** 2, axis=1)))
+
+    pos = rng.uniform(lo, hi, (config.swarm_size, n * n))
+    vel = np.zeros_like(pos)
+    pbest = pos.copy()
+    pbest_fit = np.array([fitness(p) for p in pos])
+    g_idx = int(np.argmin(pbest_fit))
+    gbest, gbest_fit = pbest[g_idx].copy(), float(pbest_fit[g_idx])
+    history = np.empty(config.iterations)
+    for it in range(config.iterations):
+        r1 = rng.random(pos.shape)
+        r2 = rng.random(pos.shape)
+        vel = (
+            config.inertia * vel
+            + config.cognitive * r1 * (pbest - pos)
+            + config.social * r2 * (gbest[None, :] - pos)
+        )
+        pos = np.clip(pos + vel, lo, hi)
+        fits = np.array([fitness(p) for p in pos])
+        better = fits < pbest_fit
+        pbest[better] = pos[better]
+        pbest_fit[better] = fits[better]
+        g_idx = int(np.argmin(pbest_fit))
+        if pbest_fit[g_idx] < gbest_fit:
+            gbest_fit = float(pbest_fit[g_idx])
+            gbest = pbest[g_idx].copy()
+        history[it] = gbest_fit
+    return gbest.reshape(n, n), history
+
+
 class TestPSO:
+    # (nodes, inputs, targets, rows, activation): the experiments' 1-in/1-out
+    # and 4-in/1-out layouts, and a 5-node full-state map
+    EXACT_CASES = [
+        (2, 1, 1, 960, "tanh"),
+        (2, 1, 1, 400, "smooth_clip"),
+        (5, 4, 1, 957, "tanh"),
+        (5, 5, 5, 900, "smooth_clip"),
+    ]
+
+    @pytest.mark.parametrize("n,d_in,d_out,T,activation", EXACT_CASES)
+    def test_equals_per_particle_reference(self, n, d_in, d_out, T, activation):
+        rng = np.random.default_rng(T + n)
+        data = Dataset(rng.uniform(-1, 1, (T, d_in)), rng.uniform(-0.9, 0.9, (T, d_out)))
+        config = PSOConfig(iterations=40, seed=n)
+        model = StandardFCM(weights=np.zeros((n, n)), activation=activation)
+        trained, history = pso_train_fcm(model, data, config)
+        ref_weights, ref_history = reference_pso(model, data, config)
+        assert np.array_equal(history, ref_history)
+        assert np.array_equal(trained.weights, ref_weights)
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="swarm_size"):
             PSOConfig(swarm_size=1)
