@@ -97,11 +97,10 @@ class KAFCMModel:
             raise ValueError(f"unknown bounding kind: {self.bounding!r}")
 
     def present_edges(self):
-        """Yield (i, j, edge) for every unmasked edge."""
-        for i in range(self.n_nodes):
-            for j in range(self.n_nodes):
-                if self.mask[i, j]:
-                    yield i, j, self.edges[i][j]
+        """Yield (i, j, edge) for every unmasked edge, in row-major order."""
+        rows, cols = np.nonzero(self.mask)
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            yield i, j, self.edges[i][j]
 
 
 @dataclass
@@ -160,9 +159,14 @@ def new_kafcm(
 
 
 def _check_state(n: int, state) -> np.ndarray:
+    """state as a float vector; ValueError unless it has n finite values."""
     state = np.asarray(state, dtype=float)
     if state.shape != (n,):
         raise ValueError(f"state length {state.shape} does not match model size {n}")
+    finite = np.isfinite(state)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"state value {float(state[i])!r} at node {i} is not finite")
     return state
 
 
@@ -170,19 +174,7 @@ def _grid_key(grid: KnotGrid) -> tuple:
     return (grid.domain_lo, grid.domain_hi, grid.grid_size, grid.degree)
 
 
-def _shared_grid(present: list) -> KnotGrid | None:
-    """The knot grid of every (i, j, edge) in present, or None if it is empty.
-
-    Grids are compared by value, so edges holding equal but distinct grid
-    objects share one grid. Raises ValueError if two edges' grids differ.
-    """
-    grid = None
-    for i, j, e in present:
-        if grid is None:
-            grid, key = e.grid, _grid_key(e.grid)
-        elif e.grid is not grid and _grid_key(e.grid) != key:
-            raise ValueError(f"edge ({i}, {j}) does not share the knot grid of the other edges")
-    return grid
+_KIND_INDEX = {kind: k for k, kind in enumerate(BASE_KINDS)}
 
 
 class DenseKAFCM:
@@ -204,19 +196,29 @@ class DenseKAFCM:
         n = model.n_nodes
         self.n_nodes = n
         self.bounding = model.bounding
-        present = list(model.present_edges())
-        self.grid = _shared_grid(present)
-        self.K = 0 if self.grid is None else self.grid.basis_count
-        edges = [e for _, _, e in present]
         self.mask = model.mask
+        # One pass over the present edges, checking that they share one grid;
+        # grids compare by value, so equal but distinct grid objects are shared.
+        edges = []
+        grid = key = None
+        for i, j, e in model.present_edges():
+            if e.grid is not grid:
+                if grid is None:
+                    grid, key = e.grid, _grid_key(e.grid)
+                elif _grid_key(e.grid) != key:
+                    raise ValueError(f"edge ({i}, {j}) does not share the knot grid of the other edges")
+            edges.append(e)
+        self.grid = grid
+        self.K = 0 if grid is None else grid.basis_count
         kind = np.full((n, n), -1)
-        kind[self.mask] = [BASE_KINDS.index(e.base) for e in edges]
+        kind[self.mask] = [_KIND_INDEX[e.base] for e in edges]
         self.kind_mask = (kind[:, None, :] == np.arange(len(BASE_KINDS))[:, None]).astype(float)
         self.theta = np.zeros(n * n * (2 + self.K))
         self.w_base, self.w_spline, self.alpha = self.views(self.theta)
         self.w_base[self.mask] = [e.w_base for e in edges]
         self.w_spline[self.mask] = [e.w_spline for e in edges]
-        self.alpha[self.mask] = [e.alpha for e in edges]
+        if edges:
+            self.alpha[self.mask] = np.concatenate([e.alpha for e in edges]).reshape(len(edges), self.K)
 
     def views(self, flat: np.ndarray):
         """(w_base, w_spline, alpha) views into a buffer laid out like theta."""
@@ -260,8 +262,14 @@ class DenseKAFCM:
 
 
 def kafcm_step(model: KAFCMModel, state) -> np.ndarray:
-    """One synchronous update: out_i = sigma(sum_j phi_ij(c_j))."""
-    return DenseKAFCM(model).stepper()(_check_state(model.n_nodes, state))
+    """One synchronous update: out_i = sigma(sum_j phi_ij(c_j)).
+
+    Each call repacks the whole model into a DenseKAFCM, a Python pass over
+    every edge that costs several steps' time, so a loop of steps should
+    call simulate, which packs once per call.
+    """
+    state = _check_state(model.n_nodes, state)
+    return DenseKAFCM(model).stepper()(state)
 
 
 def fcm_step(model: StandardFCM, state) -> np.ndarray:
@@ -271,7 +279,11 @@ def fcm_step(model: StandardFCM, state) -> np.ndarray:
 
 
 def simulate(model, c0, T: int) -> Trajectory:
-    """Iterate the model T steps from c0; aborts on a non-finite state."""
+    """Iterate the model T steps from c0.
+
+    Raises ValueError for a non-finite c0 and DivergenceError when a step
+    gives a non-finite state.
+    """
     if T < 1:
         raise ValueError(f"T must be at least 1, got {T}")
     state = _check_state(model.n_nodes, c0)

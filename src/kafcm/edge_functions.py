@@ -39,26 +39,24 @@ BASE_KINDS = ("silu", "identity")
 
 
 def silu(x):
-    """SiLU b(x) = x * sigmoid(x), evaluated in an overflow-safe split form."""
+    """SiLU b(x) = x * sigmoid(x), evaluated in an overflow-safe split form:
+    x / (1 + e) for x >= 0 and x e / (1 + e) below, with e = exp(-|x|).
+
+    e is taken as exp(min(x, -x)), which also keeps the sign bit of a NaN x.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = x[pos] / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = x[~pos] * ex / (1.0 + ex)
+    ex = np.exp(np.minimum(x, -x))
+    out = x * np.where(x >= 0, 1.0, ex) / (1.0 + ex)
     if out.ndim == 0:
         return float(out)
     return out
 
 
 def silu_grad(x):
-    """d/dx silu = sigmoid(x) * (1 + x * (1 - sigmoid(x)))."""
+    """d/dx silu = sigmoid(x) * (1 + x * (1 - sigmoid(x))), sigmoid split as in silu."""
     x = np.asarray(x, dtype=float)
-    sig = np.empty_like(x)
-    pos = x >= 0
-    sig[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    sig[~pos] = ex / (1.0 + ex)
+    ex = np.exp(np.minimum(x, -x))
+    sig = np.where(x >= 0, 1.0, ex) / (1.0 + ex)
     out = sig * (1.0 + x * (1.0 - sig))
     if out.ndim == 0:
         return float(out)

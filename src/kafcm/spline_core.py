@@ -81,8 +81,8 @@ def make_uniform_grid(domain_lo: float, domain_hi: float, G: int, p: int = 3) ->
 
 
 def clamp_to_domain(grid: KnotGrid, x):
-    """Clip x (scalar or array) to [domain_lo, domain_hi]."""
-    return np.clip(x, grid.domain_lo, grid.domain_hi)
+    """Clip x (scalar or array) to [domain_lo, domain_hi]; NaN stays NaN."""
+    return np.minimum(np.maximum(x, grid.domain_lo), grid.domain_hi)
 
 
 def basis_value(grid: KnotGrid, k: int, p: int, x: float) -> float:
@@ -127,6 +127,21 @@ def _power_basis(p: int) -> np.ndarray:
     return M
 
 
+def _window(n: int, K: int, p: int) -> np.ndarray:
+    """(n, p+1) read-only offsets r*K + c - p: plus row r's span, the flat indices
+    of its p+1 columns span-p .. span in an (n, K) array."""
+    w = np.arange(0, n * K, K)[:, None] + np.arange(-p, 1)
+    w.setflags(write=False)
+    return w
+
+
+# At most 16 windows of at most 8192 entries (64 KiB each, 1 MiB in all) are
+# kept; larger ones, such as a basis_tensor column of more than 2048 rows at
+# p = 3, are built per call.
+_WINDOW_CACHE_ENTRIES = 8192
+_cached_window = lru_cache(maxsize=16)(_window)
+
+
 def _local_eval(grid: KnotGrid, xs, coef: np.ndarray) -> np.ndarray:
     """(n, K) rows holding u**arange(len(coef)) @ coef in columns span-p .. span.
 
@@ -138,14 +153,23 @@ def _local_eval(grid: KnotGrid, xs, coef: np.ndarray) -> np.ndarray:
     K = grid.basis_count
     xc = clamp_to_domain(grid, np.atleast_1d(np.asarray(xs, dtype=float)))
     n = xc.shape[0]
-    span = np.minimum(np.searchsorted(grid.knots, xc, side="right") - 1, p + grid.grid_size - 1)
-    u = (xc - grid.knots[span]) / grid.spacing
+    # span = (number of knots <= xc) - 1, capped at p+G-1: counting only knots
+    # 1 .. p+G-1 gives both at once, since xc >= knots[0] after the clamp; a
+    # NaN counts past all of them and so gets the cap
+    span = np.searchsorted(grid.knots[1 : p + grid.grid_size], xc, side="right")
+    u = xc - grid.knots[span]
+    u /= grid.spacing
+    # u**k as running products, the order np.vander uses, in one array
+    m = len(coef)
+    V = np.empty((n, m))
+    V[:, 0] = 1.0
+    for k in range(1, m):
+        np.multiply(V[:, k - 1], u, out=V[:, k])
+    window = (_cached_window if n * (p + 1) <= _WINDOW_CACHE_ENTRIES else _window)(n, K, p)
     out = np.zeros((n, K))
-    start = np.arange(0, n * K, K) + span - p
-    out.ravel()[start[:, None] + np.arange(p + 1)] = np.vander(u, len(coef), increasing=True) @ coef
-    nan = np.isnan(xc)
-    if nan.any():
-        out[nan] = np.nan
+    out.ravel()[window + span[:, None]] = V @ coef
+    if np.isnan(u.sum()):
+        out[np.isnan(u)] = np.nan
     return out
 
 
@@ -174,8 +198,10 @@ def basis_tensor(grid: KnotGrid, states: np.ndarray) -> np.ndarray:
     """
     T, n = states.shape
     K = grid.basis_count
-    B = np.empty((T, n, K))
     cols = max(1, BASIS_BLOCK_POINTS // max(T, 1))
+    if cols >= n:
+        return basis_matrix(grid, states.ravel()).reshape(T, n * K)
+    B = np.empty((T, n, K))
     for j in range(0, n, cols):
         block = states[:, j : j + cols]
         B[:, j : j + cols] = basis_matrix(grid, block.ravel()).reshape(*block.shape, K)

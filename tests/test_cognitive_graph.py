@@ -1,6 +1,7 @@
 """KA-FCM and standard-FCM inference, simulation, and model properties."""
 
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -191,6 +192,23 @@ class TestSimulate:
         m = StandardFCM(np.array([[2.0]]), activation="identity")
         with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="non-finite state"):
             simulate(m, [1e308], 10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_initial_state_names_its_node(self, bad):
+        # a non-finite input is a caller error, not a divergence: no step runs
+        kafcm = new_kafcm(3, make_uniform_grid(-1, 1, 4, 3), bounding="tanh")
+        fcm = StandardFCM(np.full((3, 3), 0.5))
+        state = [0.1, bad, bad]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (
+                lambda: kafcm_step(kafcm, state),
+                lambda: simulate(kafcm, state, 5),
+                lambda: fcm_step(fcm, state),
+                lambda: simulate(fcm, state, 5),
+            ):
+                with pytest.raises(ValueError, match=rf"state value {bad!r} at node 1 is not finite"):
+                    call()
 
     def test_invalid_horizon(self):
         m = StandardFCM(np.zeros((1, 1)))

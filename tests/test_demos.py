@@ -1,7 +1,8 @@
-"""Smoke test: the spline and edge-function demos run to completion.
+"""Smoke test: the spline, edge-function and scaling demos run to completion.
 
-Both call basis_matrix and basis_derivative_matrix directly and print their
-own cross-checks; their CSV output goes to demos/out/, which git ignores.
+The first two call basis_matrix and basis_derivative_matrix directly and
+print their own cross-checks; the scaling demo runs simulate on dense maps of
+8 to 64 nodes. Their CSV output goes to demos/out/, which git ignores.
 """
 
 import os
@@ -14,7 +15,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["01_spline_basics.py", "02_edge_functions.py"])
+@pytest.mark.parametrize("demo", ["01_spline_basics.py", "02_edge_functions.py", "07_scaling_benchmark.py"])
 def test_demo_exits_zero(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

@@ -1,0 +1,331 @@
+"""The inference fast paths against their straightforward forms, bit for bit.
+
+`basis_matrix`, `basis_derivative_matrix`, `basis_tensor`, `silu`,
+`silu_grad`, the `DenseKAFCM` pack and `simulate` are written for few NumPy
+calls per step. The references below are the plain forms of the same
+arithmetic: `np.clip`, `np.vander` and a NaN mask for the local basis,
+boolean-mask indexing for SiLU, a per-(i, j) walk of the mask for the pack.
+Every comparison is of the raw float64 bits, so signed zeros and NaN
+payloads must match as well as values.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from kafcm.cognitive_graph import DenseKAFCM, KAFCMModel, apply_bounding, new_kafcm, simulate
+from kafcm.edge_functions import BASE_KINDS, EdgeFunction, silu, silu_grad
+from kafcm.spline_core import (
+    BASIS_BLOCK_POINTS,
+    _power_basis,
+    basis_derivative_matrix,
+    basis_matrix,
+    basis_tensor,
+    make_uniform_grid,
+)
+
+SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# ---------------------------------------------------------------- references
+
+
+def ref_local_eval(grid, xs, coef):
+    p = grid.degree
+    K = grid.basis_count
+    xc = np.clip(np.atleast_1d(np.asarray(xs, dtype=float)), grid.domain_lo, grid.domain_hi)
+    n = xc.shape[0]
+    span = np.minimum(np.searchsorted(grid.knots, xc, side="right") - 1, p + grid.grid_size - 1)
+    u = (xc - grid.knots[span]) / grid.spacing
+    out = np.zeros((n, K))
+    start = np.arange(0, n * K, K) + span - p
+    out.ravel()[start[:, None] + np.arange(p + 1)] = np.vander(u, len(coef), increasing=True) @ coef
+    nan = np.isnan(xc)
+    if nan.any():
+        out[nan] = np.nan
+    return out
+
+
+def ref_basis_matrix(grid, xs):
+    b = ref_local_eval(grid, xs, _power_basis(grid.degree))
+    return np.maximum(b, 0.0, out=b)
+
+
+def ref_basis_derivative_matrix(grid, xs):
+    p = grid.degree
+    return ref_local_eval(grid, xs, np.arange(1, p + 1)[:, None] * _power_basis(p)[1:] / grid.spacing)
+
+
+def ref_basis_tensor(grid, states):
+    T, n = states.shape
+    K = grid.basis_count
+    B = np.empty((T, n, K))
+    cols = max(1, BASIS_BLOCK_POINTS // max(T, 1))
+    for j in range(0, n, cols):
+        block = states[:, j : j + cols]
+        B[:, j : j + cols] = ref_basis_matrix(grid, block.ravel()).reshape(*block.shape, K)
+    return B.reshape(T, n * K)
+
+
+def ref_silu(x):
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = x[pos] / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = x[~pos] * ex / (1.0 + ex)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def ref_silu_grad(x):
+    x = np.asarray(x, dtype=float)
+    sig = np.empty_like(x)
+    pos = x >= 0
+    sig[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    sig[~pos] = ex / (1.0 + ex)
+    out = sig * (1.0 + x * (1.0 - sig))
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def ref_pack(model):
+    """(theta, kind_mask, grid) from a per-(i, j) walk of the mask."""
+    n = model.n_nodes
+    edges = [model.edges[i][j] for i in range(n) for j in range(n) if model.mask[i, j]]
+    grid = edges[0].grid if edges else None
+    K = 0 if grid is None else grid.basis_count
+    kind = np.full((n, n), -1)
+    kind[model.mask] = [BASE_KINDS.index(e.base) for e in edges]
+    kind_mask = (kind[:, None, :] == np.arange(len(BASE_KINDS))[:, None]).astype(float)
+    nn = n * n
+    theta = np.zeros(nn * (2 + K))
+    theta[:nn].reshape(n, n)[model.mask] = [e.w_base for e in edges]
+    theta[nn : 2 * nn].reshape(n, n)[model.mask] = [e.w_spline for e in edges]
+    theta[2 * nn :].reshape(n, n, K)[model.mask] = [e.alpha for e in edges]
+    return theta, kind_mask, grid
+
+
+def ref_stepper(model):
+    """forward(features(s[None]), weights)[0] from the reference pack and features."""
+    assert BASE_KINDS == ("silu", "identity")
+    n = model.n_nodes
+    theta, kind_mask, grid = ref_pack(model)
+    nn = n * n
+    w_base, w_spline = theta[:nn].reshape(n, n), theta[nn : 2 * nn].reshape(n, n)
+    alpha = theta[2 * nn :].reshape(n, n, grid.basis_count)
+    Wb = (w_base[:, None, :] * kind_mask).reshape(n, -1)
+    Ws = (w_spline[:, :, None] * alpha).reshape(n, -1)
+
+    def step(state):
+        states = state[None, :]
+        base = np.concatenate([ref_silu(states), np.asarray(states, dtype=float)], axis=1)
+        pre = (base @ Wb.T + ref_basis_tensor(grid, states) @ Ws.T)[0]
+        return np.asarray(apply_bounding(model.bounding, pre))
+
+    return step
+
+
+# ---------------------------------------------------------------- basis
+
+
+@st.composite
+def grids_and_points(draw):
+    """A grid (some with a domain endpoint at 0.0) and points inside, outside,
+    on every knot, on both endpoints, at +-0.0, +-inf and NaN."""
+    lo = draw(st.one_of(st.just(0.0), st.floats(-3.0, 1.0)))
+    hi = draw(st.one_of(st.just(0.0), st.just(lo + 1.0), st.floats(lo + 0.1, lo + 4.0)))
+    hi = hi if hi > lo else lo + 0.5
+    grid = make_uniform_grid(lo, hi, draw(st.integers(1, 19)), draw(st.integers(0, 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = hi - lo
+    xs = np.concatenate(
+        [
+            rng.uniform(lo, hi, draw(st.integers(0, 40))),
+            rng.uniform(lo - width, lo, 3),
+            rng.uniform(hi, hi + width, 3),
+            grid.knots,
+            [lo, hi, 0.0, -0.0, np.inf, -np.inf, np.nan],
+        ]
+    )
+    return grid, rng.permutation(xs)
+
+
+@SETTINGS
+@given(grids_and_points())
+def test_basis_matrix_bits(case):
+    grid, xs = case
+    assert same_bits(basis_matrix(grid, xs), ref_basis_matrix(grid, xs))
+
+
+@SETTINGS
+@given(grids_and_points())
+def test_basis_derivative_matrix_bits(case):
+    grid, xs = case
+    if grid.degree == 0:
+        return
+    assert same_bits(basis_derivative_matrix(grid, xs), ref_basis_derivative_matrix(grid, xs))
+
+
+@pytest.mark.parametrize("p", [0, 3, 5])
+@pytest.mark.parametrize("n", [0, 1, 2048, 2049, 5000])
+def test_basis_bits_around_window_cache_limit(n, p):
+    # windows of more than 8192 entries are built per call, not cached
+    grid = make_uniform_grid(-1.0, 1.0, 7, p)
+    xs = np.random.default_rng(n + p).uniform(-1.2, 1.2, n)
+    assert same_bits(basis_matrix(grid, xs), ref_basis_matrix(grid, xs))
+    assert same_bits(basis_matrix(grid, xs), ref_basis_matrix(grid, xs))  # cached window again
+    if p:
+        assert same_bits(basis_derivative_matrix(grid, xs), ref_basis_derivative_matrix(grid, xs))
+
+
+def test_scalar_and_list_inputs():
+    grid = make_uniform_grid(-1.0, 1.0, 5, 3)
+    for xs in (0.3, [0.3], [-1.0, 1.0], np.float64(-2.0)):
+        assert same_bits(basis_matrix(grid, xs), ref_basis_matrix(grid, xs))
+        assert same_bits(basis_derivative_matrix(grid, xs), ref_basis_derivative_matrix(grid, xs))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 32), (1, 1024), (2, 1024), (400, 32), (1500, 3), (3, 1000), (0, 4)])
+def test_basis_tensor_bits(shape):
+    # one-row and empty states fill in one block, the rest in several
+    grid = make_uniform_grid(-1.0, 1.0, 8, 3)
+    states = np.random.default_rng(sum(shape)).uniform(-1.1, 1.1, shape)
+    assert same_bits(basis_tensor(grid, states), ref_basis_tensor(grid, states))
+
+
+# ---------------------------------------------------------------- silu
+
+SPECIAL = [0.0, -0.0, 1e3, -1e3, 710.0, -710.0, 36.0, -36.0, 1e-300, -1e-300, 5e-324, -5e-324]
+NON_FINITE = [np.inf, -np.inf, np.nan, -np.nan]
+
+
+def _warnings_of(f, x):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = f(x)
+    return out, sorted(w.category.__name__ for w in caught)
+
+
+@pytest.mark.parametrize("f, ref", [(silu, ref_silu), (silu_grad, ref_silu_grad)], ids=["silu", "silu_grad"])
+def test_silu_bits_and_warnings(f, ref):
+    rng = np.random.default_rng(0)
+    arrays = [
+        np.array(SPECIAL + NON_FINITE),
+        rng.normal(0.0, 10.0, 1000),
+        rng.normal(0.0, 2.0, (400, 32)),
+        np.array(SPECIAL[:3]),
+    ]
+    for x in arrays + SPECIAL + NON_FINITE:
+        got, got_warnings = _warnings_of(f, x)
+        want, want_warnings = _warnings_of(ref, x)
+        assert same_bits(got, want), x
+        assert type(got) is type(want)
+        assert got_warnings == want_warnings, x
+
+
+def test_silu_no_warning_at_plus_inf_or_huge_magnitudes():
+    # np.where evaluates both branches, but e = exp(-|x|) <= 1 cannot overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert silu(np.inf) == np.inf
+        assert same_bits(silu(np.array([np.inf, 1e308, -1e308, 0.0])), ref_silu(np.array([np.inf, 1e308, -1e308, 0.0])))
+        assert same_bits(silu_grad(np.array([1e308, -1e308])), ref_silu_grad(np.array([1e308, -1e308])))
+
+
+# ---------------------------------------------------------------- pack
+
+
+def _mixed_model(n, mask, seed, bounding="smooth_clip"):
+    grid = make_uniform_grid(-1.0, 1.0, 6, 3)
+    model = new_kafcm(n, grid, mask=mask, bounding=bounding, seed=seed)
+    rng = np.random.default_rng(seed)
+    for _, _, e in model.present_edges():
+        e.base = "identity" if rng.random() < 0.5 else "silu"
+        e.w_base, e.w_spline = rng.normal(), rng.normal()
+    return model
+
+
+def _pack_cases():
+    rng = np.random.default_rng(3)
+    n = 7
+    yield "masked-mixed", _mixed_model(n, rng.random((n, n)) < 0.6, 1)
+    yield "dense-mixed", _mixed_model(n, np.ones((n, n), dtype=bool), 2)
+    yield "no-edge", new_kafcm(n, make_uniform_grid(-1.0, 1.0, 6, 3), mask=np.zeros((n, n), dtype=bool))
+    one = np.zeros((n, n), dtype=bool)
+    one[4, 2] = True
+    yield "one-edge", _mixed_model(n, one, 4)
+    yield "one-node", _mixed_model(1, np.ones((1, 1), dtype=bool), 5)
+
+
+@pytest.mark.parametrize("name, model", list(_pack_cases()), ids=lambda v: v if isinstance(v, str) else "")
+def test_pack_bits(name, model):
+    dense = DenseKAFCM(model)
+    theta, kind_mask, grid = ref_pack(model)
+    assert same_bits(dense.theta, theta)
+    assert same_bits(dense.kind_mask, kind_mask)
+    assert dense.grid is grid
+    assert dense.K == (0 if grid is None else grid.basis_count)
+
+
+def test_pack_accepts_equal_grid_objects_and_names_a_different_grid():
+    model = _mixed_model(3, np.ones((3, 3), dtype=bool), 6)
+    first = model.edges[0][0].grid
+    e = model.edges[1][2]
+    e.grid = make_uniform_grid(-1.0, 1.0, 6, 3)  # equal by value, another object
+    assert e.grid is not first
+    assert same_bits(DenseKAFCM(model).theta, ref_pack(model)[0])
+    model.edges[2][1] = EdgeFunction(1.0, 1.0, np.zeros(10), make_uniform_grid(-1.0, 1.0, 7, 3))
+    with pytest.raises(ValueError, match=r"edge \(2, 1\) does not share the knot grid"):
+        DenseKAFCM(model)
+
+
+def test_write_back_round_trip():
+    model = _mixed_model(5, np.random.default_rng(7).random((5, 5)) < 0.7, 7)
+    dense = DenseKAFCM(model)
+    rng = np.random.default_rng(8)
+    for view in (dense.w_base, dense.w_spline, dense.alpha):
+        view[model.mask] += rng.normal(size=view[model.mask].shape)
+    dense.write_back(model)
+    assert same_bits(ref_pack(model)[0], dense.theta)
+    for i, j, e in model.present_edges():
+        assert type(e.w_base) is float and type(e.w_spline) is float
+        assert not np.shares_memory(e.alpha, dense.theta)
+
+
+def test_present_edges_order_and_types():
+    mask = np.random.default_rng(9).random((6, 6)) < 0.5
+    model = KAFCMModel(6, [[(i, j) for j in range(6)] for i in range(6)], mask)
+    got = list(model.present_edges())
+    assert got == [(i, j, (i, j)) for i in range(6) for j in range(6) if mask[i, j]]
+    assert all(type(i) is int and type(j) is int for i, j, _ in got)
+
+
+# ---------------------------------------------------------------- simulate
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        new_kafcm(32, make_uniform_grid(-1.0, 1.0, 10, 3), mask=np.ones((32, 32), dtype=bool), bounding="tanh", seed=11),
+        _mixed_model(12, np.random.default_rng(12).random((12, 12)) < 0.7, 12, bounding="smooth_clip"),
+    ],
+    ids=["dense-tanh-N32", "mixed-smooth_clip-N12"],
+)
+def test_simulate_rollout_bits(model):
+    c0 = np.random.default_rng(13).uniform(-1.0, 1.0, model.n_nodes)
+    step = ref_stepper(model)
+    ref = [c0]
+    for _ in range(200):
+        ref.append(step(ref[-1]))
+    assert same_bits(simulate(model, c0, 200).states, np.array(ref))
