@@ -42,7 +42,7 @@ from .datagen import (
     split_dataset,
     yerkes_law,
 )
-from .edge_functions import EdgeFunction
+from .edge_functions import BASE_KINDS, EdgeFunction
 from .metrics_eval import MetricsReport, compute_metrics, save_metrics_json, upsert_comparison_row
 from .spline_core import make_uniform_grid
 from .symbolic import curve_to_csv, fit_candidates, fits_to_json, sample_edge
@@ -267,22 +267,19 @@ def _grid_to_dict(grid) -> dict:
 def save_model(model, path) -> None:
     """Serialize a KAFCMModel, StandardFCM, or MLPParams as versioned JSON."""
     if isinstance(model, KAFCMModel):
+        rows, cols = np.nonzero(model.mask)
+        grid = None if model.grid is None else _grid_to_dict(model.grid)
+        columns = (model.w_base, model.w_spline, model.alpha, model.base_kind)
         payload = {
             "version": MODEL_FILE_VERSION,
             "kind": "kafcm",
             "n_nodes": model.n_nodes,
             "bounding": model.bounding,
             "edges": [
-                {
-                    "i": i,
-                    "j": j,
-                    "w_base": e.w_base,
-                    "w_spline": e.w_spline,
-                    "alpha": [float(v) for v in e.alpha],
-                    "base": e.base,
-                    "grid": _grid_to_dict(e.grid),
-                }
-                for i, j, e in model.present_edges()
+                {"i": i, "j": j, "w_base": wb, "w_spline": ws, "alpha": al, "base": BASE_KINDS[k], "grid": grid}
+                for i, j, wb, ws, al, k in zip(
+                    rows.tolist(), cols.tolist(), *(c[rows, cols].tolist() for c in columns)
+                )
             ],
         }
     elif isinstance(model, StandardFCM):
@@ -335,8 +332,9 @@ def load_model(path):
     """Read a model file written by save_model.
 
     Raises ValueError for an unknown version or kind, a missing key, an edge
-    index out of range, a non-finite parameter, or (from EdgeFunction) an
-    alpha length that does not match its grid.
+    index out of range, a non-finite parameter, (from EdgeFunction) an
+    alpha length that does not match its grid, or (from
+    KAFCMModel.from_edges) edges on different knot grids.
     """
     with open(path) as fh:
         payload = _require(json.load(fh), (), f"model file {path}")
@@ -376,7 +374,7 @@ def load_model(path):
                 grid=grid,
                 base=rec["base"],
             )
-        return KAFCMModel(n_nodes=n, edges=edges, mask=mask, bounding=payload["bounding"])
+        return KAFCMModel.from_edges(edges, mask, bounding=payload["bounding"])
     if kind == "fcm":
         _require(payload, ("weights", "activation"), "fcm model")
         return StandardFCM(
@@ -632,7 +630,7 @@ def cmd_extract(config: ExperimentConfig) -> int:
         raise ConfigError("extract requires a kafcm model file")
     n_in, _ = EXPERIMENT_DIMS[config.experiment]
     i, j = config.edge if config.edge is not None else (n_in, 0)
-    if not (0 <= i < model.n_nodes and 0 <= j < model.n_nodes) or model.edges[i][j] is None:
+    if not (0 <= i < model.n_nodes and 0 <= j < model.n_nodes and model.mask[i, j]):
         raise ConfigError(f"edge ({i}, {j}) is masked or out of range")
     curve = sample_edge(model.edges[i][j], config.curve_points, edge_id=(i, j))
     fits = fit_candidates(curve)

@@ -20,8 +20,8 @@ from .spline_core import KnotGrid, basis_tensor, make_uniform_grid
 
 __all__ = [
     "BOUNDING_KINDS",
-    "DenseKAFCM",
     "DivergenceError",
+    "EdgeView",
     "KAFCMModel",
     "StandardFCM",
     "Trajectory",
@@ -74,33 +74,176 @@ def bounding_grad(kind: str, x):
     raise ValueError(f"unknown bounding kind: {kind!r}")
 
 
-@dataclass
-class KAFCMModel:
-    """N-node map whose adjacency entries are EdgeFunction values.
+_KIND_INDEX = {kind: k for k, kind in enumerate(BASE_KINDS)}
+_KINDS = np.arange(len(BASE_KINDS))
 
-    edges[i][j] is phi_ij, the influence of source node j on target node i;
-    mask[i, j] False means the edge is absent (its entry may be None or an
-    ignored EdgeFunction). All present edges share one knot grid, compared by
-    value; inference and training reject a model whose edge grids differ.
+
+def _kind_index(kind: str) -> int:
+    if kind not in _KIND_INDEX:
+        raise ValueError(f"unknown base kind: {kind!r}")
+    return _KIND_INDEX[kind]
+
+
+def _grid_key(grid: KnotGrid) -> tuple:
+    return (grid.domain_lo, grid.domain_hi, grid.grid_size, grid.degree)
+
+
+class KAFCMModel:
+    """N-node map whose adjacency entries are edge functions on one knot grid.
+
+    phi_ij, the influence of source node j on target node i, is
+    w_base[i, j] * b(x) + w_spline[i, j] * sum_k alpha[i, j, k] B_k(x) with
+    base b = BASE_KINDS[base_kind[i, j]]. w_base, w_spline (N, N) and alpha
+    (N, N, K) are views into one flat buffer `theta`, which every inference
+    and training path reads directly; update it in place. mask[i, j] False
+    means the edge is absent: it contributes nothing, whatever finite values
+    its slot holds, so the mask may be edited in place. edges[i][j] is an
+    EdgeView of slot (i, j), and assigning an edge function to it copies its
+    parameters in.
     """
 
-    n_nodes: int
-    edges: list
-    mask: np.ndarray
-    bounding: str = "smooth_clip"
-
-    def __post_init__(self):
-        self.mask = np.asarray(self.mask, dtype=bool)
-        if self.mask.shape != (self.n_nodes, self.n_nodes):
+    def __init__(self, n_nodes: int, grid: KnotGrid | None, mask=None, bounding="smooth_clip"):
+        """Zero parameters and a silu base in every slot; default mask is dense
+        without self-loops. grid may be None only for a model without edges."""
+        self.n_nodes = n_nodes
+        self.grid = grid
+        self.K = 0 if grid is None else grid.basis_count
+        self.mask = ~np.eye(n_nodes, dtype=bool) if mask is None else np.array(mask, dtype=bool)
+        if self.mask.shape != (n_nodes, n_nodes):
             raise ValueError("mask shape must be (n_nodes, n_nodes)")
-        if self.bounding not in BOUNDING_KINDS:
-            raise ValueError(f"unknown bounding kind: {self.bounding!r}")
+        if bounding not in BOUNDING_KINDS:
+            raise ValueError(f"unknown bounding kind: {bounding!r}")
+        self.bounding = bounding
+        self.base_kind = np.full((n_nodes, n_nodes), _KIND_INDEX["silu"])
+        self.theta = np.zeros(n_nodes * n_nodes * (2 + self.K))
+
+    @classmethod
+    def from_edges(cls, edges, mask, bounding="smooth_clip") -> "KAFCMModel":
+        """A model holding edges[i][j] wherever mask[i, j] (other entries are
+        ignored and may be None), on the grid of the first present edge.
+        Raises ValueError naming the first edge whose grid differs from it."""
+        mask = np.asarray(mask, dtype=bool)
+        present = np.argwhere(mask).tolist()
+        chosen = [edges[i][j] for i, j in present]
+        model = cls(len(mask), chosen[0].grid if chosen else None, mask, bounding)
+        model._put(present, chosen)
+        return model
+
+    def _put(self, slots, edges) -> None:
+        """Copy edges[k]'s parameters into slot slots[k] = (i, j) for every k,
+        after checking that each edge's grid equals the model's by value."""
+        for (i, j), edge in zip(slots, edges):
+            if edge.grid is not self.grid and (self.grid is None or _grid_key(edge.grid) != _grid_key(self.grid)):
+                raise ValueError(f"edge ({i}, {j}) does not share the model's knot grid")
+        at = [i for i, _ in slots], [j for _, j in slots]
+        w_base, w_spline, alpha = self.views(self.theta)
+        w_base[at] = [e.w_base for e in edges]
+        w_spline[at] = [e.w_spline for e in edges]
+        alpha[at] = np.reshape([e.alpha for e in edges], (len(edges), self.K))
+        self.base_kind[at] = [_kind_index(e.base) for e in edges]
+
+    def views(self, flat: np.ndarray):
+        """(w_base, w_spline, alpha) views into a buffer laid out like theta."""
+        n, nn = self.n_nodes, self.n_nodes**2
+        return flat[:nn].reshape(n, n), flat[nn : 2 * nn].reshape(n, n), flat[2 * nn :].reshape(n, n, self.K)
+
+    w_base = property(lambda self: self.views(self.theta)[0])
+    w_spline = property(lambda self: self.views(self.theta)[1])
+    alpha = property(lambda self: self.views(self.theta)[2])
+    edges = property(lambda self: _EdgeTable(self))
 
     def present_edges(self):
-        """Yield (i, j, edge) for every unmasked edge, in row-major order."""
-        rows, cols = np.nonzero(self.mask)
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            yield i, j, self.edges[i][j]
+        """Yield (i, j, edge view) for every unmasked edge, in row-major order."""
+        for i, j in np.argwhere(self.mask).tolist():
+            yield i, j, EdgeView(self, i, j)
+
+    def kind_mask(self) -> np.ndarray:
+        """kind_mask[i, k, j] is 1.0 where edge (i, j) is present with base
+        kind BASE_KINDS[k], else 0.0."""
+        return ((self.base_kind[:, None, :] == _KINDS[:, None]) & self.mask[:, None, :]).astype(float)
+
+    def features(self, states: np.ndarray):
+        """(base, B) of states with shape (T, N): the states under each base
+        kind, one N-column block per kind, and their (T, N*K) basis tensor."""
+        base = np.concatenate([base_eval(kind, states) for kind in BASE_KINDS], axis=1)
+        B = basis_tensor(self.grid, states) if self.K else np.zeros((len(states), 0))
+        return base, B
+
+    def weights(self, rows=slice(None)):
+        """(Wb, Ws) of the target nodes in `rows`, a basic slice."""
+        w_base, w_spline, alpha = self.views(self.theta)
+        return self.assemble(w_base[rows], w_spline[rows], alpha[rows], self.kind_mask()[rows], self.mask[rows])
+
+    @staticmethod
+    def assemble(w_base, w_spline, alpha, kind_mask, mask):
+        """(Wb, Ws) from rows of the parameter arrays, of kind_mask and of the
+        mask: Wb holds w_base in the blocks of `base`, Ws is (w_spline[...,
+        None] * alpha) flattened to match B, and absent edges give zeros."""
+        Wb = w_base[:, None, :] * kind_mask
+        Ws = (w_spline * mask)[:, :, None] * alpha
+        return Wb.reshape(len(Wb), -1), Ws.reshape(len(Ws), -1)
+
+    @staticmethod
+    def forward(features, weights) -> np.ndarray:
+        """Pre-activation sums base @ Wb.T + B @ Ws.T, shape (T, rows): the
+        one forward of every inference and training path."""
+        (base, B), (Wb, Ws) = features, weights
+        return base @ Wb.T + B @ Ws.T
+
+    def stepper(self):
+        """The update c -> sigma(pre(c)) of one state, weights computed once."""
+        weights = self.weights()
+
+        def step(state: np.ndarray) -> np.ndarray:
+            pre = self.forward(self.features(state[None, :]), weights)[0]
+            return np.asarray(apply_bounding(self.bounding, pre))
+
+        return step
+
+
+def _slot(name: str, get, put=lambda value: value):
+    """A property backed by model.<name>[i, j], read through get and written through put."""
+
+    def write(view, value):
+        getattr(view.model, name)[view.i, view.j] = put(value)
+
+    return property(lambda view: get(getattr(view.model, name)[view.i, view.j]), write)
+
+
+class EdgeView:
+    """Edge (i, j) of a KAFCMModel with the attributes of an EdgeFunction,
+    read from and written to the model's arrays; alpha is a view into theta."""
+
+    __slots__ = ("model", "i", "j")
+
+    def __init__(self, model: KAFCMModel, i: int, j: int):
+        self.model, self.i, self.j = model, i, j
+
+    w_base = _slot("w_base", float)
+    w_spline = _slot("w_spline", float)
+    alpha = _slot("alpha", np.asarray)
+    base = _slot("base_kind", BASE_KINDS.__getitem__, _kind_index)
+    grid = property(lambda view: view.model.grid)
+
+
+class _EdgeTable:
+    """model.edges, or its row i when i is set: edges[i][j] is
+    EdgeView(model, i, j), and edges[i][j] = edge copies edge's parameters
+    into slot (i, j) after checking its grid equals the model's by value."""
+
+    __slots__ = ("model", "i")
+
+    def __init__(self, model: KAFCMModel, i: int | None = None):
+        self.model, self.i = model, i
+
+    def __getitem__(self, k):
+        k = range(self.model.n_nodes)[k]
+        return _EdgeTable(self.model, k) if self.i is None else EdgeView(self.model, self.i, k)
+
+    def __setitem__(self, j, edge):
+        if self.i is None:
+            raise TypeError("assign one edge at a time: model.edges[i][j] = edge")
+        self.model._put([(self.i, range(self.model.n_nodes)[j])], [edge])
 
 
 @dataclass
@@ -146,16 +289,11 @@ def new_kafcm(
 
     Per-edge init seeds are spawned deterministically from `seed`.
     """
-    if mask is None:
-        mask = ~np.eye(n_nodes, dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
+    model = KAFCMModel(n_nodes, grid, mask, bounding)
     edge_seeds = np.random.SeedSequence(seed).generate_state(n_nodes * n_nodes)
-    edges = [[None] * n_nodes for _ in range(n_nodes)]
-    for i in range(n_nodes):
-        for j in range(n_nodes):
-            if mask[i, j]:
-                edges[i][j] = init_edge(grid, base=base, rng_seed=int(edge_seeds[i * n_nodes + j]))
-    return KAFCMModel(n_nodes=n_nodes, edges=edges, mask=mask, bounding=bounding)
+    present = np.argwhere(model.mask).tolist()
+    model._put(present, [init_edge(grid, base=base, rng_seed=int(edge_seeds[i * n_nodes + j])) for i, j in present])
+    return model
 
 
 def _check_state(n: int, state) -> np.ndarray:
@@ -170,106 +308,10 @@ def _check_state(n: int, state) -> np.ndarray:
     return state
 
 
-def _grid_key(grid: KnotGrid) -> tuple:
-    return (grid.domain_lo, grid.domain_hi, grid.grid_size, grid.degree)
-
-
-_KIND_INDEX = {kind: k for k, kind in enumerate(BASE_KINDS)}
-
-
-class DenseKAFCM:
-    """The present edges of a KA-FCM as dense arrays over their shared grid.
-
-    w_base, w_spline (N, N) and alpha (N, N, K) are views into one flat
-    buffer `theta` and are zero where the mask is False. kind_mask[i, k, j]
-    is 1.0 where edge (i, j) is present with base kind BASE_KINDS[k], else
-    0.0. Every inference and training path uses the one forward
-
-        pre = base @ Wb.T + B @ (w_spline[..., None] * alpha).reshape(N, N*K).T
-
-    where `base` holds the states under each base kind, one N-column block
-    per kind, Wb = (w_base[:, None, :] * kind_mask).reshape(N, -1) the base
-    weights in the same blocks, and B the basis tensor of the states.
-    """
-
-    def __init__(self, model: KAFCMModel):
-        n = model.n_nodes
-        self.n_nodes = n
-        self.bounding = model.bounding
-        self.mask = model.mask
-        # One pass over the present edges, checking that they share one grid;
-        # grids compare by value, so equal but distinct grid objects are shared.
-        edges = []
-        grid = key = None
-        for i, j, e in model.present_edges():
-            if e.grid is not grid:
-                if grid is None:
-                    grid, key = e.grid, _grid_key(e.grid)
-                elif _grid_key(e.grid) != key:
-                    raise ValueError(f"edge ({i}, {j}) does not share the knot grid of the other edges")
-            edges.append(e)
-        self.grid = grid
-        self.K = 0 if grid is None else grid.basis_count
-        kind = np.full((n, n), -1)
-        kind[self.mask] = [_KIND_INDEX[e.base] for e in edges]
-        self.kind_mask = (kind[:, None, :] == np.arange(len(BASE_KINDS))[:, None]).astype(float)
-        self.theta = np.zeros(n * n * (2 + self.K))
-        self.w_base, self.w_spline, self.alpha = self.views(self.theta)
-        self.w_base[self.mask] = [e.w_base for e in edges]
-        self.w_spline[self.mask] = [e.w_spline for e in edges]
-        if edges:
-            self.alpha[self.mask] = np.concatenate([e.alpha for e in edges]).reshape(len(edges), self.K)
-
-    def views(self, flat: np.ndarray):
-        """(w_base, w_spline, alpha) views into a buffer laid out like theta."""
-        n = self.n_nodes
-        nn = n * n
-        return flat[:nn].reshape(n, n), flat[nn : 2 * nn].reshape(n, n), flat[2 * nn :].reshape(n, n, self.K)
-
-    def features(self, states: np.ndarray):
-        """(base, B) of states with shape (T, N)."""
-        base = np.concatenate([base_eval(kind, states) for kind in BASE_KINDS], axis=1)
-        B = basis_tensor(self.grid, states) if self.K else np.zeros((len(states), 0))
-        return base, B
-
-    def weights(self, rows=slice(None)):
-        """(Wb, Ws) for the target nodes in `rows`, a basic slice."""
-        Wb = self.w_base[rows, None, :] * self.kind_mask[rows]
-        Ws = self.w_spline[rows, :, None] * self.alpha[rows]
-        return Wb.reshape(len(Wb), -1), Ws.reshape(len(Ws), -1)
-
-    @staticmethod
-    def forward(features, weights) -> np.ndarray:
-        """Pre-activation sums, shape (T, rows)."""
-        (base, B), (Wb, Ws) = features, weights
-        return base @ Wb.T + B @ Ws.T
-
-    def stepper(self):
-        """The update c -> sigma(pre(c)) of one state, weights computed once."""
-        weights = self.weights()
-
-        def step(state: np.ndarray) -> np.ndarray:
-            pre = self.forward(self.features(state[None, :]), weights)[0]
-            return np.asarray(apply_bounding(self.bounding, pre))
-
-        return step
-
-    def write_back(self, model: KAFCMModel) -> None:
-        """Copy the parameters into the model's edge objects."""
-        values = self.w_base[self.mask].tolist(), self.w_spline[self.mask].tolist(), self.alpha[self.mask]
-        for (_, _, e), w_base, w_spline, alpha in zip(model.present_edges(), *values):
-            e.w_base, e.w_spline, e.alpha = w_base, w_spline, alpha
-
-
 def kafcm_step(model: KAFCMModel, state) -> np.ndarray:
-    """One synchronous update: out_i = sigma(sum_j phi_ij(c_j)).
-
-    Each call repacks the whole model into a DenseKAFCM, a Python pass over
-    every edge that costs several steps' time, so a loop of steps should
-    call simulate, which packs once per call.
-    """
+    """One synchronous update: out_i = sigma(sum_j phi_ij(c_j))."""
     state = _check_state(model.n_nodes, state)
-    return DenseKAFCM(model).stepper()(state)
+    return model.stepper()(state)
 
 
 def fcm_step(model: StandardFCM, state) -> np.ndarray:
@@ -290,7 +332,7 @@ def simulate(model, c0, T: int) -> Trajectory:
     if isinstance(model, StandardFCM):
         step = lambda s: fcm_step(model, s)
     else:
-        step = DenseKAFCM(model).stepper()
+        step = model.stepper()
     states = np.empty((T + 1, model.n_nodes))
     states[0] = state
     for t in range(T):

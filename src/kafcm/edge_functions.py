@@ -111,7 +111,7 @@ class EdgeGradient:
 
 def edge_eval(edge: EdgeFunction, x):
     """phi(x) for scalar or array x (elementwise)."""
-    spline = basis_matrix(edge.grid, x) @ edge.alpha
+    spline = basis_matrix(edge.grid, np.ravel(x)) @ edge.alpha
     out = edge.w_base * base_eval(edge.base, x) + edge.w_spline * spline.reshape(np.shape(x))
     if np.ndim(x) == 0:
         return float(out)

@@ -12,13 +12,13 @@ short of the accuracy the benchmarks require, so the adaptive step is the
 shipped default; the update is still computed from exact full-batch
 gradients of the total loss.
 
-The loss and its gradients are dense, with no loop over edges. A fit builds
-the (T, N*K) basis tensor B of its input states once (see
-cognitive_graph.DenseKAFCM); each epoch is then one matmul forward over the
-output rows and one backward, C = (u.T @ B).reshape(n_out, N, K) for the
-upstream gradient u, and one Adam update of the flat buffer that holds
-w_base, w_spline and alpha. This needs every edge on one knot grid (equal by
-value); a model whose edge grids differ raises ValueError.
+The loss and its gradients are dense, with no loop over edges, and read
+the model's own arrays (cognitive_graph.KAFCMModel). A fit builds the
+(T, N*K) basis tensor B of its input states once; each epoch is then one
+matmul forward over the output rows, one backward C = (u.T @ B).reshape(
+n_out, N, K) for the upstream gradient u, and one Adam update of a copy of
+the flat buffer `theta`. The copy replaces the present edges' parameters
+only when the fit completes, so a fit that raises leaves the model as it was.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import numpy as np
 
 from .atomic_io import atomic_write, write_json
 from .cognitive_graph import (
-    DenseKAFCM,
     DivergenceError,
     KAFCMModel,
     StandardFCM,
@@ -69,6 +68,14 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class TrainConfig:
+    """Settings of train_gd and mlp_train.
+
+    Neither trainer reads `seed`. grid_search sets it to each cell's derived
+    seed, which the cell's task uses to initialise its model; `kafcm train`
+    seeds its model from the config's top-level seed, so a config file's
+    `train.seed` changes no output.
+    """
+
     learning_rate: float = 0.1
     epochs: int = 500
     lam: float = 0.0
@@ -161,7 +168,8 @@ def loss_rec(pred, target) -> float:
 
 
 def _l1_alpha(model: KAFCMModel) -> float:
-    return float(sum(np.abs(e.alpha).sum() for _, _, e in model.present_edges()))
+    # per-edge sums added in edge order, the same bits as a loop over edges
+    return float(sum(np.abs(model.alpha[model.mask]).sum(axis=1)))
 
 
 def loss_total(model: KAFCMModel, pred, target, lam: float) -> float:
@@ -205,8 +213,7 @@ def predict_one_step(model, data: Dataset) -> np.ndarray:
     states = _state_matrix(model.n_nodes, data, input_idx)
     if isinstance(model, StandardFCM):
         return np.asarray(apply_bounding(model.activation, states @ model.weights.T))[:, output_idx]
-    dense = DenseKAFCM(model)
-    pre = dense.forward(dense.features(states), dense.weights(_output_rows(output_idx)))
+    pre = model.forward(model.features(states), model.weights(_output_rows(output_idx)))
     return np.asarray(apply_bounding(model.bounding, pre))
 
 
@@ -220,17 +227,24 @@ class ModelGradient:
 
 
 class _Workspace:
-    """One fit: the model's dense parameters, the features of the data, and a
-    gradient buffer laid out like the parameter buffer."""
+    """One fit: the features of the data, a copy `theta` of the model's
+    parameter buffer with absent edges' entries at zero, its output rows and
+    their masks, and a gradient buffer laid out like it."""
 
     def __init__(self, model: KAFCMModel, data: Dataset):
-        self.dense = DenseKAFCM(model)
+        self.model = model
         input_idx, output_idx = supervision_layout(model.n_nodes, data)
         self.rows = _output_rows(output_idx)
-        self.features = self.dense.features(_state_matrix(model.n_nodes, data, input_idx))
+        self.features = model.features(_state_matrix(model.n_nodes, data, input_idx))
         self.targets = np.asarray(data.targets, dtype=float)
-        self.grad = np.zeros_like(self.dense.theta)
-        self.grads = self.dense.views(self.grad)
+        mask = model.mask.ravel()
+        self.present = np.concatenate([mask, mask, np.repeat(mask, model.K)])
+        self.theta = np.where(self.present, model.theta, 0.0)
+        w_base, w_spline, self.alpha = model.views(self.theta)
+        self.row_params = w_base[self.rows], w_spline[self.rows], self.alpha[self.rows]
+        self.row_masks = model.kind_mask()[self.rows], model.mask[self.rows].astype(float)
+        self.grad = np.zeros_like(self.theta)
+        self.grads = model.views(self.grad)
 
     def loss_and_grads(self, lam: float) -> float:
         """Total loss at the current parameters; fills self.grad.
@@ -239,24 +253,24 @@ class _Workspace:
         one matmul against the basis tensor, C = (u.T @ B).reshape(n_out, N, K),
         from which d alpha = w_spline * C and d w_spline = sum_k alpha * C.
         """
-        d, rows = self.dense, self.rows
+        m, rows, kind_mask = self.model, self.rows, self.row_masks[0]
         base, B = self.features
-        pre = d.forward(self.features, d.weights(rows))
-        resid = np.asarray(apply_bounding(d.bounding, pre)) - self.targets
+        _, w_spline, alpha = self.row_params
+        pre = m.forward(self.features, m.assemble(*self.row_params, *self.row_masks))
+        resid = np.asarray(apply_bounding(m.bounding, pre)) - self.targets
         loss = float(np.mean(np.sum(resid**2, axis=1)))
-        u = ((2.0 / len(resid)) * resid * bounding_grad(d.bounding, pre)).T
+        u = ((2.0 / len(resid)) * resid * bounding_grad(m.bounding, pre)).T
         g_wb, g_ws, g_al = self.grads
-        kind_mask = d.kind_mask[rows]
         g_wb[rows] = ((u @ base).reshape(kind_mask.shape) * kind_mask).sum(axis=1)
-        C = (u @ B).reshape(len(u), d.n_nodes, d.K)
-        g_ws[rows] = (d.alpha[rows] * C).sum(axis=2)
+        C = (u @ B).reshape(len(u), m.n_nodes, m.K)
+        g_ws[rows] = (alpha * C).sum(axis=2)
         if lam > 0:
             # the penalty covers every present edge, also edges into inputs
-            loss += lam * float(np.abs(d.alpha).sum())
-            np.multiply(lam, np.sign(d.alpha), out=g_al)
-            g_al[rows] += d.w_spline[rows, :, None] * C
+            loss += lam * float(np.abs(self.alpha).sum())
+            np.multiply(lam, np.sign(self.alpha), out=g_al)
+            g_al[rows] += w_spline[:, :, None] * C
         else:
-            g_al[rows] = d.w_spline[rows, :, None] * C
+            g_al[rows] = w_spline[:, :, None] * C
         return loss
 
 
@@ -276,12 +290,13 @@ def train_gd(model: KAFCMModel, train: Dataset, config: TrainConfig):
 
     history[t] is the total loss at the start of epoch t (before its update),
     so history[0] is the loss of the initial parameters. Raises
-    DivergenceError if the loss, a gradient, or a parameter goes non-finite.
+    DivergenceError if the loss, a gradient, or a parameter goes non-finite;
+    the model's parameters change only when every epoch has run.
     """
     if len(train) == 0:
         raise ValueError("empty training set")
     ws = _Workspace(model, train)
-    theta, grad = ws.dense.theta, ws.grad
+    theta, grad = ws.theta, ws.grad
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     history = np.empty(config.epochs)
@@ -308,7 +323,7 @@ def train_gd(model: KAFCMModel, train: Dataset, config: TrainConfig):
         theta -= config.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
         if not np.isfinite(theta).all():
             abort(f"non-finite parameters after epoch {epoch}", epoch + 1)
-    ws.dense.write_back(model)
+    np.copyto(model.theta, theta, where=ws.present)
     return model, history
 
 

@@ -288,7 +288,7 @@ def _check_fcm_reduction(rng) -> float:
             [EdgeFunction(W[i, j], 0.0, np.zeros(grid.basis_count), grid, base="identity") for j in range(n)]
             for i in range(n)
         ]
-        model = KAFCMModel(n, edges, np.ones((n, n), dtype=bool), bounding=bounding)
+        model = KAFCMModel.from_edges(edges, np.ones((n, n), dtype=bool), bounding=bounding)
         for _ in range(50):
             state = rng.uniform(-1, 1, n)
             worst = max(worst, float(np.abs(kafcm_step(model, state) - fcm_step(fcm, state)).max()))

@@ -254,10 +254,9 @@ class TestModelFiles:
         edge["grid"]["grid_size"] = 6
         edge["alpha"] = [0.0] * (6 + edge["grid"]["degree"])
         path.write_text(json.dumps(payload))
-        model = load_model(path)
-        data = build_dataset(load_config(cfg))
-        with pytest.raises(ValueError, match="knot grid"):
-            predict_one_step(model, data)
+        # edge 0 is (4, 0) and sets the grid, so (4, 1) is the first to differ
+        with pytest.raises(ValueError, match=r"edge \(4, 1\) does not share the model's knot grid"):
+            load_model(path)
         assert main(["evaluate", "--config", cfg]) == 2
 
 
@@ -560,6 +559,17 @@ class TestCommands:
         overridden = trained("9", pso={**pso, "seed": 5})
         assert overridden == trained(None, seed=9, pso={**pso, "seed": 9})
         assert overridden != trained(None, seed=9, pso={**pso, "seed": 5})
+
+    def test_train_seed_does_not_change_the_model(self, tmp_path):
+        # `kafcm train` seeds the model from the top-level seed; train.seed is unused
+        models = []
+        for train_seed in (0, 12345):
+            train = {"learning_rate": 0.1, "epochs": 25, "lam": 0.0, "seed": train_seed}
+            cfg = write_config(tmp_path, train=train)
+            assert main(["generate", "--config", cfg]) == 0
+            assert main(["train", "--config", cfg]) == 0
+            models.append((tmp_path / "out" / "model_kafcm.json").read_bytes())
+        assert models[0] == models[1]
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("column", [0, 1])

@@ -21,8 +21,10 @@ from kafcm.cognitive_graph import (
     trajectory_from_csv,
     trajectory_to_csv,
 )
+from kafcm.datagen import Dataset
 from kafcm.edge_functions import EdgeFunction, edge_eval, silu
 from kafcm.spline_core import make_uniform_grid
+from kafcm.training import predict_one_step
 
 
 class TestBounding:
@@ -118,6 +120,61 @@ class TestKafcmStep:
         npt.assert_array_equal(kafcm_step(m, state), before)
 
 
+class TestEdgeViews:
+    """model.edges[i][j] reads and writes the model's own arrays."""
+
+    @pytest.mark.parametrize("write", ["alpha", "w_spline"])
+    def test_write_through_a_view_changes_the_next_step(self, write):
+        m = new_kafcm(3, make_uniform_grid(-1, 1, 4, 3), bounding="tanh", seed=2)
+        c0 = np.array([0.3, -0.6, 0.8])
+        data = Dataset(c0[None, :], np.zeros((1, 3)))
+        before = simulate(m, c0, 3).states, predict_one_step(m, data)
+        e = m.edges[2][0]
+        if write == "alpha":
+            e.alpha[3] += 0.5  # x = 0.3 lies in the support of basis 3
+        else:
+            e.w_spline = 2.0
+        after = simulate(m, c0, 3).states, predict_one_step(m, data)
+        assert m.alpha[2, 0, 3] == e.alpha[3] and m.w_spline[2, 0] == e.w_spline
+        assert not np.array_equal(after[0][1, 2], before[0][1, 2])
+        npt.assert_array_equal(after[0][1, :2], before[0][1, :2])  # other targets untouched
+        assert not np.array_equal(after[1][0, 2], before[1][0, 2])
+        npt.assert_array_equal(after[0][1], after[1][0])
+
+    def test_assigning_an_edge_copies_it_in(self):
+        grid = make_uniform_grid(-1, 1, 4, 3)
+        m = new_kafcm(2, grid, seed=1)
+        src = EdgeFunction(0.25, -1.5, np.arange(grid.basis_count, dtype=float), grid, base="identity")
+        m.edges[0][1] = src
+        e = m.edges[0][1]
+        assert (e.w_base, e.w_spline, e.base) == (0.25, -1.5, "identity")
+        npt.assert_array_equal(e.alpha, src.alpha)
+        assert not np.shares_memory(e.alpha, src.alpha)
+        for x in (-0.9, 0.1, 0.7):
+            assert edge_eval(e, x) == edge_eval(src, x)
+
+    def test_assigning_an_edge_on_another_grid_names_it(self):
+        m = new_kafcm(3, make_uniform_grid(-1, 1, 4, 3), seed=1)
+        theta = m.theta.copy()
+        other = make_uniform_grid(-1, 1, 5, 3)
+        with pytest.raises(ValueError, match=r"edge \(2, 1\) does not share the model's knot grid"):
+            m.edges[2][1] = EdgeFunction(1.0, 1.0, np.zeros(other.basis_count), other)
+        with pytest.raises(ValueError, match=r"edge \(0, 2\) does not share"):
+            m.edges[0][-1] = EdgeFunction(1.0, 1.0, np.zeros(7), make_uniform_grid(-2, 1, 4, 3))
+        npt.assert_array_equal(m.theta, theta)
+
+    def test_bad_index_kind_and_row_assignment(self):
+        m = new_kafcm(2, make_uniform_grid(-1, 1, 4, 3), seed=1)
+        with pytest.raises(IndexError):
+            m.edges[2]
+        with pytest.raises(IndexError):
+            m.edges[0][2]
+        with pytest.raises(ValueError, match="unknown base kind"):
+            m.edges[1][0].base = "relu"
+        with pytest.raises(TypeError, match="one edge at a time"):
+            m.edges[1] = m.edges[0]
+
+
 class TestFcmStep:
     def test_zero_weights(self):
         m = StandardFCM(np.zeros((3, 3)), activation="tanh")
@@ -150,7 +207,7 @@ class TestReductionToStandardFCM:
             [EdgeFunction(W[i, j], 0.0, np.zeros(grid.basis_count), grid, base="identity") for j in range(n)]
             for i in range(n)
         ]
-        kafcm = KAFCMModel(n, edges, np.ones((n, n), dtype=bool), bounding=bounding)
+        kafcm = KAFCMModel.from_edges(edges, np.ones((n, n), dtype=bool), bounding=bounding)
         for _ in range(100):
             state = rng.uniform(-1, 1, n)
             npt.assert_allclose(kafcm_step(kafcm, state), fcm_step(fcm, state), atol=1e-12)

@@ -1,8 +1,10 @@
-"""Smoke test: the spline, edge-function and scaling demos run to completion.
+"""Smoke test: every demo runs to completion.
 
 The first two call basis_matrix and basis_derivative_matrix directly and
-print their own cross-checks; the scaling demo runs simulate on dense maps of
-8 to 64 nodes. Their CSV output goes to demos/out/, which git ignores.
+print their own cross-checks; 03 to 06 run the three experiments and a grid
+search end to end and read trained edges through model.edges; the scaling
+demo runs simulate on dense maps of 8 to 64 nodes. Their output goes to
+demos/out/, which git ignores.
 """
 
 import os
@@ -13,9 +15,18 @@ import sys
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMOS = [
+    "01_spline_basics.py",
+    "02_edge_functions.py",
+    "03_yerkes_experiment.py",
+    "04_sine_symbolic.py",
+    "05_mackey_forecasting.py",
+    "06_grid_search.py",
+    "07_scaling_benchmark.py",
+]
 
 
-@pytest.mark.parametrize("demo", ["01_spline_basics.py", "02_edge_functions.py", "07_scaling_benchmark.py"])
+@pytest.mark.parametrize("demo", DEMOS)
 def test_demo_exits_zero(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

@@ -107,6 +107,14 @@ class TestEdgeEval:
         xs = np.linspace(-1, 1, 7)
         npt.assert_allclose(edge_eval(e, xs), [edge_eval(e, x) for x in xs], rtol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 1)])
+    def test_array_input_any_shape(self, shape):
+        e = make_edge(6)
+        xs = np.random.default_rng(6).uniform(-1.3, 1.3, shape)
+        out = edge_eval(e, xs)
+        assert out.shape == shape
+        npt.assert_allclose(out, np.vectorize(lambda x: edge_eval(e, x))(xs), rtol=1e-12)
+
     def test_alpha_length_validated(self):
         grid = make_uniform_grid(-1, 1, 4, 3)
         with pytest.raises(ValueError, match="alpha length"):

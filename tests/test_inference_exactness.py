@@ -1,10 +1,11 @@
 """The inference fast paths against their straightforward forms, bit for bit.
 
 `basis_matrix`, `basis_derivative_matrix`, `basis_tensor`, `silu`,
-`silu_grad`, the `DenseKAFCM` pack and `simulate` are written for few NumPy
-calls per step. The references below are the plain forms of the same
-arithmetic: `np.clip`, `np.vander` and a NaN mask for the local basis,
-boolean-mask indexing for SiLU, a per-(i, j) walk of the mask for the pack.
+`silu_grad`, `KAFCMModel.from_edges`, `new_kafcm` and `simulate` are written
+for few NumPy calls per step. The references below are the plain forms of
+the same arithmetic: `np.clip`, `np.vander` and a NaN mask for the local
+basis, boolean-mask indexing for SiLU, a per-(i, j) walk of the mask that
+packs edge objects into one parameter buffer.
 Every comparison is of the raw float64 bits, so signed zeros and NaN
 payloads must match as well as values.
 """
@@ -15,8 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kafcm.cognitive_graph import DenseKAFCM, KAFCMModel, apply_bounding, new_kafcm, simulate
-from kafcm.edge_functions import BASE_KINDS, EdgeFunction, silu, silu_grad
+from kafcm.cognitive_graph import KAFCMModel, apply_bounding, new_kafcm, simulate
+from kafcm.edge_functions import BASE_KINDS, EdgeFunction, init_edge, silu, silu_grad
 from kafcm.spline_core import (
     BASIS_BLOCK_POINTS,
     _power_basis,
@@ -99,20 +100,20 @@ def ref_silu_grad(x):
     return out
 
 
-def ref_pack(model):
-    """(theta, kind_mask, grid) from a per-(i, j) walk of the mask."""
-    n = model.n_nodes
-    edges = [model.edges[i][j] for i in range(n) for j in range(n) if model.mask[i, j]]
+def ref_pack(edges, mask):
+    """(theta, kind_mask, grid) of edges[i][j] from a per-(i, j) walk of the mask."""
+    n = len(mask)
+    edges = [edges[i][j] for i in range(n) for j in range(n) if mask[i, j]]
     grid = edges[0].grid if edges else None
     K = 0 if grid is None else grid.basis_count
     kind = np.full((n, n), -1)
-    kind[model.mask] = [BASE_KINDS.index(e.base) for e in edges]
+    kind[mask] = [BASE_KINDS.index(e.base) for e in edges]
     kind_mask = (kind[:, None, :] == np.arange(len(BASE_KINDS))[:, None]).astype(float)
     nn = n * n
     theta = np.zeros(nn * (2 + K))
-    theta[:nn].reshape(n, n)[model.mask] = [e.w_base for e in edges]
-    theta[nn : 2 * nn].reshape(n, n)[model.mask] = [e.w_spline for e in edges]
-    theta[2 * nn :].reshape(n, n, K)[model.mask] = [e.alpha for e in edges]
+    theta[:nn].reshape(n, n)[mask] = [e.w_base for e in edges]
+    theta[nn : 2 * nn].reshape(n, n)[mask] = [e.w_spline for e in edges]
+    theta[2 * nn :].reshape(n, n, K)[mask] = [e.alpha for e in edges]
     return theta, kind_mask, grid
 
 
@@ -120,7 +121,7 @@ def ref_stepper(model):
     """forward(features(s[None]), weights)[0] from the reference pack and features."""
     assert BASE_KINDS == ("silu", "identity")
     n = model.n_nodes
-    theta, kind_mask, grid = ref_pack(model)
+    theta, kind_mask, grid = ref_pack(model.edges, model.mask)
     nn = n * n
     w_base, w_spline = theta[:nn].reshape(n, n), theta[nn : 2 * nn].reshape(n, n)
     alpha = theta[2 * nn :].reshape(n, n, grid.basis_count)
@@ -256,59 +257,86 @@ def _mixed_model(n, mask, seed, bounding="smooth_clip"):
     return model
 
 
+def _mixed_edges(n, mask, seed):
+    """EdgeFunction objects, independent of any model, with mixed base kinds."""
+    grid = make_uniform_grid(-1.0, 1.0, 6, 3)
+    rng = np.random.default_rng(seed)
+    edges = [[None] * n for _ in range(n)]
+    for i, j in zip(*np.nonzero(mask)):
+        base = "identity" if rng.random() < 0.5 else "silu"
+        alpha = rng.uniform(-0.1, 0.1, grid.basis_count)
+        edges[i][j] = EdgeFunction(rng.normal(), rng.normal(), alpha, grid, base=base)
+    return edges
+
+
 def _pack_cases():
     rng = np.random.default_rng(3)
     n = 7
-    yield "masked-mixed", _mixed_model(n, rng.random((n, n)) < 0.6, 1)
-    yield "dense-mixed", _mixed_model(n, np.ones((n, n), dtype=bool), 2)
-    yield "no-edge", new_kafcm(n, make_uniform_grid(-1.0, 1.0, 6, 3), mask=np.zeros((n, n), dtype=bool))
+    masked = rng.random((n, n)) < 0.6
+    yield "masked-mixed", (_mixed_edges(n, masked, 1), masked)
+    dense = np.ones((n, n), dtype=bool)
+    yield "dense-mixed", (_mixed_edges(n, dense, 2), dense)
+    yield "no-edge", ([[None] * n for _ in range(n)], np.zeros((n, n), dtype=bool))
     one = np.zeros((n, n), dtype=bool)
     one[4, 2] = True
-    yield "one-edge", _mixed_model(n, one, 4)
-    yield "one-node", _mixed_model(1, np.ones((1, 1), dtype=bool), 5)
+    yield "one-edge", (_mixed_edges(n, one, 4), one)
+    yield "one-node", (_mixed_edges(1, np.ones((1, 1), dtype=bool), 5), np.ones((1, 1), dtype=bool))
 
 
-@pytest.mark.parametrize("name, model", list(_pack_cases()), ids=lambda v: v if isinstance(v, str) else "")
-def test_pack_bits(name, model):
-    dense = DenseKAFCM(model)
-    theta, kind_mask, grid = ref_pack(model)
-    assert same_bits(dense.theta, theta)
-    assert same_bits(dense.kind_mask, kind_mask)
-    assert dense.grid is grid
-    assert dense.K == (0 if grid is None else grid.basis_count)
+@pytest.mark.parametrize("name, case", list(_pack_cases()), ids=lambda v: v if isinstance(v, str) else "")
+def test_pack_bits(name, case):
+    """from_edges packs edge objects into theta as the per-(i, j) walk does."""
+    edges, mask = case
+    model = KAFCMModel.from_edges(edges, mask)
+    theta, kind_mask, grid = ref_pack(edges, mask)
+    assert same_bits(model.theta, theta)
+    assert same_bits(model.kind_mask(), kind_mask)
+    assert model.grid is grid
+    assert model.K == (0 if grid is None else grid.basis_count)
 
 
 def test_pack_accepts_equal_grid_objects_and_names_a_different_grid():
-    model = _mixed_model(3, np.ones((3, 3), dtype=bool), 6)
-    first = model.edges[0][0].grid
-    e = model.edges[1][2]
-    e.grid = make_uniform_grid(-1.0, 1.0, 6, 3)  # equal by value, another object
-    assert e.grid is not first
-    assert same_bits(DenseKAFCM(model).theta, ref_pack(model)[0])
-    model.edges[2][1] = EdgeFunction(1.0, 1.0, np.zeros(10), make_uniform_grid(-1.0, 1.0, 7, 3))
-    with pytest.raises(ValueError, match=r"edge \(2, 1\) does not share the knot grid"):
-        DenseKAFCM(model)
+    mask = np.ones((3, 3), dtype=bool)
+    edges = _mixed_edges(3, mask, 6)
+    edges[1][2].grid = make_uniform_grid(-1.0, 1.0, 6, 3)  # equal by value, another object
+    assert edges[1][2].grid is not edges[0][0].grid
+    assert same_bits(KAFCMModel.from_edges(edges, mask).theta, ref_pack(edges, mask)[0])
+    edges[2][1] = EdgeFunction(1.0, 1.0, np.zeros(10), make_uniform_grid(-1.0, 1.0, 7, 3))
+    with pytest.raises(ValueError, match=r"edge \(2, 1\) does not share the model's knot grid"):
+        KAFCMModel.from_edges(edges, mask)
 
 
-def test_write_back_round_trip():
-    model = _mixed_model(5, np.random.default_rng(7).random((5, 5)) < 0.7, 7)
-    dense = DenseKAFCM(model)
-    rng = np.random.default_rng(8)
-    for view in (dense.w_base, dense.w_spline, dense.alpha):
-        view[model.mask] += rng.normal(size=view[model.mask].shape)
-    dense.write_back(model)
-    assert same_bits(ref_pack(model)[0], dense.theta)
+@pytest.mark.parametrize("base", BASE_KINDS)
+def test_new_kafcm_matches_per_edge_init(base):
+    n, seed = 6, 17
+    grid = make_uniform_grid(-1.0, 1.0, 5, 2)
+    mask = np.random.default_rng(3).random((n, n)) < 0.6
+    seeds = np.random.SeedSequence(seed).generate_state(n * n)
+    edges = [[init_edge(grid, base=base, rng_seed=int(seeds[i * n + j])) for j in range(n)] for i in range(n)]
+    model = new_kafcm(n, grid, mask=mask, base=base, seed=seed)
+    theta, kind_mask, _ = ref_pack(edges, mask)
+    assert same_bits(model.theta, theta)
+    assert same_bits(model.kind_mask(), kind_mask)
+
+
+def test_edge_view_round_trip():
+    """Edge views copied into a fresh model through from_edges keep every bit."""
+    mask = np.random.default_rng(7).random((5, 5)) < 0.7
+    model = _mixed_model(5, mask, 7)
+    back = KAFCMModel.from_edges(model.edges, mask, model.bounding)
+    assert same_bits(back.theta, model.theta)
+    assert same_bits(back.kind_mask(), model.kind_mask())
     for i, j, e in model.present_edges():
         assert type(e.w_base) is float and type(e.w_spline) is float
-        assert not np.shares_memory(e.alpha, dense.theta)
+        assert np.shares_memory(e.alpha, model.theta)
 
 
 def test_present_edges_order_and_types():
     mask = np.random.default_rng(9).random((6, 6)) < 0.5
-    model = KAFCMModel(6, [[(i, j) for j in range(6)] for i in range(6)], mask)
-    got = list(model.present_edges())
-    assert got == [(i, j, (i, j)) for i in range(6) for j in range(6) if mask[i, j]]
-    assert all(type(i) is int and type(j) is int for i, j, _ in got)
+    model = new_kafcm(6, make_uniform_grid(-1.0, 1.0, 3, 1), mask=mask)
+    got = [(i, j, e.i, e.j) for i, j, e in model.present_edges()]
+    assert got == [(i, j, i, j) for i in range(6) for j in range(6) if mask[i, j]]
+    assert all(type(i) is int and type(j) is int for i, j, _, _ in got)
 
 
 # ---------------------------------------------------------------- simulate

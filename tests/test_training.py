@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kafcm import cognitive_graph
 from kafcm.cognitive_graph import (
     DivergenceError,
     KAFCMModel,
@@ -13,6 +14,7 @@ from kafcm.cognitive_graph import (
     apply_bounding,
     kafcm_step,
     new_kafcm,
+    simulate,
 )
 from kafcm.datagen import Dataset, gen_yerkes
 from kafcm.edge_functions import EdgeFunction
@@ -328,6 +330,25 @@ class TestTrainGD:
             )
 
 
+class TestNoPerEdgeWork:
+    def test_inference_and_training_never_touch_edge_views(self, monkeypatch):
+        model = feedforward_model(seed=4, bounding="tanh", n=3)
+        data = Dataset(inputs=np.linspace(-1, 1, 6), targets=np.zeros((6, 2)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-edge Python work")
+
+        monkeypatch.setattr(cognitive_graph.KAFCMModel, "present_edges", refuse)
+        monkeypatch.setattr(cognitive_graph.EdgeView, "__init__", refuse)
+        c0 = np.array([0.2, -0.1, 0.4])
+        assert simulate(model, c0, 5).states.shape == (6, 3)
+        assert kafcm_step(model, c0).shape == (3,)
+        assert predict_one_step(model, data).shape == (6, 2)
+        model_gradient(model, data, lam=0.01)
+        _, history = train_gd(model, data, TrainConfig(learning_rate=0.05, epochs=3, lam=0.01))
+        assert len(history) == 3
+
+
 class TestOneBufferAdam:
     """train_gd updates every parameter group as one Adam buffer."""
 
@@ -365,6 +386,35 @@ class TestOneBufferAdam:
             assert e.w_base == pytest.approx(w_base, rel=1e-14, abs=1e-15)
             assert e.w_spline == pytest.approx(w_spline, rel=1e-14, abs=1e-15)
             np.testing.assert_allclose(e.alpha, alpha, rtol=1e-14, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "learning_rate, message",
+        [(1e300, "non-finite loss at epoch 1"), (float("inf"), "non-finite parameters after epoch 0")],
+        ids=["loss", "parameters"],
+    )
+    def test_failed_fit_leaves_the_model_unchanged(self, learning_rate, message):
+        # each fit aborts after Adam has updated its copy of the parameters
+        model = feedforward_model(seed=0, bounding="identity", n=3)
+        model.edges[1][2] = model.edges[1][0]  # parameters parked in an absent slot
+        theta = model.theta.copy()
+        data = Dataset(inputs=np.full(4, 0.5), targets=np.full((4, 2), 100.0))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError, match=message):
+            train_gd(model, data, TrainConfig(learning_rate=learning_rate, epochs=5))
+        assert np.array_equal(model.theta.view(np.uint64), theta.view(np.uint64))
+
+    def test_absent_slots_are_ignored_and_kept(self):
+        model = feedforward_model(seed=0, n=3)
+        model.edges[1][2] = model.edges[1][0]  # parked: mask[1, 2] stays False
+        parked = [model.w_base[1, 2], model.w_spline[1, 2], model.alpha[1, 2].copy()]
+        data = Dataset(inputs=np.linspace(-1, 1, 8), targets=np.zeros((8, 2)))
+        lam = 0.01
+        grad = model_gradient(model, data, lam)
+        assert grad.d_w_base[1, 2] == grad.d_w_spline[1, 2] == 0.0 and not grad.d_alpha[1, 2].any()
+        loss0 = loss_total(model, predict_one_step(model, data), data.targets, lam)
+        _, history = train_gd(model, data, TrainConfig(learning_rate=0.1, epochs=5, lam=lam))
+        assert history[0] == pytest.approx(loss0, rel=1e-14)
+        assert [model.w_base[1, 2], model.w_spline[1, 2]] == parked[:2]
+        np.testing.assert_array_equal(model.alpha[1, 2], parked[2])
 
     def test_non_finite_gradient_keeps_partial_history(self):
         # a huge spline weight over zero coefficients: finite loss, infinite d alpha
