@@ -16,12 +16,13 @@ import numpy as np
 
 from .atomic_io import atomic_write
 from .edge_functions import BASE_KINDS, base_eval, init_edge
-from .spline_core import KnotGrid, basis_tensor, make_uniform_grid
+from .spline_core import BasisScratch, KnotGrid, basis_tensor, make_uniform_grid
 
 __all__ = [
     "BOUNDING_KINDS",
     "DivergenceError",
     "EdgeView",
+    "FeatureBuffers",
     "KAFCMModel",
     "StandardFCM",
     "Trajectory",
@@ -45,19 +46,26 @@ class DivergenceError(RuntimeError):
     """A state, loss, or gradient became non-finite."""
 
 
-def apply_bounding(kind: str, x):
+def apply_bounding(kind: str, x, out=None):
     """sigma(x): smooth_clip is logistic(8*(x-0.5)), a smooth surrogate of
-    clipping to [0,1] that keeps sigma(0)~0.018 and sigma(1)~0.982."""
+    clipping to [0,1] that keeps sigma(0)~0.018 and sigma(1)~0.982.
+
+    out, if given, is an array of x's shape that receives sigma(x) and is
+    returned; without it, identity returns x itself.
+    """
     x = np.asarray(x, dtype=float)
+    if kind == "tanh":
+        return np.tanh(x, out=out)
     if kind == "smooth_clip":
         z = SMOOTH_CLIP_STEEPNESS * (x - 0.5)
-        out = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))), np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
-    elif kind == "tanh":
-        out = np.tanh(x)
+        y = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))), np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
     elif kind == "identity":
-        out = x
+        y = x
     else:
         raise ValueError(f"unknown bounding kind: {kind!r}")
+    if out is None:
+        return y
+    np.copyto(out, y)
     return out
 
 
@@ -121,20 +129,25 @@ class KAFCMModel:
     def from_edges(cls, edges, mask, bounding="smooth_clip") -> "KAFCMModel":
         """A model holding edges[i][j] wherever mask[i, j] (other entries are
         ignored and may be None), on the grid of the first present edge.
-        Raises ValueError naming the first edge whose grid differs from it."""
+        Raises ValueError naming the first edge whose grid differs from it,
+        that first edge, and both grids."""
         mask = np.asarray(mask, dtype=bool)
         present = np.argwhere(mask).tolist()
         chosen = [edges[i][j] for i, j in present]
         model = cls(len(mask), chosen[0].grid if chosen else None, mask, bounding)
-        model._put(present, chosen)
+        model._put(present, chosen, "edge ({}, {}) ".format(*present[0]) if present else "")
         return model
 
-    def _put(self, slots, edges) -> None:
+    def _put(self, slots, edges, grid_source="the model's ") -> None:
         """Copy edges[k]'s parameters into slot slots[k] = (i, j) for every k,
-        after checking that each edge's grid equals the model's by value."""
+        after checking that each edge's grid equals the model's by value;
+        grid_source names where the model's grid came from in the error."""
         for (i, j), edge in zip(slots, edges):
             if edge.grid is not self.grid and (self.grid is None or _grid_key(edge.grid) != _grid_key(self.grid)):
-                raise ValueError(f"edge ({i}, {j}) does not share the model's knot grid")
+                raise ValueError(
+                    f"edge ({i}, {j}) does not share the model's knot grid: grid {_grid_key(edge.grid)} "
+                    f"differs from {grid_source}grid {self.grid and _grid_key(self.grid)}"
+                )
         at = [i for i, _ in slots], [j for _, j in slots]
         w_base, w_spline, alpha = self.views(self.theta)
         w_base[at] = [e.w_base for e in edges]
@@ -162,12 +175,17 @@ class KAFCMModel:
         kind BASE_KINDS[k], else 0.0."""
         return ((self.base_kind[:, None, :] == _KINDS[:, None]) & self.mask[:, None, :]).astype(float)
 
-    def features(self, states: np.ndarray):
+    def features(self, states: np.ndarray, out: FeatureBuffers | None = None):
         """(base, B) of states with shape (T, N): the states under each base
-        kind, one N-column block per kind, and their (T, N*K) basis tensor."""
-        base = np.concatenate([base_eval(kind, states) for kind in BASE_KINDS], axis=1)
-        B = basis_tensor(self.grid, states) if self.K else np.zeros((len(states), 0))
-        return base, B
+        kind, one N-column block per kind, and their (T, N*K) basis tensor.
+        They are written into out, FeatureBuffers(T, N, K), when given, and
+        into new ones otherwise."""
+        buf = FeatureBuffers(*states.shape, self.K) if out is None else out
+        for kind, block in zip(BASE_KINDS, buf.blocks):
+            base_eval(kind, states, out=block)
+        if self.K:
+            basis_tensor(self.grid, states, out=buf.B, scratch=buf.scratch)
+        return buf.base, buf.B
 
     def weights(self, rows=slice(None)):
         """(Wb, Ws) of the target nodes in `rows`, a basic slice."""
@@ -184,45 +202,92 @@ class KAFCMModel:
         return Wb.reshape(len(Wb), -1), Ws.reshape(len(Ws), -1)
 
     @staticmethod
-    def forward(features, weights) -> np.ndarray:
+    def forward(features, weights, out=None) -> np.ndarray:
         """Pre-activation sums base @ Wb.T + B @ Ws.T, shape (T, rows): the
-        one forward of every inference and training path."""
+        one forward of every inference and training path. out, if given, is
+        a pair of (T, rows) arrays: the sum goes into the first, which is
+        returned, and the second holds the spline term."""
         (base, B), (Wb, Ws) = features, weights
-        return base @ Wb.T + B @ Ws.T
+        pre, spline = (None, None) if out is None else out
+        pre = np.matmul(base, Wb.T, out=pre)
+        return np.add(pre, np.matmul(B, Ws.T, out=spline), out=pre)
 
     def stepper(self):
-        """The update c -> sigma(pre(c)) of one state, weights computed once."""
-        weights = self.weights()
+        """step(state, out=None) -> sigma(pre(state)) for one state.
 
-        def step(state: np.ndarray) -> np.ndarray:
-            pre = self.forward(self.features(state[None, :]), weights)[0]
-            return np.asarray(apply_bounding(self.bounding, pre))
+        The weights, the features and the pre-activation rows are made once
+        per stepper and reused by every step, which writes into out (a new
+        array when None) and returns it; out may be state itself. Separate
+        steppers share nothing, but one stepper must not run two steps at once.
+        """
+        weights = self.weights()
+        n = self.n_nodes
+        feats = FeatureBuffers(1, n, self.K)
+        pre = np.empty((1, n)), np.empty((1, n))
+
+        def step(state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+            row = self.forward(self.features(state[None, :], feats), weights, pre)[0]
+            return apply_bounding(self.bounding, row, np.empty(n) if out is None else out)
 
         return step
 
 
-def _slot(name: str, get, put=lambda value: value):
-    """A property backed by model.<name>[i, j], read through get and written through put."""
+class FeatureBuffers:
+    """The arrays KAFCMModel.features fills for T states of n nodes on K
+    bases: base (T, len(BASE_KINDS) * n) with a view of each kind's block,
+    the basis tensor B (T, n*K) and the basis routines' scratch."""
+
+    __slots__ = ("base", "blocks", "B", "scratch")
+
+    def __init__(self, T: int, n: int, K: int):
+        self.base = np.empty((T, len(BASE_KINDS) * n))
+        self.blocks = [self.base[:, k * n : (k + 1) * n] for k in range(len(BASE_KINDS))]
+        self.B = np.empty((T, n * K))
+        self.scratch = BasisScratch()
+
+
+def _weight(group: int):
+    """A float property backed by theta[group*N*N + at]: w_base (group 0) or w_spline (1)."""
 
     def write(view, value):
-        getattr(view.model, name)[view.i, view.j] = put(value)
+        view.model.theta[group * view.model.n_nodes**2 + view.at] = value
 
-    return property(lambda view: get(getattr(view.model, name)[view.i, view.j]), write)
+    return property(lambda view: float(view.model.theta[group * view.model.n_nodes**2 + view.at]), write)
 
 
 class EdgeView:
     """Edge (i, j) of a KAFCMModel with the attributes of an EdgeFunction,
-    read from and written to the model's arrays; alpha is a view into theta."""
+    read from and written to the model's arrays at the edge's flat offset
+    at = i*N + j: w_base is theta[at], w_spline theta[N*N + at], and alpha
+    the K entries of theta from 2*N*N + at*K, a view."""
 
-    __slots__ = ("model", "i", "j")
+    __slots__ = ("model", "i", "j", "at")
 
     def __init__(self, model: KAFCMModel, i: int, j: int):
         self.model, self.i, self.j = model, i, j
+        self.at = i * model.n_nodes + j
 
-    w_base = _slot("w_base", float)
-    w_spline = _slot("w_spline", float)
-    alpha = _slot("alpha", np.asarray)
-    base = _slot("base_kind", BASE_KINDS.__getitem__, _kind_index)
+    w_base = _weight(0)
+    w_spline = _weight(1)
+
+    @property
+    def alpha(self) -> np.ndarray:
+        K = self.model.K
+        start = 2 * self.model.n_nodes**2 + self.at * K
+        return self.model.theta[start : start + K]
+
+    @alpha.setter
+    def alpha(self, value):
+        self.alpha[:] = value
+
+    @property
+    def base(self) -> str:
+        return BASE_KINDS[self.model.base_kind[self.i, self.j]]
+
+    @base.setter
+    def base(self, value: str):
+        self.model.base_kind[self.i, self.j] = _kind_index(value)
+
     grid = property(lambda view: view.model.grid)
 
 
@@ -263,6 +328,10 @@ class StandardFCM:
     @property
     def n_nodes(self) -> int:
         return self.weights.shape[0]
+
+    def stepper(self):
+        """step(state, out=None) -> f(W state), written into out when given."""
+        return lambda state, out=None: apply_bounding(self.activation, self.weights @ state, out)
 
 
 @dataclass
@@ -309,37 +378,34 @@ def _check_state(n: int, state) -> np.ndarray:
 
 
 def kafcm_step(model: KAFCMModel, state) -> np.ndarray:
-    """One synchronous update: out_i = sigma(sum_j phi_ij(c_j))."""
+    """One synchronous update: out_i = sigma(sum_j phi_ij(c_j)), a new array."""
     state = _check_state(model.n_nodes, state)
     return model.stepper()(state)
 
 
 def fcm_step(model: StandardFCM, state) -> np.ndarray:
-    """One synchronous update: out = f(W c)."""
+    """One synchronous update: out = f(W c), a new array."""
     state = _check_state(model.n_nodes, state)
-    return np.asarray(apply_bounding(model.activation, model.weights @ state))
+    return model.stepper()(state)
 
 
 def simulate(model, c0, T: int) -> Trajectory:
-    """Iterate the model T steps from c0.
+    """Iterate the model T steps from c0, each step written straight into
+    the trajectory's next row.
 
-    Raises ValueError for a non-finite c0 and DivergenceError when a step
-    gives a non-finite state.
+    Raises ValueError for a non-finite c0 and DivergenceError naming the
+    step and the first node when a step gives a non-finite state.
     """
     if T < 1:
         raise ValueError(f"T must be at least 1, got {T}")
     state = _check_state(model.n_nodes, c0)
-    if isinstance(model, StandardFCM):
-        step = lambda s: fcm_step(model, s)
-    else:
-        step = model.stepper()
+    step = model.stepper()
     states = np.empty((T + 1, model.n_nodes))
     states[0] = state
     for t in range(T):
-        state = step(state)
-        if not np.isfinite(state).all():
-            raise DivergenceError(f"non-finite state at step {t + 1}")
-        states[t + 1] = state
+        finite = np.isfinite(step(states[t], states[t + 1]))
+        if np.count_nonzero(finite) < len(finite):
+            raise DivergenceError(f"non-finite state at step {t + 1}, node {int(np.argmin(finite))}")
     return Trajectory(states)
 
 

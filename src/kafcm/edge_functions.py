@@ -38,15 +38,18 @@ __all__ = [
 BASE_KINDS = ("silu", "identity")
 
 
-def silu(x):
+def silu(x, out=None):
     """SiLU b(x) = x * sigmoid(x), evaluated in an overflow-safe split form:
     x / (1 + e) for x >= 0 and x e / (1 + e) below, with e = exp(-|x|).
 
     e is taken as exp(min(x, -x)), which also keeps the sign bit of a NaN x.
+    out, if given, is an array of x's shape that receives the values and is
+    returned.
     """
     x = np.asarray(x, dtype=float)
     ex = np.exp(np.minimum(x, -x))
-    out = x * np.where(x >= 0, 1.0, ex) / (1.0 + ex)
+    out = np.multiply(x, np.where(x >= 0, 1.0, ex), out=out)
+    out /= 1.0 + ex
     if out.ndim == 0:
         return float(out)
     return out
@@ -63,10 +66,15 @@ def silu_grad(x):
     return out
 
 
-def base_eval(kind: str, x):
+def base_eval(kind: str, x, out=None):
+    """b(x) of base `kind`; out, if given, is an array of x's shape that
+    receives the values and is returned."""
     if kind == "silu":
-        return silu(x)
+        return silu(x, out)
     if kind == "identity":
+        if out is not None:
+            np.copyto(out, x)
+            return out
         return np.asarray(x, dtype=float) if np.ndim(x) else float(x)
     raise ValueError(f"unknown base kind: {kind!r}")
 

@@ -24,6 +24,7 @@ __all__ = [
     "basis_vector",
     "basis_matrix",
     "basis_tensor",
+    "BasisScratch",
     "basis_derivative_vector",
     "basis_derivative_matrix",
     "clamp_to_domain",
@@ -80,9 +81,9 @@ def make_uniform_grid(domain_lo: float, domain_hi: float, G: int, p: int = 3) ->
     return KnotGrid(domain_lo, domain_hi, int(G), int(p), knots)
 
 
-def clamp_to_domain(grid: KnotGrid, x):
-    """Clip x (scalar or array) to [domain_lo, domain_hi]; NaN stays NaN."""
-    return np.minimum(np.maximum(x, grid.domain_lo), grid.domain_hi)
+def clamp_to_domain(grid: KnotGrid, x, out=None):
+    """Clip x (scalar or array) to [domain_lo, domain_hi], into out if given; NaN stays NaN."""
+    return np.minimum(np.maximum(x, grid.domain_lo, out=out), grid.domain_hi, out=out)
 
 
 def basis_value(grid: KnotGrid, k: int, p: int, x: float) -> float:
@@ -142,38 +143,87 @@ _WINDOW_CACHE_ENTRIES = 8192
 _cached_window = lru_cache(maxsize=16)(_window)
 
 
-def _local_eval(grid: KnotGrid, xs, coef: np.ndarray) -> np.ndarray:
+class _Work:
+    """_local_eval's arrays for n points, K bases and a coefficient matrix of
+    shape (m, p+1): clamped points, offsets, the powers u**k (column 0 held at
+    1.0) with each pair of consecutive columns, the scatter window, indices and
+    values."""
+
+    __slots__ = ("xc", "u", "V", "steps", "window", "at", "vals")
+
+    def __init__(self, n: int, K: int, shape: tuple):
+        m, q = shape
+        self.xc, self.u = np.empty(n), np.empty(n)
+        self.V = np.empty((n, m))
+        self.V[:, 0] = 1.0
+        powers = [self.V[:, k] for k in range(m)]
+        self.steps = list(zip(powers, powers[1:]))
+        self.window = (_cached_window if n * q <= _WINDOW_CACHE_ENTRIES else _window)(n, K, q - 1)
+        self.at = np.empty((n, q), dtype=np.intp)
+        self.vals = np.empty((n, q))
+
+
+class BasisScratch(dict):
+    """Work arrays of the basis routines, kept between calls.
+
+    Passing one object as `scratch` to repeated basis_matrix or basis_tensor
+    calls spares them their temporaries. It keeps one set of arrays per
+    (point count, basis count, coefficient shape) it has been used with; one
+    call at a time may use it.
+    """
+
+    def __missing__(self, key):
+        work = self[key] = _Work(*key)
+        return work
+
+
+def _checked_out(out: np.ndarray, shape: tuple) -> np.ndarray:
+    """out, which is filled through flat views; ValueError unless it is a
+    C-contiguous array of the given shape."""
+    if out.shape != shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous array of shape {shape}")
+    return out
+
+
+def _local_eval(grid: KnotGrid, xs, coef: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """(n, K) rows holding u**arange(len(coef)) @ coef in columns span-p .. span.
 
     The span of a clamped point is the last knot at or left of it, capped at the
     last domain interval so that x = domain_hi is a left limit, and u is the
     offset into that span in units of the spacing. A NaN point gives a NaN row.
+    out, if given, is a C-contiguous (n, K) array: it is zeroed whole, filled
+    and returned. scratch, a BasisScratch, holds the temporaries.
     """
-    p = grid.degree
     K = grid.basis_count
-    xc = clamp_to_domain(grid, np.atleast_1d(np.asarray(xs, dtype=float)))
-    n = xc.shape[0]
+    xs = np.asarray(xs, dtype=float)
+    xs = xs.reshape(1) if xs.ndim == 0 else xs
+    n = xs.shape[0]
+    work = _Work(n, K, coef.shape) if scratch is None else scratch[n, K, coef.shape]
+    xc = clamp_to_domain(grid, xs, out=work.xc)
     # span = (number of knots <= xc) - 1, capped at p+G-1: counting only knots
     # 1 .. p+G-1 gives both at once, since xc >= knots[0] after the clamp; a
     # NaN counts past all of them and so gets the cap
-    span = np.searchsorted(grid.knots[1 : p + grid.grid_size], xc, side="right")
-    u = xc - grid.knots[span]
+    span = grid.knots[1 : grid.degree + grid.grid_size].searchsorted(xc, side="right")
+    u = np.subtract(xc, grid.knots[span], out=work.u)
     u /= grid.spacing
-    # u**k as running products, the order np.vander uses, in one array
-    m = len(coef)
-    V = np.empty((n, m))
-    V[:, 0] = 1.0
-    for k in range(1, m):
-        np.multiply(V[:, k - 1], u, out=V[:, k])
-    window = (_cached_window if n * (p + 1) <= _WINDOW_CACHE_ENTRIES else _window)(n, K, p)
-    out = np.zeros((n, K))
-    out.ravel()[window + span[:, None]] = V @ coef
-    if np.isnan(u.sum()):
+    # u**k as running products, the order np.vander uses
+    for prev, power in work.steps:
+        np.multiply(prev, u, out=power)
+    np.add(work.window, span[:, None], out=work.at)
+    if out is None:
+        out = np.zeros((n, K))
+    else:
+        _checked_out(out, (n, K)).fill(0.0)
+    out.ravel()[work.at] = np.matmul(work.V, coef, out=work.vals)
+    # u holds offsets in [0, 1] (up to rounding) or NaN, so u @ u, a sum of
+    # squares far below overflow, is NaN (unequal to itself) exactly when some u is
+    square = u @ u
+    if square != square:
         out[np.isnan(u)] = np.nan
     return out
 
 
-def basis_matrix(grid: KnotGrid, xs) -> np.ndarray:
+def basis_matrix(grid: KnotGrid, xs, out=None, scratch=None) -> np.ndarray:
     """All K = G + p basis values of degree grid.degree at each point of xs.
 
     Returns shape (len(xs), basis_count). Inputs are clamped to the domain
@@ -181,31 +231,37 @@ def basis_matrix(grid: KnotGrid, xs) -> np.ndarray:
     on an interior knot takes the interval to its right. Only the p+1 bases
     whose support holds the point are evaluated, from its span and offset;
     they are clipped at 0, since rounding leaves some at -1e-15 on knots.
+    out and scratch are as in _local_eval: a C-contiguous array to fill and
+    return, and a BasisScratch.
     """
-    b = _local_eval(grid, xs, _power_basis(grid.degree))
+    b = _local_eval(grid, xs, _power_basis(grid.degree), out, scratch)
     return np.maximum(b, 0.0, out=b)
 
 
 BASIS_BLOCK_POINTS = 1024
 
 
-def basis_tensor(grid: KnotGrid, states: np.ndarray) -> np.ndarray:
+def basis_tensor(grid: KnotGrid, states: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """B of shape (T, N*K): row t is basis_matrix(grid, states[t]) flattened.
 
     Filled a block of source columns at a time, each block at most
     BASIS_BLOCK_POINTS points (or one column), which bounds the temporaries
-    of basis_matrix however many rows the states have.
+    of basis_matrix however many rows the states have. out, if given, is a
+    C-contiguous (T, N*K) array to fill and return; scratch is a BasisScratch
+    passed on to basis_matrix.
     """
     T, n = states.shape
     K = grid.basis_count
-    cols = max(1, BASIS_BLOCK_POINTS // max(T, 1))
-    if cols >= n:
-        return basis_matrix(grid, states.ravel()).reshape(T, n * K)
-    B = np.empty((T, n, K))
+    B = np.empty((T, n * K)) if out is None else _checked_out(out, (T, n * K))
+    if T * n <= BASIS_BLOCK_POINTS or n == 1:
+        basis_matrix(grid, states.ravel(), B.reshape(T * n, K), scratch)
+        return B
+    cols = max(1, BASIS_BLOCK_POINTS // T)
+    blocks = B.reshape(T, n, K)
     for j in range(0, n, cols):
         block = states[:, j : j + cols]
-        B[:, j : j + cols] = basis_matrix(grid, block.ravel()).reshape(*block.shape, K)
-    return B.reshape(T, n * K)
+        blocks[:, j : j + cols] = basis_matrix(grid, block.ravel(), scratch=scratch).reshape(*block.shape, K)
+    return B
 
 
 def basis_vector(grid: KnotGrid, x: float) -> np.ndarray:

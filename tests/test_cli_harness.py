@@ -254,9 +254,16 @@ class TestModelFiles:
         edge["grid"]["grid_size"] = 6
         edge["alpha"] = [0.0] * (6 + edge["grid"]["degree"])
         path.write_text(json.dumps(payload))
-        # edge 0 is (4, 0) and sets the grid, so (4, 1) is the first to differ
-        with pytest.raises(ValueError, match=r"edge \(4, 1\) does not share the model's knot grid"):
+        # edge 0 is (4, 0) and sets the grid, so (4, 1) is the first to differ:
+        # the message names both edges and both grids
+        with pytest.raises(ValueError) as err:
             load_model(path)
+        lo, hi = edge["grid"]["domain_lo"], edge["grid"]["domain_hi"]
+        p = edge["grid"]["degree"]
+        assert str(err.value) == (
+            f"edge (4, 1) does not share the model's knot grid: grid {(lo, hi, 4, p)} "
+            f"differs from edge (4, 0) grid {(lo, hi, 6, p)}"
+        )
         assert main(["evaluate", "--config", cfg]) == 2
 
 

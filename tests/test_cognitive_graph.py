@@ -250,6 +250,17 @@ class TestSimulate:
         with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="non-finite state"):
             simulate(m, [1e308], 10)
 
+    def test_divergence_names_step_and_first_node(self):
+        # identity base and bounding, self-loops only: node k is multiplied by
+        # w[k] each step, so nodes 1 and 3 overflow to inf at step 2, node 2 later
+        grid = make_uniform_grid(-1, 1, 4, 3)
+        m = new_kafcm(4, grid, mask=np.eye(4, dtype=bool), bounding="identity", base="identity")
+        for k, w in enumerate([1.0, 1e200, 1e100, 1e200]):
+            m.edges[k][k].w_base, m.edges[k][k].w_spline = w, 0.0
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
+            simulate(m, [0.5, 1.0, 1.0, 1.0], 10)
+        assert str(err.value) == "non-finite state at step 2, node 1"
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_initial_state_names_its_node(self, bad):
         # a non-finite input is a caller error, not a divergence: no step runs

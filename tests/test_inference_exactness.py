@@ -2,10 +2,11 @@
 
 `basis_matrix`, `basis_derivative_matrix`, `basis_tensor`, `silu`,
 `silu_grad`, `KAFCMModel.from_edges`, `new_kafcm` and `simulate` are written
-for few NumPy calls per step. The references below are the plain forms of
-the same arithmetic: `np.clip`, `np.vander` and a NaN mask for the local
-basis, boolean-mask indexing for SiLU, a per-(i, j) walk of the mask that
-packs edge objects into one parameter buffer.
+for few NumPy calls per step, and `simulate` reuses one set of step buffers
+per call. The references below are the plain forms of the same arithmetic:
+`np.clip`, `np.vander` and a NaN mask for the local basis, boolean-mask
+indexing for SiLU, a per-(i, j) walk of the mask that packs edge objects into
+one parameter buffer.
 Every comparison is of the raw float64 bits, so signed zeros and NaN
 payloads must match as well as values.
 """
@@ -16,10 +17,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kafcm.cognitive_graph import KAFCMModel, apply_bounding, new_kafcm, simulate
+from kafcm.cognitive_graph import (
+    BOUNDING_KINDS,
+    DivergenceError,
+    FeatureBuffers,
+    KAFCMModel,
+    apply_bounding,
+    kafcm_step,
+    new_kafcm,
+    simulate,
+)
 from kafcm.edge_functions import BASE_KINDS, EdgeFunction, init_edge, silu, silu_grad
 from kafcm.spline_core import (
     BASIS_BLOCK_POINTS,
+    BasisScratch,
     _power_basis,
     basis_derivative_matrix,
     basis_matrix,
@@ -122,16 +133,18 @@ def ref_stepper(model):
     assert BASE_KINDS == ("silu", "identity")
     n = model.n_nodes
     theta, kind_mask, grid = ref_pack(model.edges, model.mask)
+    K = 0 if grid is None else grid.basis_count
     nn = n * n
     w_base, w_spline = theta[:nn].reshape(n, n), theta[nn : 2 * nn].reshape(n, n)
-    alpha = theta[2 * nn :].reshape(n, n, grid.basis_count)
+    alpha = theta[2 * nn :].reshape(n, n, K)
     Wb = (w_base[:, None, :] * kind_mask).reshape(n, -1)
     Ws = (w_spline[:, :, None] * alpha).reshape(n, -1)
 
     def step(state):
         states = state[None, :]
         base = np.concatenate([ref_silu(states), np.asarray(states, dtype=float)], axis=1)
-        pre = (base @ Wb.T + ref_basis_tensor(grid, states) @ Ws.T)[0]
+        B = ref_basis_tensor(grid, states) if K else np.zeros((1, 0))
+        pre = (base @ Wb.T + B @ Ws.T)[0]
         return np.asarray(apply_bounding(model.bounding, pre))
 
     return step
@@ -202,7 +215,34 @@ def test_basis_tensor_bits(shape):
     # one-row and empty states fill in one block, the rest in several
     grid = make_uniform_grid(-1.0, 1.0, 8, 3)
     states = np.random.default_rng(sum(shape)).uniform(-1.1, 1.1, shape)
-    assert same_bits(basis_tensor(grid, states), ref_basis_tensor(grid, states))
+    ref = ref_basis_tensor(grid, states)
+    assert same_bits(basis_tensor(grid, states), ref)
+    # into a reused (dirty) buffer with one scratch, as a stepper calls it
+    out, scratch = np.full(ref.shape, np.nan), BasisScratch()
+    for _ in range(2):
+        assert basis_tensor(grid, states, out=out, scratch=scratch) is out
+        assert same_bits(out, ref)
+
+
+def test_one_scratch_serves_several_grids():
+    # (4, 3) and (5, 2) share K = 7, (4, 3) and (6, 3) share the degree
+    scratch = BasisScratch()
+    xs = np.random.default_rng(5).uniform(-1.2, 1.2, 20)
+    for G, p in [(4, 3), (5, 2), (4, 3), (6, 3), (6, 0)]:
+        grid = make_uniform_grid(-1.0, 1.0, G, p)
+        assert same_bits(basis_matrix(grid, xs, scratch=scratch), ref_basis_matrix(grid, xs))
+        assert same_bits(basis_matrix(grid, xs[:7], scratch=scratch), ref_basis_matrix(grid, xs[:7]))
+
+
+def test_basis_out_must_be_contiguous_and_fit():
+    grid = make_uniform_grid(-1.0, 1.0, 4, 2)
+    K = grid.basis_count
+    for out in (np.empty((K, 2)).T, np.empty((2, K + 1))):
+        with pytest.raises(ValueError, match=rf"C-contiguous array of shape \(2, {K}\)"):
+            basis_matrix(grid, [0.1, 0.2], out=out)
+    for out in (np.empty((2, 6 * K))[:, ::2], np.empty((3, 2 * K))):
+        with pytest.raises(ValueError, match="C-contiguous array of shape"):
+            basis_tensor(grid, np.zeros((2, 3)), out=out)
 
 
 # ---------------------------------------------------------------- silu
@@ -357,3 +397,127 @@ def test_simulate_rollout_bits(model):
     for _ in range(200):
         ref.append(step(ref[-1]))
     assert same_bits(simulate(model, c0, 200).states, np.array(ref))
+
+
+def ref_rollout(model, c0, T):
+    """ref_stepper iterated T times; None if a state goes non-finite."""
+    step, states = ref_stepper(model), [np.asarray(c0, dtype=float)]
+    with np.errstate(all="ignore"):
+        for _ in range(T):
+            states.append(step(states[-1]))
+    states = np.array(states)
+    return states if np.isfinite(states).all() else None
+
+
+@st.composite
+def maps_and_states(draw):
+    """A map with random size, grid, mask, base kinds, bounding and weights
+    (the no-edge map on grid None among them), and an initial state of points
+    inside and outside the domain, on knots and at +-0.0."""
+    n = draw(st.integers(1, 12))
+    lo = draw(st.one_of(st.just(0.0), st.floats(-2.0, 1.0)))
+    grid = make_uniform_grid(lo, lo + draw(st.floats(0.25, 3.0)), draw(st.integers(1, 19)), draw(st.integers(0, 5)))
+    bounding = draw(st.sampled_from(BOUNDING_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((n, n)) < draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    if not mask.any() and draw(st.booleans()):
+        model = KAFCMModel(n, None, mask, bounding)
+    else:
+        model = new_kafcm(n, grid, mask=mask, bounding=bounding, seed=int(rng.integers(2**31)))
+        for _, _, e in model.present_edges():
+            e.base = BASE_KINDS[rng.integers(len(BASE_KINDS))]
+            e.w_base, e.w_spline = rng.normal(0.0, 0.6, 2).tolist()
+            e.alpha = rng.normal(0.0, 0.6, grid.basis_count)
+    width = grid.domain_hi - grid.domain_lo
+    points = np.concatenate(
+        [
+            grid.knots,
+            [0.0, -0.0],
+            rng.uniform(grid.domain_lo, grid.domain_hi, 4),
+            grid.domain_lo - width * rng.uniform(0.0, 2.0, 2),
+            grid.domain_hi + width * rng.uniform(0.0, 2.0, 2),
+        ]
+    )
+    return model, rng.choice(points, n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(maps_and_states(), st.integers(1, 6))
+def test_simulate_bits_property(case, T):
+    """simulate equals the reference stepper bit for bit, or raises where it
+    goes non-finite."""
+    model, c0 = case
+    ref = ref_rollout(model, c0, T)
+    if ref is None:
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError):
+            simulate(model, c0, T)
+    else:
+        assert same_bits(simulate(model, c0, T).states, ref)
+        assert same_bits(kafcm_step(model, c0), ref[1])
+
+
+def _step_buffers(step):
+    """Every array a stepper's step function keeps between calls."""
+    arrays = []
+    for cell in step.__closure__:
+        value = cell.cell_contents
+        if isinstance(value, FeatureBuffers):
+            arrays += [value.base, value.B]
+            arrays += [a for work in value.scratch.values() for a in (work.xc, work.u, work.V, work.at, work.vals)]
+        elif isinstance(value, tuple):
+            arrays += [a for a in value if isinstance(a, np.ndarray)]
+    return arrays
+
+
+@pytest.mark.parametrize("bounding", BOUNDING_KINDS)
+def test_results_never_share_the_step_buffers(bounding, monkeypatch):
+    # identity bounding is the risky case: apply_bounding returns its input
+    model = _mixed_model(6, np.random.default_rng(21).random((6, 6)) < 0.7, 21, bounding=bounding)
+    c0, c1 = np.random.default_rng(22).uniform(-1.0, 1.0, (2, 6))
+    steppers = []
+    stepper = KAFCMModel.stepper
+    monkeypatch.setattr(KAFCMModel, "stepper", lambda self: steppers.append(stepper(self)) or steppers[-1])
+    first = simulate(model, c0, 4).states
+    kept = first.copy()
+    second = simulate(model, c1, 4).states
+    a = kafcm_step(model, c0)
+    a_kept = a.copy()
+    b = kafcm_step(model, c1)
+    assert len(steppers) == 4
+    buffers = [buf for step in steppers for buf in _step_buffers(step)]
+    assert len(buffers) >= 4 * 5
+    for result in (first, second, a, b):
+        assert not any(np.shares_memory(result, buf) for buf in buffers)
+    assert not np.shares_memory(first, second) and not np.shares_memory(a, b)
+    assert same_bits(first, kept) and same_bits(a, a_kept)
+    step = steppers[-1]
+    out = np.empty(6)
+    assert step(c0, out) is out and same_bits(out, a)
+    assert step(out, out) is out and same_bits(out, first[2])  # out may be the state itself
+
+
+def test_interleaved_steppers_match_separate_runs():
+    model = _mixed_model(7, np.random.default_rng(31).random((7, 7)) < 0.6, 31, bounding="tanh")
+    c0, c1 = np.random.default_rng(32).uniform(-1.2, 1.2, (2, 7))
+    s0, s1 = model.stepper(), model.stepper()
+    rows0, rows1 = [c0], [c1]
+    for _ in range(12):
+        rows0.append(s0(rows0[-1]))
+        rows1.append(s1(rows1[-1]))
+    assert same_bits(np.array(rows0), simulate(model, c0, 12).states)
+    assert same_bits(np.array(rows1), simulate(model, c1, 12).states)
+
+
+def test_in_place_edits_reach_the_next_simulate():
+    model = _mixed_model(6, np.random.default_rng(41).random((6, 6)) < 0.7, 41, bounding="smooth_clip")
+    c0 = np.random.default_rng(42).uniform(-1.0, 1.0, 6)
+    before = simulate(model, c0, 5).states
+    model.theta *= 1.5
+    scaled = simulate(model, c0, 5).states
+    assert not np.array_equal(scaled, before)
+    assert same_bits(scaled, ref_rollout(model, c0, 5))
+    i, j = np.argwhere(model.mask)[0]
+    model.mask[i, j] = False
+    masked = simulate(model, c0, 5).states
+    assert not np.array_equal(masked[1, i], scaled[1, i])
+    assert same_bits(masked, ref_rollout(model, c0, 5))
