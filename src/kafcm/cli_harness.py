@@ -1,10 +1,8 @@
 """Experiment pipelines and the `kafcm` command-line interface.
 
 Subcommands: generate, train, evaluate, gridsearch, extract. Each takes
---config <path> plus optional --out <dir> and --seed <int> overrides;
-gridsearch also accepts --jobs <k>, which is ignored (cells run one after
-another). Exit codes: 0 success, 2 config or data error, 3 divergence, 4 I/O
-error.
+--config <path> plus optional --out <dir> and --seed <int> overrides. Exit
+codes: 0 success, 2 config or data error, 3 divergence, 4 I/O error.
 
 A config plus the code version determines every output byte: datasets,
 models, histories, and reports all serialize with full round-trip precision
@@ -14,7 +12,7 @@ and sorted keys, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 import json
 import os
 import sys
@@ -122,7 +120,7 @@ class ExperimentConfig:
     out: str = ""
     seed: int = 0
     data_path: str | None = None
-    space: dict | None = None
+    space: GridSearchSpace | None = None
     edge: tuple | None = None
     table: str | None = None
     curve_points: int = 200
@@ -150,64 +148,26 @@ class ExperimentConfig:
         if not self.out:
             self.out = os.path.join("runs", self.experiment)
         if self.edge is not None:
-            self.edge = (int(self.edge[0]), int(self.edge[1]))
+            if not (
+                isinstance(self.edge, (list, tuple))
+                and len(self.edge) == 2
+                and all(isinstance(v, int) for v in self.edge)
+            ):
+                raise ConfigError(f"edge must be a pair of integers, got {self.edge!r}")
+            self.edge = tuple(self.edge)
 
     def to_dict(self) -> dict:
-        d = {
-            "experiment": self.experiment,
-            "model": self.model,
-            "bounding": self.bounding,
-            "grid_size": self.grid_size,
-            "degree": self.degree,
-            "train": {
-                "learning_rate": self.train.learning_rate,
-                "epochs": self.train.epochs,
-                "lam": self.train.lam,
-                "seed": self.train.seed,
-            },
-            "dataset": self.dataset,
-            "fcm_encoding": self.fcm_encoding,
-            "out": self.out,
-            "seed": self.seed,
-            "curve_points": self.curve_points,
-        }
-        for key in ("data_path", "space", "table"):
-            if getattr(self, key) is not None:
-                d[key] = getattr(self, key)
-        if self.pso is not None:
-            p = self.pso
-            d["pso"] = {
-                "swarm_size": p.swarm_size,
-                "iterations": p.iterations,
-                "inertia": p.inertia,
-                "cognitive": p.cognitive,
-                "social": p.social,
-                "weight_bounds": list(p.weight_bounds),
-                "seed": p.seed,
-            }
-        if self.edge is not None:
-            d["edge"] = list(self.edge)
+        d = {k: v for k, v in asdict(self).items() if v is not None}
+        if "edge" in d:
+            d["edge"] = list(d["edge"])
+        if "pso" in d:
+            d["pso"]["weight_bounds"] = list(d["pso"]["weight_bounds"])
         return d
 
 
-_CONFIG_KEYS = {
-    "experiment",
-    "model",
-    "bounding",
-    "grid_size",
-    "degree",
-    "train",
-    "pso",
-    "dataset",
-    "fcm_encoding",
-    "out",
-    "seed",
-    "data_path",
-    "space",
-    "edge",
-    "table",
-    "curve_points",
-}
+_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
+# config keys whose JSON objects become these dataclasses
+_NESTED_CONFIGS = {"train": TrainConfig, "pso": PSOConfig, "space": GridSearchSpace}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -219,11 +179,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if "experiment" not in raw:
         raise ConfigError("config is missing the 'experiment' key")
     kwargs = dict(raw)
+    for key, cls in _NESTED_CONFIGS.items():
+        if key in kwargs:
+            try:
+                kwargs[key] = cls(**kwargs[key])
+            except (TypeError, ValueError) as err:
+                raise ConfigError(f"{key}: {err}") from err
     try:
-        if "train" in kwargs:
-            kwargs["train"] = TrainConfig(**kwargs["train"])
-        if "pso" in kwargs:
-            kwargs["pso"] = PSOConfig(**kwargs["pso"])
         return ExperimentConfig(**kwargs)
     except (TypeError, ValueError) as err:
         raise ConfigError(str(err)) from err
@@ -254,21 +216,16 @@ def canonical_config(experiment: str, model: str = "kafcm", seed: int = 0) -> Ex
 
 # ---------------------------------------------------------------- model files
 
-
-def _grid_to_dict(grid) -> dict:
-    return {
-        "domain_lo": grid.domain_lo,
-        "domain_hi": grid.domain_hi,
-        "grid_size": grid.grid_size,
-        "degree": grid.degree,
-    }
+_GRID_KEYS = ("domain_lo", "domain_hi", "grid_size", "degree")
+_EDGE_KEYS = ("i", "j", "w_base", "w_spline", "alpha", "base", "grid")
+_MLP_KEYS = ("W1", "b1", "W2", "b2", "W3", "b3")
 
 
 def save_model(model, path) -> None:
     """Serialize a KAFCMModel, StandardFCM, or MLPParams as versioned JSON."""
     if isinstance(model, KAFCMModel):
         rows, cols = np.nonzero(model.mask)
-        grid = None if model.grid is None else _grid_to_dict(model.grid)
+        grid = None if model.grid is None else {k: getattr(model.grid, k) for k in _GRID_KEYS}
         columns = (model.w_base, model.w_spline, model.alpha, model.base_kind)
         payload = {
             "version": MODEL_FILE_VERSION,
@@ -287,17 +244,11 @@ def save_model(model, path) -> None:
             "version": MODEL_FILE_VERSION,
             "kind": "fcm",
             "activation": model.activation,
-            "weights": [[float(v) for v in row] for row in model.weights],
+            "weights": model.weights.tolist(),
         }
     elif isinstance(model, MLPParams):
-        payload = {
-            "version": MODEL_FILE_VERSION,
-            "kind": "mlp",
-        }
-        for name in ("W1", "W2", "W3"):
-            payload[name] = [[float(v) for v in row] for row in getattr(model, name)]
-        for name in ("b1", "b2", "b3"):
-            payload[name] = [float(v) for v in getattr(model, name)]
+        payload = {"version": MODEL_FILE_VERSION, "kind": "mlp"}
+        payload.update((k, getattr(model, k).tolist()) for k in _MLP_KEYS)
     else:
         raise TypeError(f"cannot serialize model of type {type(model).__name__}")
     write_json(payload, path)
@@ -321,11 +272,6 @@ def _finite(values, where: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{where} holds non-finite values")
     return arr
-
-
-_GRID_KEYS = ("domain_lo", "domain_hi", "grid_size", "degree")
-_EDGE_KEYS = ("i", "j", "w_base", "w_spline", "alpha", "base", "grid")
-_MLP_KEYS = ("W1", "b1", "W2", "b2", "W3", "b3")
 
 
 def load_model(path):
@@ -391,19 +337,19 @@ def load_model(path):
 
 def build_dataset(config: ExperimentConfig) -> Dataset:
     """The full (unsplit) dataset for an experiment, regenerable from metadata."""
-    ds = config.dataset
-    if config.experiment == "yerkes":
-        return gen_yerkes(ds["n"], noise_sd=ds["noise_sd"], seed=config.seed)
-    if config.experiment == "sine":
-        return gen_sine(ds["n"], frequency=ds["frequency"], seed=config.seed)
-    extra = {k: v for k, v in ds.items() if k != "lag"}
+    ds = dict(config.dataset)
     try:
-        params = MackeyGlassParams(**extra)
+        if config.experiment == "yerkes":
+            return gen_yerkes(**ds, seed=config.seed)
+        if config.experiment == "sine":
+            return gen_sine(**ds, seed=config.seed)
+        lag = ds.pop("lag")
+        params = MackeyGlassParams(**ds)
+        series = gen_mackey_glass(params, seed=config.seed)
+        series_meta = {"generator": "mackey_glass", "params": params.to_dict(), "seed": config.seed}
+        return lag_embed(series, lag, series_metadata=series_meta)
     except (TypeError, ValueError) as err:
-        raise ConfigError(str(err)) from err
-    series = gen_mackey_glass(params, seed=config.seed)
-    series_meta = {"generator": "mackey_glass", "params": params.to_dict(), "seed": config.seed}
-    return lag_embed(series, ds["lag"], series_metadata=series_meta)
+        raise ConfigError(f"dataset: {err}") from err
 
 
 def split_for(config: ExperimentConfig, data: Dataset):
@@ -494,19 +440,14 @@ def run_pipeline(config: ExperimentConfig, splits=None) -> ExperimentResult:
 
 
 def make_grid_task(config: ExperimentConfig):
-    """Grid-search cell runner: train a KA-FCM and return validation error."""
-    n_in, n_out = EXPERIMENT_DIMS[config.experiment]
-    n = n_in + n_out
-    lo, hi = EXPERIMENT_DOMAINS[config.experiment]
-    mask = np.zeros((n, n), dtype=bool)
-    mask[n_in:, :n_in] = True
+    """Grid-search cell runner: train the config's KA-FCM with grid size G and
+    the cell's training settings (seeded from them), return validation error."""
 
     def task(G, train_config, splits):
         train_data, val_data, _ = splits
-        grid = make_uniform_grid(lo, hi, G, config.degree)
-        model = new_kafcm(n, grid, mask=mask, bounding=config.bounding, seed=train_config.seed)
-        model, _ = train_gd(model, train_data, train_config)
-        return loss_rec(predict_one_step(model, val_data), val_data.targets)
+        cell = replace(config, model="kafcm", grid_size=G, seed=train_config.seed, train=train_config)
+        model, _ = fit_model(cell, build_model(cell), train_data)
+        return loss_rec(predict(cell, model, val_data), val_data.targets)
 
     return task
 
@@ -587,8 +528,8 @@ def cmd_evaluate(config: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_gridsearch(config: ExperimentConfig, jobs: int = 1) -> int:
-    space = GridSearchSpace(**config.space) if config.space else GridSearchSpace()
+def cmd_gridsearch(config: ExperimentConfig) -> int:
+    space = config.space or GridSearchSpace()
     data = build_dataset(config)
     splits = split_for(config, data)
     os.makedirs(config.out, exist_ok=True)
@@ -609,7 +550,6 @@ def cmd_gridsearch(config: ExperimentConfig, jobs: int = 1) -> int:
             splits,
             task,
             base_seed=config.seed,
-            jobs=jobs,
             completed={(r.G, r.eta, r.epochs): r for r in done},
             on_row=append,
         )
@@ -645,27 +585,27 @@ def cmd_extract(config: ExperimentConfig) -> int:
     return 0
 
 
+# subcommand name -> (help text, handler)
+COMMANDS = {
+    "generate": ("write the experiment dataset as CSV plus metadata", cmd_generate),
+    "train": ("train the configured model on the generated dataset", cmd_train),
+    "evaluate": ("score a trained model on the test split", cmd_evaluate),
+    "gridsearch": ("sweep grid size, learning rate, and epochs", cmd_gridsearch),
+    "extract": ("sample a learned edge and fit closed forms to it", cmd_extract),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="kafcm",
         description="Train and analyze fuzzy cognitive maps with learnable spline edges.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, desc in (
-        ("generate", "write the experiment dataset as CSV plus metadata"),
-        ("train", "train the configured model on the generated dataset"),
-        ("evaluate", "score a trained model on the test split"),
-        ("gridsearch", "sweep grid size, learning rate, and epochs"),
-        ("extract", "sample a learned edge and fit closed forms to it"),
-    ):
+    for name, (desc, _) in COMMANDS.items():
         p = sub.add_parser(name, help=desc)
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", help="override the output directory")
         p.add_argument("--seed", type=int, help="override every derived seed")
-        if name == "gridsearch":
-            p.add_argument(
-                "--jobs", type=int, default=1, help="accepted and ignored; grid cells run one after another"
-            )
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)
@@ -676,15 +616,7 @@ def main(argv=None) -> int:
             config.train.seed = args.seed
             if config.pso is not None:
                 config.pso.seed = args.seed
-        if args.command == "generate":
-            return cmd_generate(config)
-        if args.command == "train":
-            return cmd_train(config)
-        if args.command == "evaluate":
-            return cmd_evaluate(config)
-        if args.command == "gridsearch":
-            return cmd_gridsearch(config, jobs=args.jobs)
-        return cmd_extract(config)
+        return COMMANDS[args.command][1](config)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -58,7 +58,8 @@ def apply_bounding(kind: str, x, out=None):
         return np.tanh(x, out=out)
     if kind == "smooth_clip":
         z = SMOOTH_CLIP_STEEPNESS * (x - 0.5)
-        y = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))), np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+        e = np.exp(-np.abs(z))
+        y = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     elif kind == "identity":
         y = x
     else:

@@ -9,7 +9,7 @@ any language with a PCG64 implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 import json
 
 import numpy as np
@@ -83,8 +83,8 @@ def yerkes_law(x):
 
 def gen_yerkes(n: int, noise_sd: float = 0.05, seed: int = 0) -> Dataset:
     """x ~ U[-1,1]; y = yerkes_law(x) + eps, eps ~ N(0, noise_sd^2)."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be an integer of at least 1, got {n!r}")
     if noise_sd < 0:
         raise ValueError(f"noise_sd must be non-negative, got {noise_sd}")
     rng = np.random.default_rng(seed)
@@ -98,8 +98,8 @@ def gen_yerkes(n: int, noise_sd: float = 0.05, seed: int = 0) -> Dataset:
 
 def gen_sine(n: int, frequency: float = 3.0, seed: int = 0) -> Dataset:
     """x ~ U[-1,1]; y = sin(frequency * x), noiseless."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be an integer of at least 1, got {n!r}")
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, n)
     y = np.sin(frequency * x)
@@ -137,16 +137,7 @@ class MackeyGlassParams:
             raise ValueError("washout must be non-negative")
 
     def to_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "exponent": self.exponent,
-            "tau": self.tau,
-            "dt": self.dt,
-            "total_steps": self.total_steps,
-            "washout": self.washout,
-            "x0": self.x0,
-        }
+        return asdict(self)
 
 
 def gen_mackey_glass(params: MackeyGlassParams, seed: int = 0) -> np.ndarray:

@@ -8,7 +8,7 @@ deviation of the signed residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 import os
 
 import numpy as np
@@ -57,15 +57,7 @@ def compute_metrics(pred, target) -> MetricsReport:
 
 
 def metrics_to_dict(report: MetricsReport, model_id: str = "", dataset_id: str = "") -> dict:
-    return {
-        "mse": report.mse,
-        "mape_percent": report.mape_percent,
-        "max_abs_error": report.max_abs_error,
-        "std_dev_error": report.std_dev_error,
-        "n": report.n,
-        "model_id": model_id,
-        "dataset_id": dataset_id,
-    }
+    return {**asdict(report), "model_id": model_id, "dataset_id": dataset_id}
 
 
 def save_metrics_json(report: MetricsReport, path, model_id: str = "", dataset_id: str = "") -> None:

@@ -223,16 +223,7 @@ def curve_from_csv(path, edge_id: tuple = (0, 0)) -> EdgeCurve:
 
 
 def fits_to_json(fits, path) -> None:
-    payload = [
-        {
-            "form": f.form,
-            "coefficients": [float(v) for v in f.coefficients],
-            "r_squared": f.r_squared,
-            "score": f.score,
-        }
-        for f in fits
-    ]
-    write_json(payload, path)
+    write_json([{**vars(f), "coefficients": f.coefficients.tolist()} for f in fits], path)
 
 
 def fits_from_json(path) -> list[CandidateFit]:

@@ -121,7 +121,8 @@ class GridSearchSpace:
     epoch_values: list = field(default_factory=_default_epoch_values)
 
     def __post_init__(self):
-        if not self.grid_sizes or not self.learning_rates or not self.epoch_values:
+        lists = (self.grid_sizes, self.learning_rates, self.epoch_values)
+        if not all(isinstance(v, (list, tuple)) and v for v in lists):
             raise ValueError("grid search space lists must be non-empty")
 
     def cells(self):
@@ -404,7 +405,6 @@ def grid_search(
     splits,
     task,
     base_seed: int = 0,
-    jobs: int = 1,
     completed: dict | None = None,
     on_row=None,
 ) -> GridSearchReport:
@@ -417,10 +417,6 @@ def grid_search(
     is called as each remaining cell finishes. Divergent cells are recorded
     with status "failed" and NaN error; correlations are Pearson coefficients
     of validation error against each hyperparameter over the ok rows.
-
-    `jobs` is accepted and ignored: cells run in the calling thread, because
-    a thread pool measured slower than one thread (NumPy-bound cells on a
-    few cores gain nothing from threads).
     """
     completed = completed or {}
     rows = []

@@ -164,7 +164,7 @@ def test_criterion_4_hyperparameter_sensitivity_signs():
     for experiment in ("yerkes", "sine", "mackey"):
         cfg = canonical_config(experiment)
         splits = split_for(cfg, build_dataset(cfg))
-        rep = grid_search(space, splits, make_grid_task(cfg), base_seed=cfg.seed, jobs=2)
+        rep = grid_search(space, splits, make_grid_task(cfg), base_seed=cfg.seed)
         c_eta = rep.correlations["learning_rate"]
         c_epochs = rep.correlations["epochs"]
         ok = ok and c_eta < 0 and c_epochs < 0

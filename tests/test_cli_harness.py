@@ -1,5 +1,6 @@
 """Tests for config handling, model files, pipelines, and the CLI."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -26,7 +27,7 @@ import kafcm.cli_harness as cli_harness
 from kafcm.cognitive_graph import KAFCMModel, StandardFCM, new_kafcm, simulate
 from kafcm.datagen import yerkes_law
 from kafcm.spline_core import make_uniform_grid
-from kafcm.training import TrainConfig, predict_one_step
+from kafcm.training import GridSearchSpace, PSOConfig, TrainConfig, loss_rec, predict_one_step, train_gd
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -102,6 +103,38 @@ class TestConfig:
         again = config_from_dict(cfg.to_dict())
         assert again.curve_points == 37
         assert again == cfg
+
+    def test_every_field_round_trips_through_json(self):
+        raw = {
+            "experiment": "mackey",
+            "model": "fcm",
+            "bounding": "tanh",
+            "grid_size": 7,
+            "degree": 2,
+            "train": {"learning_rate": 0.05, "epochs": 30, "lam": 0.01, "seed": 9},
+            "pso": {"swarm_size": 6, "iterations": 8, "inertia": 0.5, "cognitive": 1.2,
+                    "social": 1.3, "weight_bounds": [-2.0, 2.0], "seed": 4},
+            "dataset": {"lag": 3, "total_steps": 300, "washout": 50},
+            "fcm_encoding": "unit",
+            "out": "somewhere",
+            "seed": 11,
+            "data_path": "elsewhere/data.csv",
+            "space": {"grid_sizes": [3, 5], "learning_rates": [0.1], "epoch_values": [10, 20]},
+            "edge": [4, 2],
+            "table": "table.csv",
+            "curve_points": 33,
+        }
+        cfg = config_from_dict(raw)
+        assert set(raw) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert cfg.pso == PSOConfig(**raw["pso"]) and cfg.space == GridSearchSpace(**raw["space"])
+        assert cfg.edge == (4, 2)
+        d = cfg.to_dict()
+        assert d == raw
+        assert config_from_dict(json.loads(json.dumps(d))) == cfg
+
+    def test_to_dict_leaves_out_unset_optional_fields(self):
+        d = config_from_dict({"experiment": "sine"}).to_dict()
+        assert not {"pso", "data_path", "space", "edge", "table"} & set(d)
 
     def test_load_config_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -475,6 +508,33 @@ class TestCommands:
         summary = json.loads((tmp_path / "out" / "grid_summary.json").read_text())
         assert summary["best"]["G"] == 3
 
+    @pytest.mark.parametrize("experiment", ["yerkes", "sine", "mackey"])
+    @pytest.mark.parametrize("model", ["kafcm", "fcm", "mlp"])
+    def test_grid_task_matches_explicit_cell(self, experiment, model):
+        # the explicit KA-FCM cell a grid search trains, whatever the config's model kind
+        dataset = {"yerkes": {"n": 60}, "sine": {"n": 60}, "mackey": SMALL_MACKEY}[experiment]
+        cfg = config_from_dict({"experiment": experiment, "model": model, "bounding": "tanh", "dataset": dataset})
+        splits = split_for(cfg, build_dataset(cfg))
+        train_data, val_data, _ = splits
+        n_in, n_out = cli_harness.EXPERIMENT_DIMS[experiment]
+        n = n_in + n_out
+        mask = np.zeros((n, n), dtype=bool)
+        mask[n_in:, :n_in] = True
+        G, train_config = 5, TrainConfig(learning_rate=0.05, epochs=15, seed=987654)
+        grid = make_uniform_grid(*cli_harness.EXPERIMENT_DOMAINS[experiment], G, cfg.degree)
+        ref = new_kafcm(n, grid, mask=mask, bounding=cfg.bounding, seed=train_config.seed)
+        ref, _ = train_gd(ref, train_data, train_config)
+        want = loss_rec(predict_one_step(ref, val_data), val_data.targets)
+        got = cli_harness.make_grid_task(cfg)(G, train_config, splits)
+        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+        assert cfg.model == model and cfg.grid_size == 4
+
+    def test_gridsearch_jobs_is_an_argparse_error(self, tmp_path):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["gridsearch", "--config", cfg, "--jobs", "2"])
+        assert exc.value.code == 2
+
     def test_gridsearch_resume_identical(self, tmp_path):
         space = {"grid_sizes": [3, 4], "learning_rates": [0.05], "epoch_values": [20, 40]}
         cfg = write_config(tmp_path, experiment="sine", dataset={"n": 80}, space=space)
@@ -531,18 +591,6 @@ class TestCommands:
         assert main(["gridsearch", "--config", cfg]) == 0
         assert grid_file.read_bytes() == uninterrupted
 
-    def test_gridsearch_jobs_equivalent(self, tmp_path):
-        space = {"grid_sizes": [3, 4], "learning_rates": [0.05], "epoch_values": [20, 40]}
-        a = write_config(tmp_path, name="a.json", experiment="sine", dataset={"n": 80},
-                         space=space, out=str(tmp_path / "a"))
-        b = write_config(tmp_path, name="b.json", experiment="sine", dataset={"n": 80},
-                         space=space, out=str(tmp_path / "b"))
-        assert main(["gridsearch", "--config", a]) == 0
-        assert main(["gridsearch", "--config", b, "--jobs", "2"]) == 0
-        assert (tmp_path / "a" / "grid.csv").read_bytes() == (
-            tmp_path / "b" / "grid.csv"
-        ).read_bytes()
-
     def test_out_and_seed_overrides(self, tmp_path):
         cfg = write_config(tmp_path)
         alt = tmp_path / "alt"
@@ -597,6 +645,31 @@ class TestCommands:
         err = capsys.readouterr().err
         assert f"data row 6 (line 8), column {['x_0', 'y_0'][column]}" in err
         assert not (tmp_path / "out" / f"history_{kind}.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, overrides, key",
+        [
+            ("train", {"edge": [1]}, "edge"),
+            ("generate", {"edge": [1, "0"]}, "edge"),
+            ("extract", {"edge": "10"}, "edge"),
+            ("gridsearch", {"space": {"bogus": [1]}}, "bogus"),
+            ("gridsearch", {"space": {"grid_sizes": 4}}, "space"),
+            ("generate", {"dataset": {"n": "abc"}}, "n must be an integer"),
+            ("generate", {"dataset": {"n": 5.5}}, "n must be an integer"),
+            ("generate", {"dataset": {"bogus": 1}}, "bogus"),
+            ("gridsearch", {"experiment": "sine", "dataset": {"n": "abc"}}, "n must be an integer"),
+            ("generate", {"experiment": "sine", "dataset": {"frequency": "x"}}, "dataset"),
+            ("generate", {"experiment": "mackey", "dataset": {"lag": "4"}}, "dataset"),
+        ],
+        ids=["edge-short", "edge-text", "edge-string", "space-key", "space-scalar",
+             "yerkes-n-text", "yerkes-n-float", "yerkes-key", "sine-n-text", "sine-frequency", "mackey-lag"],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, capsys, command, overrides, key):
+        cfg = write_config(tmp_path, **overrides)
+        capsys.readouterr()
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
 
     def test_missing_config_file(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 4

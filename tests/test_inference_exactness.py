@@ -284,6 +284,30 @@ def test_silu_no_warning_at_plus_inf_or_huge_magnitudes():
         assert same_bits(silu_grad(np.array([1e308, -1e308])), ref_silu_grad(np.array([1e308, -1e308])))
 
 
+# ---------------------------------------------------------------- bounding
+
+
+def ref_smooth_clip(x):
+    """The three-exp form of the numerically stable logistic."""
+    z = 8.0 * (np.asarray(x, dtype=float) - 0.5)
+    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))), np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+
+
+def test_smooth_clip_bits():
+    rng = np.random.default_rng(3)
+    arrays = [
+        np.array(SPECIAL + NON_FINITE + [0.5, 100.6, -100.6, 1e5, -1e5]),
+        rng.normal(0.5, 2.0, 1000),
+        rng.normal(0.0, 200.0, (40, 8)),
+    ]
+    for x in arrays + SPECIAL + NON_FINITE:
+        want = ref_smooth_clip(x)
+        assert same_bits(apply_bounding("smooth_clip", x), want), x
+        out = np.empty(np.shape(x))
+        assert apply_bounding("smooth_clip", x, out=out) is out
+        assert same_bits(out, want), x
+
+
 # ---------------------------------------------------------------- pack
 
 

