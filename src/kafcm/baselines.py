@@ -91,15 +91,6 @@ def mlp_init(n_in: int, n_out: int, seed: int = 0) -> MLPParams:
     return MLPParams(W1, b1, W2, b2, W3, b3)
 
 
-def _forward_full(params: MLPParams, X: np.ndarray):
-    Z1 = X @ params.W1.T + params.b1
-    H1 = np.maximum(Z1, 0.0)
-    Z2 = H1 @ params.W2.T + params.b2
-    H2 = np.maximum(Z2, 0.0)
-    Z3 = H2 @ params.W3.T + params.b3
-    return Z1, H1, Z2, H2, np.tanh(Z3)
-
-
 def mlp_forward(params: MLPParams, x) -> np.ndarray:
     """tanh(W3 relu(W2 relu(W1 x + b1) + b2) + b3); accepts a vector or a
     (T, n_in) batch."""
@@ -108,7 +99,9 @@ def mlp_forward(params: MLPParams, x) -> np.ndarray:
     X = x[None, :] if single else x
     if X.ndim != 2 or X.shape[1] != params.n_in:
         raise ValueError(f"input shape {x.shape} does not match n_in={params.n_in}")
-    out = _forward_full(params, X)[-1]
+    H = np.maximum(X @ params.W1.T + params.b1, 0.0)
+    H = np.maximum(H @ params.W2.T + params.b2, 0.0)
+    out = np.tanh(H @ params.W3.T + params.b3)
     return out[0] if single else out
 
 

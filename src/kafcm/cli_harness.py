@@ -40,7 +40,7 @@ from .datagen import (
     split_dataset,
     yerkes_law,
 )
-from .edge_functions import BASE_KINDS, EdgeFunction
+from .edge_functions import EdgeFunction
 from .metrics_eval import MetricsReport, compute_metrics, save_metrics_json, upsert_comparison_row
 from .spline_core import make_uniform_grid
 from .symbolic import curve_to_csv, fit_candidates, fits_to_json, sample_edge
@@ -168,6 +168,34 @@ class ExperimentConfig:
 _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
 # config keys whose JSON objects become these dataclasses
 _NESTED_CONFIGS = {"train": TrainConfig, "pso": PSOConfig, "space": GridSearchSpace}
+# the JSON values a config field annotated with one of these names may
+# hold; a bool is none of them
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "dict": dict}
+
+
+def _is_a(type_name: str, value) -> bool:
+    return isinstance(value, _JSON_TYPES[type_name]) and not isinstance(value, bool)
+
+
+def _check_types(cls, raw) -> None:
+    """ConfigError naming the first key of the JSON object raw whose field
+    of cls is annotated with a name in _JSON_TYPES, or a list of one, and
+    holds another kind of value; a field annotated `... | None` may also
+    hold null."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"must be a JSON object, got {raw!r}")
+    for f in fields(cls):
+        value = raw.get(f.name)
+        annotation = f.type.removesuffix(" | None")
+        item = annotation.removeprefix("list[").removesuffix("]")
+        if f.name not in raw or item not in _JSON_TYPES or (value is None and annotation != f.type):
+            continue
+        if item == annotation:
+            ok = _is_a(item, value)
+        else:
+            ok = isinstance(value, list) and all(_is_a(item, v) for v in value)
+        if not ok:
+            raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -178,10 +206,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "experiment" not in raw:
         raise ConfigError("config is missing the 'experiment' key")
+    _check_types(ExperimentConfig, raw)
     kwargs = dict(raw)
     for key, cls in _NESTED_CONFIGS.items():
         if key in kwargs:
             try:
+                _check_types(cls, kwargs[key])
                 kwargs[key] = cls(**kwargs[key])
             except (TypeError, ValueError) as err:
                 raise ConfigError(f"{key}: {err}") from err
@@ -226,15 +256,15 @@ def save_model(model, path) -> None:
     if isinstance(model, KAFCMModel):
         rows, cols = np.nonzero(model.mask)
         grid = None if model.grid is None else {k: getattr(model.grid, k) for k in _GRID_KEYS}
-        columns = (model.w_base, model.w_spline, model.alpha, model.base_kind)
+        columns = (model.w_base, model.w_spline, model.alpha)
         payload = {
             "version": MODEL_FILE_VERSION,
             "kind": "kafcm",
             "n_nodes": model.n_nodes,
             "bounding": model.bounding,
             "edges": [
-                {"i": i, "j": j, "w_base": wb, "w_spline": ws, "alpha": al, "base": BASE_KINDS[k], "grid": grid}
-                for i, j, wb, ws, al, k in zip(
+                {"i": i, "j": j, "w_base": wb, "w_spline": ws, "alpha": al, "base": model.base, "grid": grid}
+                for i, j, wb, ws, al in zip(
                     rows.tolist(), cols.tolist(), *(c[rows, cols].tolist() for c in columns)
                 )
             ],
@@ -278,9 +308,9 @@ def load_model(path):
     """Read a model file written by save_model.
 
     Raises ValueError for an unknown version or kind, a missing key, an edge
-    index out of range, a non-finite parameter, (from EdgeFunction) an
-    alpha length that does not match its grid, or (from
-    KAFCMModel.from_edges) edges on different knot grids.
+    index out of range, two records of one edge, a non-finite parameter,
+    (from EdgeFunction) an alpha length that does not match its grid, or
+    (from KAFCMModel.from_edges) edges on different knot grids or bases.
     """
     with open(path) as fh:
         payload = _require(json.load(fh), (), f"model file {path}")
@@ -296,6 +326,7 @@ def load_model(path):
         mask = np.zeros((n, n), dtype=bool)
         edges = [[None] * n for _ in range(n)]
         grids = {}  # one KnotGrid per distinct grid record
+        records = {}  # (i, j) -> index of the record that describes it
         for idx, rec in enumerate(payload["edges"]):
             where = f"edge {idx}"
             _require(rec, _EDGE_KEYS, where)
@@ -310,6 +341,9 @@ def load_model(path):
             i, j = rec["i"], rec["j"]
             if not all(isinstance(v, int) and 0 <= v < n for v in (i, j)):
                 raise ValueError(f"{where} index ({i!r}, {j!r}) out of range for {n} nodes")
+            first = records.setdefault((i, j), idx)
+            if first != idx:
+                raise ValueError(f"edge records {first} and {idx} both describe edge ({i}, {j})")
             alpha = _finite(rec["alpha"], f"{where} alpha")
             w_base, w_spline = _finite([rec["w_base"], rec["w_spline"]], f"{where} weights")
             mask[i, j] = True

@@ -83,37 +83,28 @@ def bounding_grad(kind: str, x):
     raise ValueError(f"unknown bounding kind: {kind!r}")
 
 
-_KIND_INDEX = {kind: k for k, kind in enumerate(BASE_KINDS)}
-_KINDS = np.arange(len(BASE_KINDS))
-
-
-def _kind_index(kind: str) -> int:
-    if kind not in _KIND_INDEX:
-        raise ValueError(f"unknown base kind: {kind!r}")
-    return _KIND_INDEX[kind]
-
-
 def _grid_key(grid: KnotGrid) -> tuple:
     return (grid.domain_lo, grid.domain_hi, grid.grid_size, grid.degree)
 
 
 class KAFCMModel:
-    """N-node map whose adjacency entries are edge functions on one knot grid.
+    """N-node map whose adjacency entries are edge functions on one knot grid
+    and one base.
 
     phi_ij, the influence of source node j on target node i, is
-    w_base[i, j] * b(x) + w_spline[i, j] * sum_k alpha[i, j, k] B_k(x) with
-    base b = BASE_KINDS[base_kind[i, j]]. w_base, w_spline (N, N) and alpha
-    (N, N, K) are views into one flat buffer `theta`, which every inference
-    and training path reads directly; update it in place. mask[i, j] False
-    means the edge is absent: it contributes nothing, whatever finite values
-    its slot holds, so the mask may be edited in place. edges[i][j] is an
-    EdgeView of slot (i, j), and assigning an edge function to it copies its
-    parameters in.
+    w_base[i, j] * b(x) + w_spline[i, j] * sum_k alpha[i, j, k] B_k(x), where
+    the base b, named by `base` (one of BASE_KINDS), is the same for every
+    edge. w_base, w_spline (N, N) and alpha (N, N, K) are views into one flat
+    buffer `theta`, which every inference and training path reads directly;
+    update it in place. mask[i, j] False means the edge is absent: it
+    contributes nothing, whatever finite values its slot holds, so the mask
+    may be edited in place. edges[i][j] is an EdgeView of slot (i, j), and
+    assigning an edge function to it copies its parameters in.
     """
 
-    def __init__(self, n_nodes: int, grid: KnotGrid | None, mask=None, bounding="smooth_clip"):
-        """Zero parameters and a silu base in every slot; default mask is dense
-        without self-loops. grid may be None only for a model without edges."""
+    def __init__(self, n_nodes: int, grid: KnotGrid | None, mask=None, bounding="smooth_clip", base="silu"):
+        """Zero parameters in every slot; default mask is dense without
+        self-loops. grid may be None only for a model without edges."""
         self.n_nodes = n_nodes
         self.grid = grid
         self.K = 0 if grid is None else grid.basis_count
@@ -122,39 +113,50 @@ class KAFCMModel:
             raise ValueError("mask shape must be (n_nodes, n_nodes)")
         if bounding not in BOUNDING_KINDS:
             raise ValueError(f"unknown bounding kind: {bounding!r}")
+        if base not in BASE_KINDS:
+            raise ValueError(f"unknown base kind: {base!r}")
         self.bounding = bounding
-        self.base_kind = np.full((n_nodes, n_nodes), _KIND_INDEX["silu"])
+        self.base = base
         self.theta = np.zeros(n_nodes * n_nodes * (2 + self.K))
 
     @classmethod
     def from_edges(cls, edges, mask, bounding="smooth_clip") -> "KAFCMModel":
         """A model holding edges[i][j] wherever mask[i, j] (other entries are
-        ignored and may be None), on the grid of the first present edge.
-        Raises ValueError naming the first edge whose grid differs from it,
-        that first edge, and both grids."""
+        ignored and may be None), on the grid and base of the first present
+        edge. Raises ValueError naming the first edge whose grid or base
+        differs from it, that first edge, and both grids or bases."""
         mask = np.asarray(mask, dtype=bool)
         present = np.argwhere(mask).tolist()
         chosen = [edges[i][j] for i, j in present]
-        model = cls(len(mask), chosen[0].grid if chosen else None, mask, bounding)
+        grid, base = (chosen[0].grid, chosen[0].base) if chosen else (None, "silu")
+        model = cls(len(mask), grid, mask, bounding, base)
         model._put(present, chosen, "edge ({}, {}) ".format(*present[0]) if present else "")
         return model
 
-    def _put(self, slots, edges, grid_source="the model's ") -> None:
+    def _put(self, slots, edges, source="the model's ") -> None:
         """Copy edges[k]'s parameters into slot slots[k] = (i, j) for every k,
-        after checking that each edge's grid equals the model's by value;
-        grid_source names where the model's grid came from in the error."""
+        after checking that each edge's grid equals the model's by value and
+        its base is the model's; source names where the model's grid and base
+        came from in the error."""
         for (i, j), edge in zip(slots, edges):
             if edge.grid is not self.grid and (self.grid is None or _grid_key(edge.grid) != _grid_key(self.grid)):
                 raise ValueError(
                     f"edge ({i}, {j}) does not share the model's knot grid: grid {_grid_key(edge.grid)} "
-                    f"differs from {grid_source}grid {self.grid and _grid_key(self.grid)}"
+                    f"differs from {source}grid {self.grid and _grid_key(self.grid)}"
                 )
+            self._check_base(i, j, edge.base, source)
         at = [i for i, _ in slots], [j for _, j in slots]
         w_base, w_spline, alpha = self.views(self.theta)
         w_base[at] = [e.w_base for e in edges]
         w_spline[at] = [e.w_spline for e in edges]
         alpha[at] = np.reshape([e.alpha for e in edges], (len(edges), self.K))
-        self.base_kind[at] = [_kind_index(e.base) for e in edges]
+
+    def _check_base(self, i: int, j: int, base: str, source="the model's ") -> None:
+        if base != self.base:
+            raise ValueError(
+                f"edge ({i}, {j}) does not share the model's base kind: base {base!r} "
+                f"differs from {source}base {self.base!r}"
+            )
 
     def views(self, flat: np.ndarray):
         """(w_base, w_spline, alpha) views into a buffer laid out like theta."""
@@ -171,19 +173,12 @@ class KAFCMModel:
         for i, j in np.argwhere(self.mask).tolist():
             yield i, j, EdgeView(self, i, j)
 
-    def kind_mask(self) -> np.ndarray:
-        """kind_mask[i, k, j] is 1.0 where edge (i, j) is present with base
-        kind BASE_KINDS[k], else 0.0."""
-        return ((self.base_kind[:, None, :] == _KINDS[:, None]) & self.mask[:, None, :]).astype(float)
-
     def features(self, states: np.ndarray, out: FeatureBuffers | None = None):
-        """(base, B) of states with shape (T, N): the states under each base
-        kind, one N-column block per kind, and their (T, N*K) basis tensor.
-        They are written into out, FeatureBuffers(T, N, K), when given, and
-        into new ones otherwise."""
+        """(base, B) of states with shape (T, N): the states under the model's
+        base, (T, N), and their (T, N*K) basis tensor. They are written into
+        out, FeatureBuffers(T, N, K), when given, and into new ones otherwise."""
         buf = FeatureBuffers(*states.shape, self.K) if out is None else out
-        for kind, block in zip(BASE_KINDS, buf.blocks):
-            base_eval(kind, states, out=block)
+        base_eval(self.base, states, out=buf.base)
         if self.K:
             basis_tensor(self.grid, states, out=buf.B, scratch=buf.scratch)
         return buf.base, buf.B
@@ -191,16 +186,15 @@ class KAFCMModel:
     def weights(self, rows=slice(None)):
         """(Wb, Ws) of the target nodes in `rows`, a basic slice."""
         w_base, w_spline, alpha = self.views(self.theta)
-        return self.assemble(w_base[rows], w_spline[rows], alpha[rows], self.kind_mask()[rows], self.mask[rows])
+        return self.assemble(w_base[rows], w_spline[rows], alpha[rows], self.mask[rows])
 
     @staticmethod
-    def assemble(w_base, w_spline, alpha, kind_mask, mask):
-        """(Wb, Ws) from rows of the parameter arrays, of kind_mask and of the
-        mask: Wb holds w_base in the blocks of `base`, Ws is (w_spline[...,
+    def assemble(w_base, w_spline, alpha, mask):
+        """(Wb, Ws) from rows of the parameter arrays and of the mask: Wb is
+        w_base * mask, which matches base's N columns, Ws is (w_spline[...,
         None] * alpha) flattened to match B, and absent edges give zeros."""
-        Wb = w_base[:, None, :] * kind_mask
         Ws = (w_spline * mask)[:, :, None] * alpha
-        return Wb.reshape(len(Wb), -1), Ws.reshape(len(Ws), -1)
+        return w_base * mask, Ws.reshape(len(Ws), -1)
 
     @staticmethod
     def forward(features, weights, out=None) -> np.ndarray:
@@ -235,14 +229,13 @@ class KAFCMModel:
 
 class FeatureBuffers:
     """The arrays KAFCMModel.features fills for T states of n nodes on K
-    bases: base (T, len(BASE_KINDS) * n) with a view of each kind's block,
-    the basis tensor B (T, n*K) and the basis routines' scratch."""
+    bases: base (T, n), the basis tensor B (T, n*K) and the basis routines'
+    scratch."""
 
-    __slots__ = ("base", "blocks", "B", "scratch")
+    __slots__ = ("base", "B", "scratch")
 
     def __init__(self, T: int, n: int, K: int):
-        self.base = np.empty((T, len(BASE_KINDS) * n))
-        self.blocks = [self.base[:, k * n : (k + 1) * n] for k in range(len(BASE_KINDS))]
+        self.base = np.empty((T, n))
         self.B = np.empty((T, n * K))
         self.scratch = BasisScratch()
 
@@ -260,7 +253,8 @@ class EdgeView:
     """Edge (i, j) of a KAFCMModel with the attributes of an EdgeFunction,
     read from and written to the model's arrays at the edge's flat offset
     at = i*N + j: w_base is theta[at], w_spline theta[N*N + at], and alpha
-    the K entries of theta from 2*N*N + at*K, a view."""
+    the K entries of theta from 2*N*N + at*K, a view. base is the model's;
+    setting it to another base raises ValueError."""
 
     __slots__ = ("model", "i", "j", "at")
 
@@ -283,11 +277,11 @@ class EdgeView:
 
     @property
     def base(self) -> str:
-        return BASE_KINDS[self.model.base_kind[self.i, self.j]]
+        return self.model.base
 
     @base.setter
     def base(self, value: str):
-        self.model.base_kind[self.i, self.j] = _kind_index(value)
+        self.model._check_base(self.i, self.j, value)
 
     grid = property(lambda view: view.model.grid)
 
@@ -295,7 +289,8 @@ class EdgeView:
 class _EdgeTable:
     """model.edges, or its row i when i is set: edges[i][j] is
     EdgeView(model, i, j), and edges[i][j] = edge copies edge's parameters
-    into slot (i, j) after checking its grid equals the model's by value."""
+    into slot (i, j) after checking its grid equals the model's by value and
+    its base is the model's."""
 
     __slots__ = ("model", "i")
 
@@ -359,7 +354,7 @@ def new_kafcm(
 
     Per-edge init seeds are spawned deterministically from `seed`.
     """
-    model = KAFCMModel(n_nodes, grid, mask, bounding)
+    model = KAFCMModel(n_nodes, grid, mask, bounding, base)
     edge_seeds = np.random.SeedSequence(seed).generate_state(n_nodes * n_nodes)
     present = np.argwhere(model.mask).tolist()
     model._put(present, [init_edge(grid, base=base, rng_seed=int(edge_seeds[i * n_nodes + j])) for i, j in present])

@@ -128,26 +128,13 @@ def _power_basis(p: int) -> np.ndarray:
     return M
 
 
-def _window(n: int, K: int, p: int) -> np.ndarray:
-    """(n, p+1) read-only offsets r*K + c - p: plus row r's span, the flat indices
-    of its p+1 columns span-p .. span in an (n, K) array."""
-    w = np.arange(0, n * K, K)[:, None] + np.arange(-p, 1)
-    w.setflags(write=False)
-    return w
-
-
-# At most 16 windows of at most 8192 entries (64 KiB each, 1 MiB in all) are
-# kept; larger ones, such as a basis_tensor column of more than 2048 rows at
-# p = 3, are built per call.
-_WINDOW_CACHE_ENTRIES = 8192
-_cached_window = lru_cache(maxsize=16)(_window)
-
-
 class _Work:
     """_local_eval's arrays for n points, K bases and a coefficient matrix of
     shape (m, p+1): clamped points, offsets, the powers u**k (column 0 held at
     1.0) with each pair of consecutive columns, the scatter window, indices and
-    values."""
+    values. The window (n, p+1) holds the offsets r*K + c - p: plus row r's
+    span, they are the flat indices of its p+1 columns span-p .. span in an
+    (n, K) array."""
 
     __slots__ = ("xc", "u", "V", "steps", "window", "at", "vals")
 
@@ -158,7 +145,7 @@ class _Work:
         self.V[:, 0] = 1.0
         powers = [self.V[:, k] for k in range(m)]
         self.steps = list(zip(powers, powers[1:]))
-        self.window = (_cached_window if n * q <= _WINDOW_CACHE_ENTRIES else _window)(n, K, q - 1)
+        self.window = np.arange(0, n * K, K)[:, None] + np.arange(1 - q, 1)
         self.at = np.empty((n, q), dtype=np.intp)
         self.vals = np.empty((n, q))
 

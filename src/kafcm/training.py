@@ -116,9 +116,9 @@ def _default_epoch_values() -> list[int]:
 
 @dataclass
 class GridSearchSpace:
-    grid_sizes: list = field(default_factory=lambda: list(range(4, 20)))
-    learning_rates: list = field(default_factory=lambda: [0.001, 0.01, 0.05, 0.1])
-    epoch_values: list = field(default_factory=_default_epoch_values)
+    grid_sizes: list[int] = field(default_factory=lambda: list(range(4, 20)))
+    learning_rates: list[float] = field(default_factory=lambda: [0.001, 0.01, 0.05, 0.1])
+    epoch_values: list[int] = field(default_factory=_default_epoch_values)
 
     def __post_init__(self):
         lists = (self.grid_sizes, self.learning_rates, self.epoch_values)
@@ -230,7 +230,7 @@ class ModelGradient:
 class _Workspace:
     """One fit: the features of the data, a copy `theta` of the model's
     parameter buffer with absent edges' entries at zero, its output rows and
-    their masks, and a gradient buffer laid out like it."""
+    their mask, and a gradient buffer laid out like it."""
 
     def __init__(self, model: KAFCMModel, data: Dataset):
         self.model = model
@@ -243,7 +243,7 @@ class _Workspace:
         self.theta = np.where(self.present, model.theta, 0.0)
         w_base, w_spline, self.alpha = model.views(self.theta)
         self.row_params = w_base[self.rows], w_spline[self.rows], self.alpha[self.rows]
-        self.row_masks = model.kind_mask()[self.rows], model.mask[self.rows].astype(float)
+        self.row_mask = model.mask[self.rows].astype(float)
         self.grad = np.zeros_like(self.theta)
         self.grads = model.views(self.grad)
 
@@ -254,15 +254,15 @@ class _Workspace:
         one matmul against the basis tensor, C = (u.T @ B).reshape(n_out, N, K),
         from which d alpha = w_spline * C and d w_spline = sum_k alpha * C.
         """
-        m, rows, kind_mask = self.model, self.rows, self.row_masks[0]
+        m, rows = self.model, self.rows
         base, B = self.features
         _, w_spline, alpha = self.row_params
-        pre = m.forward(self.features, m.assemble(*self.row_params, *self.row_masks))
+        pre = m.forward(self.features, m.assemble(*self.row_params, self.row_mask))
         resid = np.asarray(apply_bounding(m.bounding, pre)) - self.targets
         loss = float(np.mean(np.sum(resid**2, axis=1)))
         u = ((2.0 / len(resid)) * resid * bounding_grad(m.bounding, pre)).T
         g_wb, g_ws, g_al = self.grads
-        g_wb[rows] = ((u @ base).reshape(kind_mask.shape) * kind_mask).sum(axis=1)
+        g_wb[rows] = (u @ base) * self.row_mask
         C = (u @ B).reshape(len(u), m.n_nodes, m.K)
         g_ws[rows] = (alpha * C).sum(axis=2)
         if lam > 0:

@@ -59,6 +59,10 @@ MALFORMED_KAFCM = {
     "short-alpha": (lambda p: p["edges"][0]["alpha"].pop(), r"alpha length \(6,\) does not match"),
     "nan-weight": (lambda p: p["edges"][1].update(w_spline=float("nan")), "edge 1 weights holds non-finite"),
     "text-in-alpha": (lambda p: p["edges"][0]["alpha"].__setitem__(2, "x"), "edge 0 alpha is not numeric"),
+    "duplicate-edge": (
+        lambda p: p["edges"].append(dict(p["edges"][0], w_base=42.0)),
+        r"edge records 0 and 2 both describe edge \(0, 1\)",
+    ),
 }
 
 
@@ -298,6 +302,27 @@ class TestModelFiles:
             f"differs from edge (4, 0) grid {(lo, hi, 6, p)}"
         )
         assert main(["evaluate", "--config", cfg]) == 2
+
+    def test_edges_with_different_bases_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, experiment="mackey", dataset=SMALL_MACKEY, grid_size=4)
+        assert main(["generate", "--config", cfg]) == 0
+        assert main(["train", "--config", cfg]) == 0
+        path = tmp_path / "out" / "model_kafcm.json"
+        payload = json.loads(path.read_text())
+        assert {e["base"] for e in payload["edges"]} == {"silu"}
+        payload["edges"][2]["base"] = "identity"
+        path.write_text(json.dumps(payload))
+        # edge 0 is (4, 0) and sets the base; edge 2, (4, 2), is the first to differ
+        message = (
+            "edge (4, 2) does not share the model's base kind: base 'identity' differs from edge (4, 0) base 'silu'"
+        )
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+        assert str(err.value) == message
+        capsys.readouterr()
+        for command in ("evaluate", "extract"):
+            assert main([command, "--config", cfg]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestPipelinePieces:
@@ -660,9 +685,31 @@ class TestCommands:
             ("gridsearch", {"experiment": "sine", "dataset": {"n": "abc"}}, "n must be an integer"),
             ("generate", {"experiment": "sine", "dataset": {"frequency": "x"}}, "dataset"),
             ("generate", {"experiment": "mackey", "dataset": {"lag": "4"}}, "dataset"),
+            ("train", {"grid_size": 2.5}, "grid_size must be of type int, got 2.5"),
+            ("generate", {"grid_size": "abc"}, "grid_size must be of type int, got 'abc'"),
+            ("train", {"degree": True}, "degree must be of type int, got True"),
+            ("train", {"seed": "x"}, "seed must be of type int, got 'x'"),
+            ("extract", {"curve_points": 2.5}, "curve_points must be of type int"),
+            ("train", {"train": {"epochs": 2.5}}, "train: epochs must be of type int, got 2.5"),
+            ("train", {"train": {"learning_rate": "0.1"}}, "train: learning_rate must be of type float"),
+            ("train", {"train": {"lam": None}}, "train: lam must be of type float"),
+            ("train", {"train": 5}, "train: must be a JSON object, got 5"),
+            ("train", {"model": "fcm", "pso": {"swarm_size": 3.5}}, "pso: swarm_size must be of type int"),
+            ("train", {"model": "fcm", "pso": {"iterations": False}}, "pso: iterations must be of type int"),
+            ("train", {"model": "fcm", "pso": {"inertia": "x"}}, "pso: inertia must be of type float"),
+            ("generate", {"dataset": 5}, "dataset must be of type dict, got 5"),
+            ("generate", {"out": 5}, "out must be of type str, got 5"),
+            ("generate", {"data_path": 5}, "data_path must be of type str | None, got 5"),
+            ("gridsearch", {"space": {"grid_sizes": [4, 4.5]}}, "space: grid_sizes must be of type list[int]"),
+            ("gridsearch", {"space": {"learning_rates": ["0.1"]}}, "space: learning_rates must be of type list[float]"),
+            ("gridsearch", {"space": {"epoch_values": [True]}}, "space: epoch_values must be of type list[int]"),
         ],
         ids=["edge-short", "edge-text", "edge-string", "space-key", "space-scalar",
-             "yerkes-n-text", "yerkes-n-float", "yerkes-key", "sine-n-text", "sine-frequency", "mackey-lag"],
+             "yerkes-n-text", "yerkes-n-float", "yerkes-key", "sine-n-text", "sine-frequency", "mackey-lag",
+             "grid-size-float", "grid-size-text", "degree-bool", "seed-text", "curve-points-float",
+             "epochs-float", "learning-rate-text", "lam-null", "train-scalar", "swarm-size-float",
+             "iterations-bool", "inertia-text", "dataset-scalar", "out-number", "data-path-number",
+             "space-grid-size-float", "space-rate-text", "space-epochs-bool"],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, overrides, key):
         cfg = write_config(tmp_path, **overrides)

@@ -22,7 +22,7 @@ from kafcm.cognitive_graph import (
     trajectory_to_csv,
 )
 from kafcm.datagen import Dataset
-from kafcm.edge_functions import EdgeFunction, edge_eval, silu
+from kafcm.edge_functions import BASE_KINDS, EdgeFunction, edge_eval, silu
 from kafcm.spline_core import make_uniform_grid
 from kafcm.training import predict_one_step
 
@@ -143,7 +143,7 @@ class TestEdgeViews:
 
     def test_assigning_an_edge_copies_it_in(self):
         grid = make_uniform_grid(-1, 1, 4, 3)
-        m = new_kafcm(2, grid, seed=1)
+        m = new_kafcm(2, grid, base="identity", seed=1)
         src = EdgeFunction(0.25, -1.5, np.arange(grid.basis_count, dtype=float), grid, base="identity")
         m.edges[0][1] = src
         e = m.edges[0][1]
@@ -163,13 +163,42 @@ class TestEdgeViews:
             m.edges[0][-1] = EdgeFunction(1.0, 1.0, np.zeros(7), make_uniform_grid(-2, 1, 4, 3))
         npt.assert_array_equal(m.theta, theta)
 
+    def test_one_base_per_model(self):
+        grid = make_uniform_grid(-1, 1, 4, 3)
+        m = new_kafcm(3, grid, base="identity", seed=1)
+        theta = m.theta.copy()
+        assert m.base == "identity" and all(e.base == "identity" for _, _, e in m.present_edges())
+        m.edges[2][1].base = "identity"  # its own base is no change
+        with pytest.raises(ValueError) as err:
+            m.edges[2][1].base = "silu"
+        assert str(err.value) == (
+            "edge (2, 1) does not share the model's base kind: base 'silu' differs from the model's base 'identity'"
+        )
+        with pytest.raises(ValueError, match=r"edge \(0, 2\) does not share the model's base kind: base 'silu'"):
+            m.edges[0][2] = EdgeFunction(1.0, 1.0, np.zeros(grid.basis_count), grid, base="silu")
+        npt.assert_array_equal(m.theta, theta)
+        assert m.base == "identity"
+        with pytest.raises(ValueError, match="unknown base kind: 'relu'"):
+            KAFCMModel(2, grid, base="relu")
+
+    def test_from_edges_names_an_edge_on_another_base(self):
+        # the base comes from the first present edge, (0, 1); (1, 2) is the first to differ
+        grid = make_uniform_grid(-1, 1, 4, 3)
+        edges = [[EdgeFunction(1.0, 1.0, np.zeros(grid.basis_count), grid) for _ in range(3)] for _ in range(3)]
+        edges[1][2].base = edges[2][0].base = "identity"
+        with pytest.raises(ValueError) as err:
+            KAFCMModel.from_edges(edges, ~np.eye(3, dtype=bool))
+        assert str(err.value) == (
+            "edge (1, 2) does not share the model's base kind: base 'identity' differs from edge (0, 1) base 'silu'"
+        )
+
     def test_bad_index_kind_and_row_assignment(self):
         m = new_kafcm(2, make_uniform_grid(-1, 1, 4, 3), seed=1)
         with pytest.raises(IndexError):
             m.edges[2]
         with pytest.raises(IndexError):
             m.edges[0][2]
-        with pytest.raises(ValueError, match="unknown base kind"):
+        with pytest.raises(ValueError, match="does not share the model's base kind: base 'relu'"):
             m.edges[1][0].base = "relu"
         with pytest.raises(TypeError, match="one edge at a time"):
             m.edges[1] = m.edges[0]
@@ -285,18 +314,18 @@ class TestSimulate:
 
     def test_packed_path_matches_stepwise(self):
         grid = make_uniform_grid(-1, 1, 7, 3)
-        m = new_kafcm(5, grid, mask=np.ones((5, 5), dtype=bool), bounding="tanh", seed=12)
-        m.edges[2][3].base = "identity"
-        c0 = np.random.default_rng(0).uniform(-1, 1, 5)
-        traj = simulate(m, c0, 8)  # dense path
-        state = c0
-        for t in range(8):
-            # reference: the per-edge loop sigma(sum_j phi_ij(c_j))
-            pre = np.zeros(5)
-            for i, j, e in m.present_edges():
-                pre[i] += edge_eval(e, state[j])
-            state = np.tanh(pre)
-            npt.assert_allclose(traj.states[t + 1], state, atol=1e-12)
+        for base in BASE_KINDS:
+            m = new_kafcm(5, grid, mask=np.ones((5, 5), dtype=bool), bounding="tanh", base=base, seed=12)
+            c0 = np.random.default_rng(0).uniform(-1, 1, 5)
+            traj = simulate(m, c0, 8)  # dense path
+            state = c0
+            for t in range(8):
+                # reference: the per-edge loop sigma(sum_j phi_ij(c_j))
+                pre = np.zeros(5)
+                for i, j, e in m.present_edges():
+                    pre[i] += edge_eval(e, state[j])
+                state = np.tanh(pre)
+                npt.assert_allclose(traj.states[t + 1], state, atol=1e-12)
 
 
 class TestTrajectoryCsv:

@@ -1,6 +1,6 @@
 """Property tests of the dense forward and backward against per-edge oracles.
 
-Each example draws a map size, a mask, a base kind per edge, a bounding, a
+Each example draws a map size, a mask, the map's base kind, a bounding, a
 supervision layout and an L1 weight. The oracles evaluate every edge on its
 own with `edge_eval`, so they share no code with the dense path beyond the
 basis routine.
@@ -26,15 +26,14 @@ def cases(draw):
     """(model, data, lam) with random structure and normal parameters."""
     n = draw(st.integers(2, 6))
     mask = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
-    kinds = draw(st.lists(st.sampled_from(BASE_KINDS), min_size=n * n, max_size=n * n))
+    base = draw(st.sampled_from(BASE_KINDS))
     bounding = draw(st.sampled_from(BOUNDING_KINDS))
     d_in = draw(st.integers(1, n - 1) | st.just(n))  # d_in == n supervises the full state
     lam = draw(st.sampled_from([0.0, 0.02]))
     grid = make_uniform_grid(-1.0, 1.0, draw(st.integers(1, 5)), draw(st.integers(0, 3)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    model = new_kafcm(n, grid, mask=mask, bounding=bounding)
-    for i, j, e in model.present_edges():
-        e.base = kinds[i * n + j]
+    model = new_kafcm(n, grid, mask=mask, bounding=bounding, base=base)
+    for _, _, e in model.present_edges():
         e.w_base, e.w_spline = rng.normal(0.0, 0.5, 2).tolist()
         e.alpha = rng.normal(0.0, 0.5, grid.basis_count)
     d_out = n if d_in == n else n - d_in

@@ -6,9 +6,12 @@ for few NumPy calls per step, and `simulate` reuses one set of step buffers
 per call. The references below are the plain forms of the same arithmetic:
 `np.clip`, `np.vander` and a NaN mask for the local basis, boolean-mask
 indexing for SiLU, a per-(i, j) walk of the mask that packs edge objects into
-one parameter buffer.
+one parameter buffer, and a forward whose base term is the (T, N) states
+under the map's one base times the (N, N) w_base.
 Every comparison is of the raw float64 bits, so signed zeros and NaN
-payloads must match as well as values.
+payloads must match as well as values. The one exception is the two-block
+forward, which evaluated every state under both base kinds and masked w_base
+per kind: it sums in another order, so it is held to TWO_BLOCK_ATOL.
 """
 
 import warnings
@@ -27,6 +30,7 @@ from kafcm.cognitive_graph import (
     new_kafcm,
     simulate,
 )
+from kafcm.datagen import Dataset
 from kafcm.edge_functions import BASE_KINDS, EdgeFunction, init_edge, silu, silu_grad
 from kafcm.spline_core import (
     BASIS_BLOCK_POINTS,
@@ -37,6 +41,7 @@ from kafcm.spline_core import (
     basis_tensor,
     make_uniform_grid,
 )
+from kafcm.training import predict_one_step
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
 
@@ -112,42 +117,67 @@ def ref_silu_grad(x):
 
 
 def ref_pack(edges, mask):
-    """(theta, kind_mask, grid) of edges[i][j] from a per-(i, j) walk of the mask."""
+    """(theta, base, grid) of edges[i][j] from a per-(i, j) walk of the mask."""
     n = len(mask)
     edges = [edges[i][j] for i in range(n) for j in range(n) if mask[i, j]]
     grid = edges[0].grid if edges else None
+    base = edges[0].base if edges else "silu"
+    assert all(e.base == base for e in edges)
     K = 0 if grid is None else grid.basis_count
-    kind = np.full((n, n), -1)
-    kind[mask] = [BASE_KINDS.index(e.base) for e in edges]
-    kind_mask = (kind[:, None, :] == np.arange(len(BASE_KINDS))[:, None]).astype(float)
     nn = n * n
     theta = np.zeros(nn * (2 + K))
     theta[:nn].reshape(n, n)[mask] = [e.w_base for e in edges]
     theta[nn : 2 * nn].reshape(n, n)[mask] = [e.w_spline for e in edges]
     theta[2 * nn :].reshape(n, n, K)[mask] = [e.alpha for e in edges]
-    return theta, kind_mask, grid
+    return theta, base, grid
+
+
+def ref_base(base, states):
+    assert BASE_KINDS == ("silu", "identity") and base in BASE_KINDS
+    return ref_silu(states) if base == "silu" else np.array(states, dtype=float)
+
+
+def ref_weights(model):
+    """(base, grid, w_base, Ws) from the reference pack of model's edges."""
+    n = model.n_nodes
+    theta, base, grid = ref_pack(model.edges, model.mask)
+    K = 0 if grid is None else grid.basis_count
+    nn = n * n
+    w_base, w_spline = theta[:nn].reshape(n, n), theta[nn : 2 * nn].reshape(n, n)
+    Ws = (w_spline[:, :, None] * theta[2 * nn :].reshape(n, n, K)).reshape(n, -1)
+    return base, grid, w_base, Ws
 
 
 def ref_stepper(model):
     """forward(features(s[None]), weights)[0] from the reference pack and features."""
-    assert BASE_KINDS == ("silu", "identity")
-    n = model.n_nodes
-    theta, kind_mask, grid = ref_pack(model.edges, model.mask)
-    K = 0 if grid is None else grid.basis_count
-    nn = n * n
-    w_base, w_spline = theta[:nn].reshape(n, n), theta[nn : 2 * nn].reshape(n, n)
-    alpha = theta[2 * nn :].reshape(n, n, K)
-    Wb = (w_base[:, None, :] * kind_mask).reshape(n, -1)
-    Ws = (w_spline[:, :, None] * alpha).reshape(n, -1)
+    base, grid, Wb, Ws = ref_weights(model)
 
     def step(state):
         states = state[None, :]
-        base = np.concatenate([ref_silu(states), np.asarray(states, dtype=float)], axis=1)
-        B = ref_basis_tensor(grid, states) if K else np.zeros((1, 0))
-        pre = (base @ Wb.T + B @ Ws.T)[0]
+        B = ref_basis_tensor(grid, states) if grid is not None else np.zeros((1, 0))
+        pre = (ref_base(base, states) @ Wb.T + B @ Ws.T)[0]
         return np.asarray(apply_bounding(model.bounding, pre))
 
     return step
+
+
+# fixed before any run: the two layouts add the same nonzero products in
+# another order, which for N <= 32 terms of magnitude below 10 moves a sum
+# by far less than this
+TWO_BLOCK_ATOL = 1e-12
+
+
+def ref_two_block_pre(model, states):
+    """Pre-activations in the two-block layout: base is [silu(states), states],
+    (T, 2N), and Wb (N, 2N) holds w_base in the block of the model's base
+    kind and zeros in the other."""
+    base, grid, w_base, Ws = ref_weights(model)
+    n = model.n_nodes
+    kind_mask = np.zeros((n, len(BASE_KINDS), n))
+    kind_mask[:, BASE_KINDS.index(base)] = model.mask
+    Wb = (w_base[:, None, :] * kind_mask).reshape(n, -1)
+    blocks = np.concatenate([ref_base(kind, states) for kind in BASE_KINDS], axis=1)
+    return blocks @ Wb.T + ref_basis_tensor(grid, states) @ Ws.T
 
 
 # ---------------------------------------------------------------- basis
@@ -194,11 +224,11 @@ def test_basis_derivative_matrix_bits(case):
 @pytest.mark.parametrize("p", [0, 3, 5])
 @pytest.mark.parametrize("n", [0, 1, 2048, 2049, 5000])
 def test_basis_bits_around_window_cache_limit(n, p):
-    # windows of more than 8192 entries are built per call, not cached
+    # scatter windows of up to 5000 * 6 entries, each call building its own
     grid = make_uniform_grid(-1.0, 1.0, 7, p)
     xs = np.random.default_rng(n + p).uniform(-1.2, 1.2, n)
     assert same_bits(basis_matrix(grid, xs), ref_basis_matrix(grid, xs))
-    assert same_bits(basis_matrix(grid, xs), ref_basis_matrix(grid, xs))  # cached window again
+    assert same_bits(basis_matrix(grid, xs), ref_basis_matrix(grid, xs))  # a second call, same bits
     if p:
         assert same_bits(basis_derivative_matrix(grid, xs), ref_basis_derivative_matrix(grid, xs))
 
@@ -311,23 +341,21 @@ def test_smooth_clip_bits():
 # ---------------------------------------------------------------- pack
 
 
-def _mixed_model(n, mask, seed, bounding="smooth_clip"):
+def _random_model(n, mask, seed, bounding="smooth_clip", base="silu"):
     grid = make_uniform_grid(-1.0, 1.0, 6, 3)
-    model = new_kafcm(n, grid, mask=mask, bounding=bounding, seed=seed)
+    model = new_kafcm(n, grid, mask=mask, bounding=bounding, base=base, seed=seed)
     rng = np.random.default_rng(seed)
     for _, _, e in model.present_edges():
-        e.base = "identity" if rng.random() < 0.5 else "silu"
         e.w_base, e.w_spline = rng.normal(), rng.normal()
     return model
 
 
-def _mixed_edges(n, mask, seed):
-    """EdgeFunction objects, independent of any model, with mixed base kinds."""
+def _random_edges(n, mask, seed, base):
+    """EdgeFunction objects with one base kind, independent of any model."""
     grid = make_uniform_grid(-1.0, 1.0, 6, 3)
     rng = np.random.default_rng(seed)
     edges = [[None] * n for _ in range(n)]
     for i, j in zip(*np.nonzero(mask)):
-        base = "identity" if rng.random() < 0.5 else "silu"
         alpha = rng.uniform(-0.1, 0.1, grid.basis_count)
         edges[i][j] = EdgeFunction(rng.normal(), rng.normal(), alpha, grid, base=base)
     return edges
@@ -337,14 +365,14 @@ def _pack_cases():
     rng = np.random.default_rng(3)
     n = 7
     masked = rng.random((n, n)) < 0.6
-    yield "masked-mixed", (_mixed_edges(n, masked, 1), masked)
+    yield "masked-identity", (_random_edges(n, masked, 1, "identity"), masked)
     dense = np.ones((n, n), dtype=bool)
-    yield "dense-mixed", (_mixed_edges(n, dense, 2), dense)
+    yield "dense-silu", (_random_edges(n, dense, 2, "silu"), dense)
     yield "no-edge", ([[None] * n for _ in range(n)], np.zeros((n, n), dtype=bool))
     one = np.zeros((n, n), dtype=bool)
     one[4, 2] = True
-    yield "one-edge", (_mixed_edges(n, one, 4), one)
-    yield "one-node", (_mixed_edges(1, np.ones((1, 1), dtype=bool), 5), np.ones((1, 1), dtype=bool))
+    yield "one-edge", (_random_edges(n, one, 4, "identity"), one)
+    yield "one-node", (_random_edges(1, np.ones((1, 1), dtype=bool), 5, "silu"), np.ones((1, 1), dtype=bool))
 
 
 @pytest.mark.parametrize("name, case", list(_pack_cases()), ids=lambda v: v if isinstance(v, str) else "")
@@ -352,16 +380,16 @@ def test_pack_bits(name, case):
     """from_edges packs edge objects into theta as the per-(i, j) walk does."""
     edges, mask = case
     model = KAFCMModel.from_edges(edges, mask)
-    theta, kind_mask, grid = ref_pack(edges, mask)
+    theta, base, grid = ref_pack(edges, mask)
     assert same_bits(model.theta, theta)
-    assert same_bits(model.kind_mask(), kind_mask)
+    assert model.base == base
     assert model.grid is grid
     assert model.K == (0 if grid is None else grid.basis_count)
 
 
 def test_pack_accepts_equal_grid_objects_and_names_a_different_grid():
     mask = np.ones((3, 3), dtype=bool)
-    edges = _mixed_edges(3, mask, 6)
+    edges = _random_edges(3, mask, 6, "silu")
     edges[1][2].grid = make_uniform_grid(-1.0, 1.0, 6, 3)  # equal by value, another object
     assert edges[1][2].grid is not edges[0][0].grid
     assert same_bits(KAFCMModel.from_edges(edges, mask).theta, ref_pack(edges, mask)[0])
@@ -378,18 +406,18 @@ def test_new_kafcm_matches_per_edge_init(base):
     seeds = np.random.SeedSequence(seed).generate_state(n * n)
     edges = [[init_edge(grid, base=base, rng_seed=int(seeds[i * n + j])) for j in range(n)] for i in range(n)]
     model = new_kafcm(n, grid, mask=mask, base=base, seed=seed)
-    theta, kind_mask, _ = ref_pack(edges, mask)
+    theta, ref_base_kind, _ = ref_pack(edges, mask)
     assert same_bits(model.theta, theta)
-    assert same_bits(model.kind_mask(), kind_mask)
+    assert model.base == ref_base_kind == base
 
 
 def test_edge_view_round_trip():
     """Edge views copied into a fresh model through from_edges keep every bit."""
     mask = np.random.default_rng(7).random((5, 5)) < 0.7
-    model = _mixed_model(5, mask, 7)
+    model = _random_model(5, mask, 7, base="identity")
     back = KAFCMModel.from_edges(model.edges, mask, model.bounding)
     assert same_bits(back.theta, model.theta)
-    assert same_bits(back.kind_mask(), model.kind_mask())
+    assert back.base == model.base == "identity"
     for i, j, e in model.present_edges():
         assert type(e.w_base) is float and type(e.w_spline) is float
         assert np.shares_memory(e.alpha, model.theta)
@@ -410,9 +438,9 @@ def test_present_edges_order_and_types():
     "model",
     [
         new_kafcm(32, make_uniform_grid(-1.0, 1.0, 10, 3), mask=np.ones((32, 32), dtype=bool), bounding="tanh", seed=11),
-        _mixed_model(12, np.random.default_rng(12).random((12, 12)) < 0.7, 12, bounding="smooth_clip"),
+        _random_model(12, np.random.default_rng(12).random((12, 12)) < 0.7, 12, "smooth_clip", "identity"),
     ],
-    ids=["dense-tanh-N32", "mixed-smooth_clip-N12"],
+    ids=["dense-tanh-N32", "identity-smooth_clip-N12"],
 )
 def test_simulate_rollout_bits(model):
     c0 = np.random.default_rng(13).uniform(-1.0, 1.0, model.n_nodes)
@@ -435,21 +463,21 @@ def ref_rollout(model, c0, T):
 
 @st.composite
 def maps_and_states(draw):
-    """A map with random size, grid, mask, base kinds, bounding and weights
+    """A map with random size, grid, mask, base kind, bounding and weights
     (the no-edge map on grid None among them), and an initial state of points
     inside and outside the domain, on knots and at +-0.0."""
     n = draw(st.integers(1, 12))
     lo = draw(st.one_of(st.just(0.0), st.floats(-2.0, 1.0)))
     grid = make_uniform_grid(lo, lo + draw(st.floats(0.25, 3.0)), draw(st.integers(1, 19)), draw(st.integers(0, 5)))
     bounding = draw(st.sampled_from(BOUNDING_KINDS))
+    base = draw(st.sampled_from(BASE_KINDS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mask = rng.random((n, n)) < draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
     if not mask.any() and draw(st.booleans()):
-        model = KAFCMModel(n, None, mask, bounding)
+        model = KAFCMModel(n, None, mask, bounding, base)
     else:
-        model = new_kafcm(n, grid, mask=mask, bounding=bounding, seed=int(rng.integers(2**31)))
+        model = new_kafcm(n, grid, mask=mask, bounding=bounding, base=base, seed=int(rng.integers(2**31)))
         for _, _, e in model.present_edges():
-            e.base = BASE_KINDS[rng.integers(len(BASE_KINDS))]
             e.w_base, e.w_spline = rng.normal(0.0, 0.6, 2).tolist()
             e.alpha = rng.normal(0.0, 0.6, grid.basis_count)
     width = grid.domain_hi - grid.domain_lo
@@ -496,7 +524,8 @@ def _step_buffers(step):
 @pytest.mark.parametrize("bounding", BOUNDING_KINDS)
 def test_results_never_share_the_step_buffers(bounding, monkeypatch):
     # identity bounding is the risky case: apply_bounding returns its input
-    model = _mixed_model(6, np.random.default_rng(21).random((6, 6)) < 0.7, 21, bounding=bounding)
+    base = BASE_KINDS[BOUNDING_KINDS.index(bounding) % len(BASE_KINDS)]
+    model = _random_model(6, np.random.default_rng(21).random((6, 6)) < 0.7, 21, bounding, base)
     c0, c1 = np.random.default_rng(22).uniform(-1.0, 1.0, (2, 6))
     steppers = []
     stepper = KAFCMModel.stepper
@@ -521,7 +550,7 @@ def test_results_never_share_the_step_buffers(bounding, monkeypatch):
 
 
 def test_interleaved_steppers_match_separate_runs():
-    model = _mixed_model(7, np.random.default_rng(31).random((7, 7)) < 0.6, 31, bounding="tanh")
+    model = _random_model(7, np.random.default_rng(31).random((7, 7)) < 0.6, 31, "tanh", "identity")
     c0, c1 = np.random.default_rng(32).uniform(-1.2, 1.2, (2, 7))
     s0, s1 = model.stepper(), model.stepper()
     rows0, rows1 = [c0], [c1]
@@ -533,7 +562,7 @@ def test_interleaved_steppers_match_separate_runs():
 
 
 def test_in_place_edits_reach_the_next_simulate():
-    model = _mixed_model(6, np.random.default_rng(41).random((6, 6)) < 0.7, 41, bounding="smooth_clip")
+    model = _random_model(6, np.random.default_rng(41).random((6, 6)) < 0.7, 41, "smooth_clip", "silu")
     c0 = np.random.default_rng(42).uniform(-1.0, 1.0, 6)
     before = simulate(model, c0, 5).states
     model.theta *= 1.5
@@ -545,3 +574,21 @@ def test_in_place_edits_reach_the_next_simulate():
     masked = simulate(model, c0, 5).states
     assert not np.array_equal(masked[1, i], scaled[1, i])
     assert same_bits(masked, ref_rollout(model, c0, 5))
+
+
+@pytest.mark.parametrize("base", BASE_KINDS)
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 32])
+def test_single_block_forward_matches_two_block_forward(n, base):
+    """A step, a rollout and predict_one_step agree with the two-block
+    layout to TWO_BLOCK_ATOL; the single-block references above pin the bits."""
+    mask = np.random.default_rng(n).random((n, n)) < 0.8
+    model = _random_model(n, mask, 50 + n, "tanh", base)
+    states = np.random.default_rng(51 + n).uniform(-1.3, 1.3, (40, n))
+    want = np.tanh(ref_two_block_pre(model, states))
+    got = np.array([kafcm_step(model, s) for s in states])
+    np.testing.assert_allclose(got, want, rtol=0, atol=TWO_BLOCK_ATOL)
+    got = predict_one_step(model, Dataset(states, np.zeros((40, n))))
+    np.testing.assert_allclose(got, want, rtol=0, atol=TWO_BLOCK_ATOL)
+    rollout = simulate(model, states[0], 30).states
+    want = np.tanh(ref_two_block_pre(model, rollout[:-1]))
+    np.testing.assert_allclose(rollout[1:], want, rtol=0, atol=TWO_BLOCK_ATOL)
