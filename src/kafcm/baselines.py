@@ -179,7 +179,9 @@ def mlp_train(params: MLPParams, train: Dataset, config: TrainConfig):
     """Plain full-batch gradient descent; returns (params, loss history).
 
     history[t] is the loss before epoch t's update. Raises DivergenceError
-    if the loss or any parameter goes non-finite.
+    if the loss or any parameter goes non-finite. The epochs update copies
+    of params' arrays, which are written back only when every epoch has
+    run, so a fit that raises leaves params as they were.
     """
     if config.lam != 0:
         raise ValueError("the l1 spline penalty does not apply to MLP training")
@@ -199,15 +201,18 @@ def mlp_train(params: MLPParams, train: Dataset, config: TrainConfig):
         err.history = history[:epochs_done].copy()  # partial record for callers
         raise err
 
-    ws = _Workspace(params, X, Y)
+    work = MLPParams(*(a.copy() for a in params.arrays()))
+    ws = _Workspace(work, X, Y)
     grads = ws.grads
     for epoch in range(config.epochs):
-        loss = ws.loss_and_grads(params)
+        loss = ws.loss_and_grads(work)
         if not np.isfinite(loss):
             abort(f"non-finite loss at epoch {epoch}", epoch)
         history[epoch] = loss
-        for p, g in zip(params.arrays(), grads.arrays()):
+        for p, g in zip(work.arrays(), grads.arrays()):
             p -= config.learning_rate * g
             if not np.isfinite(p).all():
                 abort(f"non-finite parameters after epoch {epoch}", epoch + 1)
+    for p, w in zip(params.arrays(), work.arrays()):
+        np.copyto(p, w)
     return params, history

@@ -121,7 +121,7 @@ class ExperimentConfig:
     seed: int = 0
     data_path: str | None = None
     space: GridSearchSpace | None = None
-    edge: tuple | None = None
+    edge: tuple[int, int] | None = None
     table: str | None = None
     curve_points: int = 200
 
@@ -151,7 +151,7 @@ class ExperimentConfig:
             if not (
                 isinstance(self.edge, (list, tuple))
                 and len(self.edge) == 2
-                and all(isinstance(v, int) for v in self.edge)
+                and all(_is_a("int", v) for v in self.edge)
             ):
                 raise ConfigError(f"edge must be a pair of integers, got {self.edge!r}")
             self.edge = tuple(self.edge)
@@ -179,21 +179,27 @@ def _is_a(type_name: str, value) -> bool:
 
 def _check_types(cls, raw) -> None:
     """ConfigError naming the first key of the JSON object raw whose field
-    of cls is annotated with a name in _JSON_TYPES, or a list of one, and
-    holds another kind of value; a field annotated `... | None` may also
-    hold null."""
+    of cls is annotated with a name in _JSON_TYPES, a list of one
+    (`list[int]`) or a tuple of them (`tuple[int, int]`, a JSON list of that
+    length), and holds another kind of value; a field annotated
+    `... | None` may also hold null."""
     if not isinstance(raw, dict):
         raise ConfigError(f"must be a JSON object, got {raw!r}")
     for f in fields(cls):
         value = raw.get(f.name)
         annotation = f.type.removesuffix(" | None")
-        item = annotation.removeprefix("list[").removesuffix("]")
-        if f.name not in raw or item not in _JSON_TYPES or (value is None and annotation != f.type):
+        if f.name not in raw or (value is None and annotation != f.type):
             continue
-        if item == annotation:
-            ok = _is_a(item, value)
+        kind, _, args = annotation.removesuffix("]").partition("[")
+        if kind == "list" and args in _JSON_TYPES:
+            ok = isinstance(value, list) and all(_is_a(args, v) for v in value)
+        elif kind == "tuple" and args:
+            items = args.split(", ")
+            ok = isinstance(value, list) and len(value) == len(items) and all(map(_is_a, items, value))
+        elif kind in _JSON_TYPES:
+            ok = _is_a(kind, value)
         else:
-            ok = isinstance(value, list) and all(_is_a(item, v) for v in value)
+            continue
         if not ok:
             raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
 

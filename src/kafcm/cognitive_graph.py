@@ -189,12 +189,20 @@ class KAFCMModel:
         return self.assemble(w_base[rows], w_spline[rows], alpha[rows], self.mask[rows])
 
     @staticmethod
-    def assemble(w_base, w_spline, alpha, mask):
+    def assemble(w_base, w_spline, alpha, mask, out=None):
         """(Wb, Ws) from rows of the parameter arrays and of the mask: Wb is
         w_base * mask, which matches base's N columns, Ws is (w_spline[...,
-        None] * alpha) flattened to match B, and absent edges give zeros."""
-        Ws = (w_spline * mask)[:, :, None] * alpha
-        return w_base * mask, Ws.reshape(len(Ws), -1)
+        None] * alpha) flattened to match B, and absent edges give zeros.
+
+        out, if given, is a pair of arrays shaped like w_base (rows, N) and
+        alpha (rows, N, K) that receive Wb and Ws, so that repeated calls
+        allocate nothing; Ws is returned as a (rows, N*K) view of the second.
+        """
+        Wb, Ws = (np.empty(np.shape(w_base)), np.empty(np.shape(alpha))) if out is None else out
+        np.multiply(w_spline, mask, out=Wb)  # the masked spline weights, until Wb takes its own
+        np.multiply(Wb[:, :, None], alpha, out=Ws)
+        np.multiply(w_base, mask, out=Wb)
+        return Wb, Ws.reshape(len(Ws), -1)
 
     @staticmethod
     def forward(features, weights, out=None) -> np.ndarray:

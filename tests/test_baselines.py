@@ -303,3 +303,22 @@ class TestTrain:
             DivergenceError, match="epoch"
         ):
             mlp_train(p, data, TrainConfig(learning_rate=1e200, epochs=10))
+
+    def test_divergence_leaves_parameters_bit_equal(self):
+        data = gen_yerkes(16, seed=2)
+        p = mlp_init(1, 1, seed=1)
+        before = [a.copy() for a in p.arrays()]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as info:
+            mlp_train(p, data, TrainConfig(learning_rate=1e300, epochs=10))
+        assert str(info.value).startswith("non-finite") and len(info.value.history) >= 1
+        for name, a, b in zip(("W1", "b1", "W2", "b2", "W3", "b3"), p.arrays(), before):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
+
+    def test_training_writes_into_the_callers_arrays(self):
+        data = gen_yerkes(16, seed=2)
+        p = mlp_init(1, 1, seed=1)
+        arrays = p.arrays()
+        trained, _ = mlp_train(p, data, TrainConfig(learning_rate=0.05, epochs=3))
+        assert trained is p
+        assert all(a is b for a, b in zip(trained.arrays(), arrays))
+        assert not np.array_equal(arrays[0], mlp_init(1, 1, seed=1).W1)

@@ -476,6 +476,28 @@ class TestCommands:
         # partial history kept
         assert (tmp_path / "out" / "history_kafcm.csv").exists()
 
+    def test_train_divergence_names_group_and_edge(self, tmp_path, capsys, monkeypatch):
+        # a huge spline weight over zero coefficients and a base weight that
+        # puts the fit far off its targets: finite loss, infinite d alpha
+        real_build = cli_harness.build_model
+
+        def exploding(config):
+            model = real_build(config)
+            model.w_base[1, 0] = 100.0
+            model.w_spline[1, 0] = 1e308
+            model.alpha[1, 0] = 0.0
+            return model
+
+        monkeypatch.setattr(cli_harness, "build_model", exploding)
+        cfg = write_config(tmp_path)
+        main(["generate", "--config", cfg])
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["train", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("divergence: non-finite gradient at epoch 0, alpha of edge (1, 0) at k = ")
+        assert (tmp_path / "out" / "history_kafcm.csv").read_text().count("\n") == 2  # header and epoch 0
+
     def test_evaluate_kind_mismatch(self, tmp_path):
         cfg = write_config(tmp_path)
         main(["generate", "--config", cfg])
@@ -703,13 +725,19 @@ class TestCommands:
             ("gridsearch", {"space": {"grid_sizes": [4, 4.5]}}, "space: grid_sizes must be of type list[int]"),
             ("gridsearch", {"space": {"learning_rates": ["0.1"]}}, "space: learning_rates must be of type list[float]"),
             ("gridsearch", {"space": {"epoch_values": [True]}}, "space: epoch_values must be of type list[int]"),
+            ("train", {"model": "fcm", "pso": {"weight_bounds": ["a", 1]}},
+             "pso: weight_bounds must be of type tuple[float, float], got ['a', 1]"),
+            ("train", {"model": "fcm", "pso": {"weight_bounds": [-1, 0, 1]}},
+             "pso: weight_bounds must be of type tuple[float, float], got [-1, 0, 1]"),
+            ("extract", {"edge": [True, False]}, "edge must be of type tuple[int, int] | None, got [True, False]"),
         ],
         ids=["edge-short", "edge-text", "edge-string", "space-key", "space-scalar",
              "yerkes-n-text", "yerkes-n-float", "yerkes-key", "sine-n-text", "sine-frequency", "mackey-lag",
              "grid-size-float", "grid-size-text", "degree-bool", "seed-text", "curve-points-float",
              "epochs-float", "learning-rate-text", "lam-null", "train-scalar", "swarm-size-float",
              "iterations-bool", "inertia-text", "dataset-scalar", "out-number", "data-path-number",
-             "space-grid-size-float", "space-rate-text", "space-epochs-bool"],
+             "space-grid-size-float", "space-rate-text", "space-epochs-bool", "weight-bounds-text",
+             "weight-bounds-triple", "edge-bools"],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, overrides, key):
         cfg = write_config(tmp_path, **overrides)

@@ -4,14 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kafcm import cognitive_graph
 from kafcm.cognitive_graph import (
+    BOUNDING_KINDS,
     DivergenceError,
     KAFCMModel,
     StandardFCM,
     Trajectory,
     apply_bounding,
+    bounding_grad,
     kafcm_step,
     new_kafcm,
     simulate,
@@ -20,6 +23,9 @@ from kafcm.datagen import Dataset, gen_yerkes
 from kafcm.edge_functions import EdgeFunction
 from kafcm.spline_core import make_uniform_grid
 from kafcm.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     GridRow,
     GridSearchSpace,
     PSOConfig,
@@ -389,7 +395,11 @@ class TestOneBufferAdam:
 
     @pytest.mark.parametrize(
         "learning_rate, message",
-        [(1e300, "non-finite loss at epoch 1"), (float("inf"), "non-finite parameters after epoch 0")],
+        [
+            (1e300, "non-finite loss at epoch 1"),
+            # absent slots go NaN too (inf * 0); the message names a present edge
+            (float("inf"), r"non-finite parameters after epoch 0, w_base of edge \(1, 0\)$"),
+        ],
         ids=["loss", "parameters"],
     )
     def test_failed_fit_leaves_the_model_unchanged(self, learning_rate, message):
@@ -425,7 +435,7 @@ class TestOneBufferAdam:
         data = Dataset(inputs=np.full(4, 0.5), targets=np.full(4, 100.0))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as info:
             train_gd(model, data, TrainConfig(learning_rate=0.1, epochs=5))
-        assert str(info.value) == "non-finite gradient at epoch 0"
+        assert str(info.value) == "non-finite gradient at epoch 0, alpha of edge (1, 0) at k = 2"
         assert len(info.value.history) == 1
         assert np.isfinite(info.value.history).all()
 
@@ -436,6 +446,110 @@ class TestOneBufferAdam:
             train_gd(model, data, TrainConfig(learning_rate=1e200, epochs=5))
         assert str(info.value) == "non-finite loss at epoch 1"
         assert len(info.value.history) == 1
+
+    def test_non_finite_gradient_names_its_group_and_edge(self):
+        # huge coefficients under a tiny spline weight: finite loss, infinite d w_spline
+        model = feedforward_model(seed=0, bounding="identity")
+        e = model.edges[1][0]
+        e.w_spline = 1e-300
+        e.alpha = np.full(e.grid.basis_count, 1e308)
+        data = Dataset(inputs=np.full(4, 0.5), targets=np.full(4, 100.0))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as info:
+            train_gd(model, data, TrainConfig(learning_rate=0.1, epochs=5))
+        assert str(info.value) == "non-finite gradient at epoch 0, w_spline of edge (1, 0)"
+
+
+def reference_train_gd(model, data, config):
+    """The allocating KA-FCM epoch and Adam loop, one fresh array per
+    expression: the oracle the preallocated workspace must match bit for
+    bit. Returns (history, theta after the fit, gradient of epoch 0)."""
+    input_idx, output_idx = supervision_layout(model.n_nodes, data)
+    rows = slice(int(output_idx[0]), int(output_idx[-1]) + 1)
+    states = np.zeros((len(data), model.n_nodes))
+    states[:, input_idx] = data.inputs
+    base, B = model.features(states)
+    targets = np.asarray(data.targets, dtype=float)
+    mask = model.mask.ravel()
+    present = np.concatenate([mask, mask, np.repeat(mask, model.K)])
+    theta = np.where(present, model.theta, 0.0)
+    grad = np.zeros_like(theta)
+    w_base, w_spline, alpha = model.views(theta)
+    g_wb, g_ws, g_al = model.views(grad)
+    row_mask = model.mask[rows].astype(float)
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    history = np.empty(config.epochs)
+    first_grad = None
+    for epoch in range(config.epochs):
+        Ws = (w_spline[rows] * row_mask)[:, :, None] * alpha[rows]
+        pre = base @ (w_base[rows] * row_mask).T + B @ Ws.reshape(len(Ws), -1).T
+        resid = np.asarray(apply_bounding(model.bounding, pre)) - targets
+        loss = float(np.mean(np.sum(resid**2, axis=1)))
+        u = ((2.0 / len(resid)) * resid * bounding_grad(model.bounding, pre)).T
+        g_wb[rows] = (u @ base) * row_mask
+        C = (u @ B).reshape(len(u), model.n_nodes, model.K)
+        g_ws[rows] = (alpha[rows] * C).sum(axis=2)
+        if config.lam > 0:
+            loss += config.lam * float(np.abs(alpha).sum())
+            np.multiply(config.lam, np.sign(alpha), out=g_al)
+            g_al[rows] += w_spline[rows][:, :, None] * C
+        else:
+            g_al[rows] = w_spline[rows][:, :, None] * C
+        history[epoch] = loss
+        if first_grad is None:
+            first_grad = grad.copy()
+        t = epoch + 1
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * grad * grad
+        mhat = m / (1 - ADAM_BETA1**t)
+        vhat = v / (1 - ADAM_BETA2**t)
+        theta -= config.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    out = model.theta.copy()
+    np.copyto(out, theta, where=present)
+    return history, out, first_grad
+
+
+@st.composite
+def fit_cases(draw):
+    """(model, data, config): a random map with absent edges, any bounding,
+    a feedforward or full-state layout, and lam zero or positive."""
+    n = draw(st.integers(2, 5))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
+    mask[n - 1, 0] = True
+    bounding = draw(st.sampled_from(BOUNDING_KINDS))
+    d_in = draw(st.integers(1, n - 1) | st.just(n))  # d_in == n supervises the full state
+    grid = make_uniform_grid(-1.0, 1.0, draw(st.integers(1, 6)), draw(st.integers(0, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = new_kafcm(n, grid, mask=mask, bounding=bounding, seed=int(rng.integers(1 << 30)))
+    model.theta[:] = rng.normal(0.0, 0.5, model.theta.shape)  # absent slots hold values too
+    T = draw(st.integers(1, 40))
+    d_out = n if d_in == n else n - d_in
+    data = Dataset(rng.uniform(-1.3, 1.3, (T, d_in)), rng.uniform(-1.0, 1.0, (T, d_out)))
+    config = TrainConfig(
+        learning_rate=draw(st.sampled_from([0.001, 0.05, 0.3])),
+        epochs=draw(st.integers(1, 6)),
+        lam=draw(st.sampled_from([0.0, 0.02])),
+    )
+    return model, data, config
+
+
+class TestEpochBitExact:
+    """train_gd's preallocated epoch and in-place Adam against the plain
+    allocating expressions."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(fit_cases())
+    def test_history_theta_and_gradient_are_bit_equal(self, case):
+        model, data, config = case
+        ref_history, ref_theta, ref_grad = reference_train_gd(model, data, config)
+        grad = model_gradient(model, data, config.lam)
+        flat = np.concatenate([grad.d_w_base.ravel(), grad.d_w_spline.ravel(), grad.d_alpha.ravel()])
+        assert np.array_equal(flat.view(np.uint64), ref_grad.view(np.uint64))
+        _, history = train_gd(model, data, config)
+        assert np.array_equal(history.view(np.uint64), ref_history.view(np.uint64))
+        assert np.array_equal(model.theta.view(np.uint64), ref_theta.view(np.uint64))
 
 
 # ---------------------------------------------------------------- PSO

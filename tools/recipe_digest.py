@@ -11,7 +11,12 @@ trees that write the same bytes print the same combined digest.
     python tools/recipe_digest.py --seed 0                # all three experiments
     python tools/recipe_digest.py --seed 0 yerkes sine    # a subset
 
-The package is imported from this tree's `src/`.
+The package is imported from this tree's `src/`. The bytes of the MLP
+baseline's artifacts depend on the BLAS thread count, so the digest is
+comparable only between runs with the same setting; pin it before numpy
+loads (for example `OPENBLAS_NUM_THREADS=1`). The tool prints the
+`OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS` and `MKL_NUM_THREADS` settings
+to standard error, so the listing on standard output stays comparable.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from kafcm.cli_harness import EXPERIMENTS, MODEL_KINDS, main as kafcm_main  # noqa: E402
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CONFIG_FILES = {"yerkes": "experiment1.json", "sine": "experiment2.json", "mackey": "experiment3.json"}
 STEPS = (
     [("generate", "kafcm")]
@@ -88,6 +94,7 @@ def main(argv=None) -> int:
     unknown = sorted(set(args.experiments) - set(EXPERIMENTS))
     if unknown:
         parser.error(f"unknown experiments: {unknown}")
+    print(" ".join(f"{name}={os.environ.get(name, '(unset)')}" for name in BLAS_THREAD_VARIABLES), file=sys.stderr)
     with tempfile.TemporaryDirectory(prefix="recipe-") as workdir:
         digests = file_digests(run_recipe(workdir, args.seed, args.experiments or EXPERIMENTS))
     for path in sorted(digests):
