@@ -4,24 +4,23 @@ One training recipe is used everywhere (full-batch gradient descent,
 learning rate 0.05, 1500 epochs) so the comparison stays honest: only the
 KA-FCM gets hyperparameter search.
 
+MLPParams holds the six layers as views into one flat buffer `theta`, so
+mlp_train runs the KA-FCM's descent loop (training._descend) with a plain
+step theta -= lr * grad, and a divergence names the layer (W1 ... b3).
 Training and mlp_gradient share one backward, a per-batch _Workspace that
-allocates the (T, 64) activations, the (T, n_out) outputs and the gradient
-buffers once and fills them in place each epoch (matmul, bias add, ReLU,
-tanh and reductions all with out=). Fresh batch-sized arrays on every epoch
-cost page faults that doubled the epoch time. The in-place steps keep the
-order of float operations of the plain expressions, so results are
-bit-identical to them.
+fills its (T, 64) activations, (T, n_out) outputs and flat gradient in place
+each epoch (all with out=): fresh batch-sized arrays on every epoch cost
+page faults that doubled the epoch time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
-from .cognitive_graph import DivergenceError
 from .datagen import Dataset
-from .training import TrainConfig
+from .training import TrainConfig, _descend
 
 __all__ = [
     "HIDDEN_WIDTH",
@@ -34,44 +33,39 @@ __all__ = [
 ]
 
 HIDDEN_WIDTH = 64
+_LAYER_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3")
 
 
-@dataclass
 class MLPParams:
-    W1: np.ndarray  # (64, n_in)
-    b1: np.ndarray  # (64,)
-    W2: np.ndarray  # (64, 64)
-    b2: np.ndarray  # (64,)
-    W3: np.ndarray  # (n_out, 64)
-    b3: np.ndarray  # (n_out,)
+    """The network's weights and biases in one flat float buffer `theta`.
 
-    def __post_init__(self):
-        for name in ("W1", "b1", "W2", "b2", "W3", "b3"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+    W1 (64, n_in), b1 (64,), W2 (64, 64), b2 (64,), W3 (n_out, 64) and b3
+    (n_out,) are views into theta in that order, the way KAFCMModel.theta
+    holds its parameters; update them in place. The constructor copies its
+    six arrays in and raises ValueError unless their shapes fit together.
+    """
+
+    def __init__(self, W1, b1, W2, b2, W3, b3):
+        layers = [np.asarray(a, dtype=float) for a in (W1, b1, W2, b2, W3, b3)]
+        # n_in and n_out as W1 and W3 give them; -1 fails the comparison
+        self.n_in = layers[0].shape[1] if layers[0].ndim == 2 else -1
+        self.n_out = layers[4].shape[0] if layers[4].ndim == 2 else -1
         h = HIDDEN_WIDTH
-        ok = (
-            self.W1.ndim == 2
-            and self.W1.shape[0] == h
-            and self.b1.shape == (h,)
-            and self.W2.shape == (h, h)
-            and self.b2.shape == (h,)
-            and self.W3.ndim == 2
-            and self.W3.shape[1] == h
-            and self.b3.shape == (self.W3.shape[0],)
-        )
-        if not ok:
+        self.shapes = [(h, self.n_in), (h,), (h, h), (h,), (self.n_out, h), (self.n_out,)]
+        if [a.shape for a in layers] != self.shapes:
             raise ValueError("parameter shapes do not form a 64/64 two-hidden-layer network")
+        self.theta = np.concatenate([a.ravel() for a in layers])
+        self._layers = self.views(self.theta)
 
-    @property
-    def n_in(self) -> int:
-        return self.W1.shape[1]
+    W1, b1, W2, b2, W3, b3 = (property(lambda self, k=k: self._layers[k]) for k in range(6))
 
-    @property
-    def n_out(self) -> int:
-        return self.W3.shape[0]
+    def views(self, flat: np.ndarray) -> list:
+        """[W1, b1, W2, b2, W3, b3] views into a buffer laid out like theta."""
+        ends = np.cumsum([math.prod(shape) for shape in self.shapes])[:-1]
+        return [part.reshape(shape) for part, shape in zip(np.split(flat, ends), self.shapes)]
 
     def arrays(self):
-        return [self.W1, self.b1, self.W2, self.b2, self.W3, self.b3]
+        return list(self._layers)
 
 
 def mlp_init(n_in: int, n_out: int, seed: int = 0) -> MLPParams:
@@ -79,16 +73,11 @@ def mlp_init(n_in: int, n_out: int, seed: int = 0) -> MLPParams:
     if n_in < 1 or n_out < 1:
         raise ValueError("n_in and n_out must be at least 1")
     rng = np.random.default_rng(seed)
-    h = HIDDEN_WIDTH
-
-    def layer(rows, cols):
+    h, layers = HIDDEN_WIDTH, []
+    for rows, cols in ((h, n_in), (h, h), (n_out, h)):
         bound = 1.0 / np.sqrt(cols)
-        return rng.uniform(-bound, bound, (rows, cols)), rng.uniform(-bound, bound, rows)
-
-    W1, b1 = layer(h, n_in)
-    W2, b2 = layer(h, h)
-    W3, b3 = layer(n_out, h)
-    return MLPParams(W1, b1, W2, b2, W3, b3)
+        layers += rng.uniform(-bound, bound, (rows, cols)), rng.uniform(-bound, bound, rows)
+    return MLPParams(*layers)
 
 
 def mlp_forward(params: MLPParams, x) -> np.ndarray:
@@ -106,12 +95,10 @@ def mlp_forward(params: MLPParams, x) -> np.ndarray:
 
 
 class _Workspace:
-    """One batch's forward and backward buffers, allocated once.
-
-    loss_and_grads fills the (T, 64) activations, the (T, n_out) output
-    arrays and the gradient buffers in place, so a training epoch allocates
-    no batch-sized array. The float operations and their order are those of
-    the plain allocating expressions, so results are bit-identical to them.
+    """One batch's forward and backward buffers, allocated once, a copy `work`
+    of the parameters and their gradient `grads`, whose flat buffers are
+    `theta` and `grad`. loss_and_grads keeps the float operations of the
+    plain allocating expressions and their order, so its bits are theirs.
     """
 
     def __init__(self, params: MLPParams, X: np.ndarray, Y: np.ndarray):
@@ -121,11 +108,13 @@ class _Workspace:
         self.P, self.R, self.dZ3, self.tmp = (np.empty((T, params.n_out)) for _ in range(4))
         self.row_loss = np.empty(T)
         self.mask = np.empty((T, h), dtype=bool)
+        self.work = MLPParams(*params.arrays())
         self.grads = MLPParams(*(np.empty_like(a) for a in params.arrays()))
+        self.theta, self.grad = self.work.theta, self.grads.theta
 
-    def loss_and_grads(self, p: MLPParams) -> float:
-        """Mean squared error at parameters p; fills self.grads with its gradient."""
-        X, g = self.X, self.grads
+    def loss_and_grads(self) -> float:
+        """Mean squared error at theta; fills grad with its gradient."""
+        X, p, g = self.X, self.work, self.grads
         Z1, H1, Z2, H2, dH1, dH2 = self.Z1, self.H1, self.Z2, self.H2, self.dH1, self.dH2
         P, R, dZ3, tmp, mask = self.P, self.R, self.dZ3, self.tmp, self.mask
         # forward: Z1 = X W1^T + b1, H1 = relu(Z1), ..., P = tanh(H2 W3^T + b3)
@@ -158,6 +147,12 @@ class _Workspace:
         np.sum(dZ3, axis=0, out=g.b3)
         return loss
 
+    def non_finite_entry(self, flat: np.ndarray) -> str:
+        """The layer holding the first non-finite entry of a buffer laid out like theta."""
+        for name, layer in zip(_LAYER_NAMES, self.work.views(flat)):
+            if not np.isfinite(layer).all():
+                return f"layer {name}"
+
 
 def mlp_gradient(params: MLPParams, data: Dataset) -> MLPParams:
     """Backpropagated gradients of the mean squared error, packaged in the
@@ -167,7 +162,7 @@ def mlp_gradient(params: MLPParams, data: Dataset) -> MLPParams:
     if len(X) == 0:
         raise ValueError("empty batch")
     ws = _Workspace(params, X, Y)
-    ws.loss_and_grads(params)
+    ws.loss_and_grads()
     return ws.grads
 
 
@@ -179,9 +174,11 @@ def mlp_train(params: MLPParams, train: Dataset, config: TrainConfig):
     """Plain full-batch gradient descent; returns (params, loss history).
 
     history[t] is the loss before epoch t's update. Raises DivergenceError
-    if the loss or any parameter goes non-finite. The epochs update copies
-    of params' arrays, which are written back only when every epoch has
-    run, so a fit that raises leaves params as they were.
+    if the loss, a gradient or a parameter goes non-finite, naming the epoch
+    and, for a gradient or a parameter, the layer (W1 ... b3) of the first
+    non-finite entry. The epochs update a copy of params.theta, which is
+    written back only when every epoch has run, so a fit that raises leaves
+    params as they were.
     """
     if config.lam != 0:
         raise ValueError("the l1 spline penalty does not apply to MLP training")
@@ -194,25 +191,8 @@ def mlp_train(params: MLPParams, train: Dataset, config: TrainConfig):
             f"dataset ({X.shape[1]} in, {Y.shape[1]} out) does not match "
             f"model ({params.n_in} in, {params.n_out} out)"
         )
-    history = np.empty(config.epochs)
-
-    def abort(message: str, epochs_done: int):
-        err = DivergenceError(message)
-        err.history = history[:epochs_done].copy()  # partial record for callers
-        raise err
-
-    work = MLPParams(*(a.copy() for a in params.arrays()))
-    ws = _Workspace(work, X, Y)
-    grads = ws.grads
-    for epoch in range(config.epochs):
-        loss = ws.loss_and_grads(work)
-        if not np.isfinite(loss):
-            abort(f"non-finite loss at epoch {epoch}", epoch)
-        history[epoch] = loss
-        for p, g in zip(work.arrays(), grads.arrays()):
-            p -= config.learning_rate * g
-            if not np.isfinite(p).all():
-                abort(f"non-finite parameters after epoch {epoch}", epoch + 1)
-    for p, w in zip(params.arrays(), work.arrays()):
-        np.copyto(p, w)
+    ws = _Workspace(params, X, Y)
+    lr = config.learning_rate
+    history = _descend(ws, lambda t: np.subtract(ws.theta, lr * ws.grad, ws.theta), config.epochs, ws.grad)
+    np.copyto(params.theta, ws.theta)
     return params, history

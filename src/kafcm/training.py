@@ -5,20 +5,22 @@ of the input nodes and the desired next state of the output nodes. A dataset
 with d_in + d_out == N uses the first d_in nodes as inputs and the last d_out
 as outputs; d_in == d_out == N supervises the full state vector.
 
-train_gd performs full-batch first-order training with Adam-style diagonal
-preconditioning (beta1=0.9, beta2=0.999, eps=1e-8) at the configured
+train_gd performs full-batch first-order training with Adam (Kingma & Ba,
+arXiv:1412.6980; beta1=0.9, beta2=0.999, eps=1e-8) at the configured
 learning rate. Plain constant-step descent stalls two orders of magnitude
 short of the accuracy the benchmarks require, so the adaptive step is the
 shipped default; the update is still computed from exact full-batch
 gradients of the total loss.
 
+train_gd and baselines.mlp_train share one epoch loop, _descend; they
+differ only in the step (Adam or plain descent) on their copy of the flat
+buffer `theta`, which a fit writes back only once every epoch has run.
+
 The loss and its gradients are dense, with no loop over edges, and read
 the model's own arrays (cognitive_graph.KAFCMModel). A fit builds the
 (T, N*K) basis tensor B of its input states once; each epoch is then one
 matmul forward over the output rows, one backward C = (u.T @ B).reshape(
-n_out, N, K) for the upstream gradient u, and one Adam update of a copy of
-the flat buffer `theta`. The copy replaces the present edges' parameters
-only when the fit completes, so a fit that raises leaves the model as it was.
+n_out, N, K) for the upstream gradient u, and the update.
 
 An epoch allocates nothing: the forward, the backward and the Adam update
 fill one workspace of buffers allocated once per fit, which train_gd and
@@ -248,8 +250,8 @@ class _Workspace:
     adds about 0.15 us to it.
     """
 
-    def __init__(self, model: KAFCMModel, data: Dataset):
-        self.model = model
+    def __init__(self, model: KAFCMModel, data: Dataset, lam: float):
+        self.model, self.lam = model, lam
         input_idx, output_idx = supervision_layout(model.n_nodes, data)
         self.rows = _output_rows(output_idx)
         self.features = model.features(_state_matrix(model.n_nodes, data, input_idx))
@@ -275,7 +277,7 @@ class _Workspace:
         self.two_over_T, self.one = np.array(2.0 / T), np.array(1.0)
         self.steepness = np.array(SMOOTH_CLIP_STEEPNESS)
 
-    def loss_and_grads(self, lam: float) -> float:
+    def loss_and_grads(self) -> float:
         """Total loss at the current parameters; fills self.grad.
 
         Only output rows shape the reconstruction loss, so the backward is
@@ -285,7 +287,7 @@ class _Workspace:
         operations, in the order, of the plain expressions, so the results
         have their bits.
         """
-        m, T = self.model, len(self.targets)
+        m, T, lam = self.model, len(self.targets), self.lam
         base, B = self.features
         _, w_spline, alpha = self.row_params
         g_wb, g_ws, g_al = self.row_grads
@@ -339,14 +341,48 @@ class _Workspace:
 
 
 def model_gradient(model: KAFCMModel, batch: Dataset, lam: float = 0.0) -> ModelGradient:
-    """Exact full-batch gradients of loss_total, arranged as (N, N[, K]) arrays."""
+    """Exact full-batch gradients of loss_total, arranged as (N, N[, K]) arrays;
+    DivergenceError names the first non-finite gradient entry's group and edge."""
     if len(batch) == 0:
         raise ValueError("empty batch")
-    ws = _Workspace(model, batch)
-    loss = ws.loss_and_grads(lam)
-    if not (np.isfinite(loss) and np.isfinite(ws.grad).all()):
-        raise DivergenceError("non-finite loss or gradient")
+    ws = _Workspace(model, batch, lam)
+    loss = ws.loss_and_grads()
+    if not (math.isfinite(loss) and np.isfinite(ws.grad).all()):
+        where = "" if np.isfinite(ws.grad).all() else f", {ws.non_finite_entry(ws.grad)}"
+        raise DivergenceError(f"non-finite loss or gradient{where}")
     return ModelGradient(*ws.grads)
+
+
+def _descend(ws, update, epochs: int, watch: np.ndarray) -> np.ndarray:
+    """The epoch loop of train_gd and mlp_train; returns the loss history.
+
+    Each epoch records the loss of ws.loss_and_grads(), which fills ws.grad,
+    and calls update(t), t = epoch + 1, to step ws.theta in place. watch is
+    a buffer that the update leaves non-finite wherever ws.grad is or the
+    step overflowed (ws.grad for plain descent, Adam's v), so one pass checks
+    both. A DivergenceError carries the partial history as .history.
+    """
+    history = np.empty(epochs)
+    finite = np.empty(len(ws.theta), dtype=bool)
+
+    def abort(message: str, epochs_done: int):
+        err = DivergenceError(message)
+        err.history = history[:epochs_done].copy()  # partial record for callers
+        raise err
+
+    for epoch in range(epochs):
+        loss = ws.loss_and_grads()
+        if not math.isfinite(loss):
+            abort(f"non-finite loss at epoch {epoch}", epoch)
+        history[epoch] = loss
+        update(epoch + 1)
+        if not np.logical_and.reduce(np.isfinite(watch, finite)):
+            if np.isfinite(ws.grad).all():
+                abort(f"gradient overflows the update at epoch {epoch}, {ws.non_finite_entry(watch)}", epoch + 1)
+            abort(f"non-finite gradient at epoch {epoch}, {ws.non_finite_entry(ws.grad)}", epoch + 1)
+        if not np.logical_and.reduce(np.isfinite(ws.theta, finite)):
+            abort(f"non-finite parameters after epoch {epoch}, {ws.non_finite_entry(ws.theta)}", epoch + 1)
+    return history
 
 
 def train_gd(model: KAFCMModel, train: Dataset, config: TrainConfig):
@@ -354,56 +390,40 @@ def train_gd(model: KAFCMModel, train: Dataset, config: TrainConfig):
 
     history[t] is the total loss at the start of epoch t (before its update),
     so history[0] is the loss of the initial parameters. Raises
-    DivergenceError if the loss, a gradient, or a parameter goes non-finite,
-    naming the epoch and, for a gradient or a parameter, the parameter group
-    and edge of the first non-finite entry; the model's parameters change
-    only when every epoch has run.
+    DivergenceError if the loss, a gradient, Adam's second moment or a
+    parameter goes non-finite, naming the epoch and, for all but the loss,
+    the parameter group and edge of the first non-finite entry; the model's
+    parameters change only when every epoch has run.
     """
     if len(train) == 0:
         raise ValueError("empty training set")
-    ws = _Workspace(model, train)
+    ws = _Workspace(model, train, config.lam)
     theta, grad = ws.theta, ws.grad
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
-    scratch = np.empty_like(theta)
-    finite = np.empty(len(theta), dtype=bool)
+    m, v, step, scratch = (np.zeros_like(theta) for _ in range(4))
     # Adam's factors as 0-d arrays (see _Workspace); c1, c2 take the bias
     # corrections 1 - beta**t of each epoch
     beta1, beta2, keep1, keep2, lr, eps = map(
         np.array, (ADAM_BETA1, ADAM_BETA2, 1 - ADAM_BETA1, 1 - ADAM_BETA2, config.learning_rate, ADAM_EPS)
     )
     c1, c2 = np.empty(()), np.empty(())
-    history = np.empty(config.epochs)
 
-    def abort(message: str, epochs_done: int):
-        err = DivergenceError(message)
-        err.history = history[:epochs_done].copy()  # partial record for callers
-        raise err
-
-    for epoch in range(config.epochs):
-        loss = ws.loss_and_grads(config.lam)
-        if not math.isfinite(loss):
-            abort(f"non-finite loss at epoch {epoch}", epoch)
-        history[epoch] = loss
-        if not np.logical_and.reduce(np.isfinite(grad, finite)):
-            abort(f"non-finite gradient at epoch {epoch}, {ws.non_finite_entry(grad)}", epoch + 1)
-        t = epoch + 1
+    def adam(t: int) -> None:
         c1[()] = 1 - ADAM_BETA1**t
         c2[()] = 1 - ADAM_BETA2**t
         # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g, then
-        # theta -= lr * mhat / (sqrt(vhat) + eps), each in place
+        # theta -= lr * mhat / (sqrt(vhat) + eps), each in place; a g g that
+        # overflows leaves the step 0 and v infinite, which _descend catches
         np.multiply(m, beta1, m)
         np.add(m, np.multiply(keep1, grad, scratch), m)
         np.multiply(v, beta2, v)
         np.multiply(keep2, grad, scratch)
         np.add(v, np.multiply(scratch, grad, scratch), v)
-        # grad is spent now that m and v hold it, so it takes lr * mhat
-        np.multiply(lr, np.divide(m, c1, grad), grad)
+        np.multiply(lr, np.divide(m, c1, step), step)
         np.sqrt(np.divide(v, c2, scratch), scratch)
         np.add(scratch, eps, scratch)
-        np.subtract(theta, np.divide(grad, scratch, grad), theta)
-        if not np.logical_and.reduce(np.isfinite(theta, finite)):
-            abort(f"non-finite parameters after epoch {epoch}, {ws.non_finite_entry(theta)}", epoch + 1)
+        np.subtract(theta, np.divide(step, scratch, step), theta)
+
+    history = _descend(ws, adam, config.epochs, v)
     np.copyto(model.theta, theta, where=ws.present)
     return model, history
 

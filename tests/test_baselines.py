@@ -73,6 +73,8 @@ def reference_train(params, X, Y, learning_rate, epochs):
     return params, history
 
 
+LAYER_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3")
+
 # (T, n_in, n_out): random batches, one output and several, up to mackey's
 # 957-row training split
 EXACT_SHAPES = [(1, 1, 1), (37, 3, 2), (400, 1, 1), (957, 4, 1), (1200, 2, 3)]
@@ -106,6 +108,43 @@ class TestParams:
                 W3=np.zeros((1, 32)),
                 b3=np.zeros(1),
             )
+
+    @pytest.mark.parametrize(
+        "layer, value",
+        [
+            ("W1", 0.5),  # 0-d
+            ("W1", np.zeros(64)),  # 1-d
+            ("W1", np.zeros((64, 1, 1))),
+            ("b1", np.zeros(63)),
+            ("W2", np.zeros((64, 63))),
+            ("W3", np.zeros(64)),
+            ("b3", np.zeros(2)),
+        ],
+        ids=["W1-0d", "W1-1d", "W1-3d", "b1", "W2", "W3-1d", "b3"],
+    )
+    def test_mis_shaped_layer_rejected(self, layer, value):
+        layers = dict(zip(LAYER_NAMES, zero_params(1, 1).arrays()))
+        layers[layer] = value
+        with pytest.raises(ValueError, match="shapes"):
+            MLPParams(**layers)
+
+    def test_theta_is_the_layers_in_order(self):
+        p = mlp_init(3, 2, seed=0)
+        np.testing.assert_array_equal(p.theta, np.concatenate([a.ravel() for a in p.arrays()]))
+        assert p.theta.size == 64 * 3 + 64 + 64 * 64 + 64 + 2 * 64 + 2
+        for name, layer in zip(LAYER_NAMES, p.arrays()):
+            assert np.shares_memory(layer, p.theta), name
+            assert getattr(p, name) is layer
+        p.W2[5, 7] = 42.0
+        assert p.theta[64 * 3 + 64 + 5 * 64 + 7] == 42.0
+
+    def test_constructor_copies_and_layers_cannot_be_rebound(self):
+        W1 = np.zeros((64, 1))
+        p = MLPParams(W1, *zero_params(1, 1).arrays()[1:])
+        W1[0, 0] = 1.0
+        assert p.W1[0, 0] == 0.0
+        with pytest.raises(AttributeError):
+            p.W1 = np.ones((64, 1))
 
     def test_dimensions(self):
         p = mlp_init(4, 1, seed=0)
@@ -314,6 +353,34 @@ class TestTrain:
         for name, a, b in zip(("W1", "b1", "W2", "b2", "W3", "b3"), p.arrays(), before):
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
 
+    @pytest.mark.parametrize(
+        "learning_rate, message",
+        [
+            (1e300, "non-finite loss at epoch 1"),
+            # inf * 0 puts NaN into every layer; W1 comes first
+            (float("inf"), "non-finite parameters after epoch 0, layer W1"),
+        ],
+        ids=["loss", "parameters"],
+    )
+    def test_divergence_message(self, learning_rate, message):
+        data = gen_yerkes(16, seed=2)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as info:
+            mlp_train(mlp_init(1, 1, seed=1), data, TrainConfig(learning_rate=learning_rate, epochs=10))
+        assert str(info.value) == message
+        assert len(info.value.history) == 1  # the loss of epoch 0
+
+    def test_non_finite_gradient_names_its_layer(self):
+        # hidden units at 1e308 under a zero output layer: the loss is 4, but
+        # d W3 = dZ3.T @ H2 = -4e308 overflows while every other layer's
+        # gradient stays finite
+        p = zero_params(1, 1)
+        p.b2[:] = 1e308
+        data = Dataset(np.array([[0.5]]), np.array([[2.0]]))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as info:
+            mlp_train(p, data, TrainConfig(learning_rate=0.05, epochs=5))
+        assert str(info.value) == "non-finite gradient at epoch 0, layer W3"
+        np.testing.assert_array_equal(info.value.history, [4.0])
+
     def test_training_writes_into_the_callers_arrays(self):
         data = gen_yerkes(16, seed=2)
         p = mlp_init(1, 1, seed=1)
@@ -322,3 +389,4 @@ class TestTrain:
         assert trained is p
         assert all(a is b for a, b in zip(trained.arrays(), arrays))
         assert not np.array_equal(arrays[0], mlp_init(1, 1, seed=1).W1)
+        assert np.shares_memory(trained.W1, trained.theta)

@@ -24,7 +24,7 @@ from kafcm.cli_harness import (
     split_for,
 )
 import kafcm.cli_harness as cli_harness
-from kafcm.cognitive_graph import KAFCMModel, StandardFCM, new_kafcm, simulate
+from kafcm.cognitive_graph import DivergenceError, KAFCMModel, StandardFCM, new_kafcm, simulate
 from kafcm.datagen import yerkes_law
 from kafcm.spline_core import make_uniform_grid
 from kafcm.training import GridSearchSpace, PSOConfig, TrainConfig, loss_rec, predict_one_step, train_gd
@@ -497,6 +497,81 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("divergence: non-finite gradient at epoch 0, alpha of edge (1, 0) at k = ")
         assert (tmp_path / "out" / "history_kafcm.csv").read_text().count("\n") == 2  # header and epoch 0
+
+    @staticmethod
+    def overflowing(build):
+        """build_model with edge (1, 0) at w_spline 1e308 over zero alpha: on
+        yerkes a finite d alpha near 1e308, whose square overflows Adam's v."""
+
+        def build_model(config):
+            model = build(config)
+            model.w_spline[1, 0] = 1e308
+            model.alpha[1, 0] = 0.0
+            return model
+
+        return build_model
+
+    def test_adam_overflow_raises_instead_of_freezing(self, tmp_path):
+        # v going infinite makes the entry's step 0 for good, which used to
+        # freeze alpha silently for all 50 epochs
+        config = load_config(write_config(tmp_path, train={"learning_rate": 0.1, "epochs": 50, "lam": 0.0}))
+        model = self.overflowing(build_model)(config)
+        theta = model.theta.copy()
+        train, _, _ = split_for(config, build_dataset(config))
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError) as info:
+            train_gd(model, model_view(config, train), config.train)
+        assert str(info.value) == "gradient overflows the update at epoch 0, alpha of edge (1, 0) at k = 0"
+        assert len(info.value.history) == 1 and np.isfinite(info.value.history).all()
+        assert np.array_equal(model.theta.view(np.uint64), theta.view(np.uint64))
+
+    def test_train_adam_overflow_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli_harness, "build_model", self.overflowing(cli_harness.build_model))
+        cfg = write_config(tmp_path, train={"learning_rate": 0.1, "epochs": 50, "lam": 0.0})
+        main(["generate", "--config", cfg])
+        capsys.readouterr()
+        with np.errstate(over="ignore"):
+            assert main(["train", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err == "divergence: gradient overflows the update at epoch 0, alpha of edge (1, 0) at k = 0\n"
+        assert (tmp_path / "out" / "history_kafcm.csv").read_text().count("\n") == 2  # header and epoch 0
+
+    def test_train_mlp_divergence_names_the_layer(self, tmp_path, capsys, monkeypatch):
+        # an infinite step: inf * 0 puts NaN into every layer, W1 first
+        monkeypatch.setattr(
+            cli_harness, "default_mlp_config", lambda seed=0: TrainConfig(learning_rate=float("inf"), epochs=5)
+        )
+        cfg = write_config(tmp_path, model="mlp")
+        main(["generate", "--config", cfg])
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["train", "--config", cfg]) == 3
+        assert capsys.readouterr().err == "divergence: non-finite parameters after epoch 0, layer W1\n"
+        assert (tmp_path / "out" / "history_mlp.csv").read_text().count("\n") == 2  # header and epoch 0
+        assert not (tmp_path / "out" / "model_mlp.json").exists()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda p: p["W2"].pop(),  # a (63, 64) W2
+            lambda p: p.update(W1=0.5),  # a 0-d W1
+            lambda p: p.update(W1=[0.5] * 64),  # a 1-d W1
+            lambda p: p["b3"].append(0.0),  # two output biases for one output row
+        ],
+        ids=["W2-rows", "W1-0d", "W1-1d", "b3"],
+    )
+    def test_mis_shaped_mlp_model_file_exits_2(self, tmp_path, capsys, corrupt):
+        cfg = write_config(tmp_path, model="mlp")
+        assert main(["generate", "--config", cfg]) == 0
+        path = tmp_path / "out" / "model_mlp.json"
+        save_model(mlp_init(1, 1, seed=0), path)
+        payload = json.loads(path.read_text())
+        corrupt(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="shapes"):
+            load_model(path)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", cfg]) == 2
+        assert "parameter shapes do not form" in capsys.readouterr().err
 
     def test_evaluate_kind_mismatch(self, tmp_path):
         cfg = write_config(tmp_path)

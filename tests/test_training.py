@@ -255,6 +255,21 @@ class TestModelGradient:
         with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="non-finite"):
             model_gradient(model, data)
 
+    def test_non_finite_message_names_the_gradient_entry(self):
+        # an infinite loss over a finite gradient names no entry
+        model = feedforward_model(seed=0, bounding="identity")
+        model.w_base[1, 0] = 1e308
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError) as info:
+            model_gradient(model, Dataset(inputs=np.full(4, 0.9), targets=np.zeros(4)))
+        assert str(info.value) == "non-finite loss or gradient"
+        # a huge spline weight over zero coefficients: finite loss, infinite d alpha
+        model = feedforward_model(seed=0, bounding="identity")
+        model.w_spline[1, 0] = 1e308
+        model.alpha[1, 0] = 0.0
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as info:
+            model_gradient(model, Dataset(inputs=np.full(4, 0.5), targets=np.full(4, 100.0)))
+        assert str(info.value) == "non-finite loss or gradient, alpha of edge (1, 0) at k = 2"
+
     def test_empty_batch_rejected(self):
         model = feedforward_model()
         with pytest.raises(ValueError, match="empty"):
