@@ -7,10 +7,10 @@ KA-FCM gets hyperparameter search.
 MLPParams holds the six layers as views into one flat buffer `theta`, so
 mlp_train runs the KA-FCM's descent loop (training._descend) with a plain
 step theta -= lr * grad, and a divergence names the layer (W1 ... b3).
-Training and mlp_gradient share one backward, a per-batch _Workspace that
-fills its (T, 64) activations, (T, n_out) outputs and flat gradient in place
-each epoch (all with out=): fresh batch-sized arrays on every epoch cost
-page faults that doubled the epoch time.
+mlp_forward and training share one forward, _forward; training and
+mlp_gradient share one backward, a per-batch _Workspace whose (T, 64) and
+(T, n_out) buffers and flat gradient every epoch fills in place: fresh
+batch-sized arrays on every epoch cost page faults that doubled its time.
 """
 
 from __future__ import annotations
@@ -19,11 +19,13 @@ import math
 
 import numpy as np
 
+from .cognitive_graph import bounding_slope
 from .datagen import Dataset
-from .training import TrainConfig, _descend
+from .training import TrainConfig, _checked_gradient, _descend, _squared_error
 
 __all__ = [
     "HIDDEN_WIDTH",
+    "LAYER_NAMES",
     "MLPParams",
     "mlp_init",
     "mlp_forward",
@@ -33,7 +35,7 @@ __all__ = [
 ]
 
 HIDDEN_WIDTH = 64
-_LAYER_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3")
+LAYER_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3")
 
 
 class MLPParams:
@@ -80,6 +82,20 @@ def mlp_init(n_in: int, n_out: int, seed: int = 0) -> MLPParams:
     return MLPParams(*layers)
 
 
+def _forward(p: MLPParams, X: np.ndarray, H1=None, H2=None, P=None) -> np.ndarray:
+    """tanh(W3 relu(W2 relu(W1 x + b1) + b2) + b3) for each row x of X, into P
+    (T, n_out) if given, with the two relu layers into H1, H2 (T, 64) if given."""
+    H1 = np.matmul(X, p.W1.T, out=H1)
+    H1 += p.b1
+    np.maximum(H1, 0.0, out=H1)
+    H2 = np.matmul(H1, p.W2.T, out=H2)
+    H2 += p.b2
+    np.maximum(H2, 0.0, out=H2)
+    P = np.matmul(H2, p.W3.T, out=P)
+    P += p.b3
+    return np.tanh(P, out=P)
+
+
 def mlp_forward(params: MLPParams, x) -> np.ndarray:
     """tanh(W3 relu(W2 relu(W1 x + b1) + b2) + b3); accepts a vector or a
     (T, n_in) batch."""
@@ -88,9 +104,7 @@ def mlp_forward(params: MLPParams, x) -> np.ndarray:
     X = x[None, :] if single else x
     if X.ndim != 2 or X.shape[1] != params.n_in:
         raise ValueError(f"input shape {x.shape} does not match n_in={params.n_in}")
-    H = np.maximum(X @ params.W1.T + params.b1, 0.0)
-    H = np.maximum(H @ params.W2.T + params.b2, 0.0)
-    out = np.tanh(H @ params.W3.T + params.b3)
+    out = _forward(params, X)
     return out[0] if single else out
 
 
@@ -104,7 +118,7 @@ class _Workspace:
     def __init__(self, params: MLPParams, X: np.ndarray, Y: np.ndarray):
         T, h = len(X), HIDDEN_WIDTH
         self.X, self.Y = X, Y
-        self.Z1, self.H1, self.Z2, self.H2, self.dH1, self.dH2 = (np.empty((T, h)) for _ in range(6))
+        self.H1, self.H2, self.dH1, self.dH2 = (np.empty((T, h)) for _ in range(4))
         self.P, self.R, self.dZ3, self.tmp = (np.empty((T, params.n_out)) for _ in range(4))
         self.row_loss = np.empty(T)
         self.mask = np.empty((T, h), dtype=bool)
@@ -115,30 +129,18 @@ class _Workspace:
     def loss_and_grads(self) -> float:
         """Mean squared error at theta; fills grad with its gradient."""
         X, p, g = self.X, self.work, self.grads
-        Z1, H1, Z2, H2, dH1, dH2 = self.Z1, self.H1, self.Z2, self.H2, self.dH1, self.dH2
+        H1, H2, dH1, dH2 = self.H1, self.H2, self.dH1, self.dH2
         P, R, dZ3, tmp, mask = self.P, self.R, self.dZ3, self.tmp, self.mask
-        # forward: Z1 = X W1^T + b1, H1 = relu(Z1), ..., P = tanh(H2 W3^T + b3)
-        np.matmul(X, p.W1.T, out=Z1)
-        Z1 += p.b1
-        np.maximum(Z1, 0.0, out=H1)
-        np.matmul(H1, p.W2.T, out=Z2)
-        Z2 += p.b2
-        np.maximum(Z2, 0.0, out=H2)
-        np.matmul(H2, p.W3.T, out=P)
-        P += p.b3
-        np.tanh(P, out=P)
-        np.subtract(P, self.Y, out=R)
-        np.square(R, out=tmp)
-        loss = float(np.mean(np.sum(tmp, axis=1, out=self.row_loss)))
-        # backward: dZ3 = (2/T) R (1 - P^2); the ReLU subgradient at 0 is 0
+        _forward(p, X, H1, H2, P)
+        loss = float(_squared_error(P, self.Y, R, tmp, self.row_loss))
+        # backward: dZ3 = (2/T) R (1 - P^2); the ReLU subgradient at 0 is 0,
+        # and H = relu(Z) > 0 exactly where Z > 0
         np.multiply(2.0 / len(X), R, out=dZ3)
-        np.square(P, out=tmp)
-        np.subtract(1.0, tmp, out=tmp)
-        dZ3 *= tmp
+        dZ3 *= bounding_slope("tanh", P, tmp)
         np.matmul(dZ3, p.W3, out=dH2)
-        dH2 *= np.greater(Z2, 0, out=mask)  # dH2 now holds dZ2
+        dH2 *= np.greater(H2, 0, out=mask)  # dH2 now holds dZ2
         np.matmul(dH2, p.W2, out=dH1)
-        dH1 *= np.greater(Z1, 0, out=mask)  # dH1 now holds dZ1
+        dH1 *= np.greater(H1, 0, out=mask)  # dH1 now holds dZ1
         np.matmul(dH1.T, X, out=g.W1)
         np.sum(dH1, axis=0, out=g.b1)
         np.matmul(dH2.T, H1, out=g.W2)
@@ -149,21 +151,20 @@ class _Workspace:
 
     def non_finite_entry(self, flat: np.ndarray) -> str:
         """The layer holding the first non-finite entry of a buffer laid out like theta."""
-        for name, layer in zip(_LAYER_NAMES, self.work.views(flat)):
+        for name, layer in zip(LAYER_NAMES, self.work.views(flat)):
             if not np.isfinite(layer).all():
                 return f"layer {name}"
 
 
 def mlp_gradient(params: MLPParams, data: Dataset) -> MLPParams:
-    """Backpropagated gradients of the mean squared error, packaged in the
-    same shape as the parameters. ReLU subgradient at 0 is taken as 0."""
+    """Backpropagated gradients of the mean squared error, shaped like the
+    parameters (ReLU subgradient 0 at 0); DivergenceError names the layer of
+    the first non-finite entry."""
     X = np.asarray(data.inputs, dtype=float)
     Y = np.asarray(data.targets, dtype=float)
     if len(X) == 0:
         raise ValueError("empty batch")
-    ws = _Workspace(params, X, Y)
-    ws.loss_and_grads()
-    return ws.grads
+    return _checked_gradient(_Workspace(params, X, Y)).grads
 
 
 def default_mlp_config(seed: int = 0) -> TrainConfig:

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .atomic_io import atomic_write, write_json
-from .baselines import MLPParams, default_mlp_config, mlp_forward, mlp_init, mlp_train
+from .baselines import LAYER_NAMES, MLPParams, default_mlp_config, mlp_forward, mlp_init, mlp_train
 from .cognitive_graph import (
     BOUNDING_KINDS,
     DivergenceError,
@@ -254,7 +254,6 @@ def canonical_config(experiment: str, model: str = "kafcm", seed: int = 0) -> Ex
 
 _GRID_KEYS = ("domain_lo", "domain_hi", "grid_size", "degree")
 _EDGE_KEYS = ("i", "j", "w_base", "w_spline", "alpha", "base", "grid")
-_MLP_KEYS = ("W1", "b1", "W2", "b2", "W3", "b3")
 
 
 def save_model(model, path) -> None:
@@ -284,7 +283,7 @@ def save_model(model, path) -> None:
         }
     elif isinstance(model, MLPParams):
         payload = {"version": MODEL_FILE_VERSION, "kind": "mlp"}
-        payload.update((k, getattr(model, k).tolist()) for k in _MLP_KEYS)
+        payload.update((k, getattr(model, k).tolist()) for k in LAYER_NAMES)
     else:
         raise TypeError(f"cannot serialize model of type {type(model).__name__}")
     write_json(payload, path)
@@ -367,8 +366,8 @@ def load_model(path):
             weights=_finite(payload["weights"], "fcm weights"), activation=payload["activation"]
         )
     if kind == "mlp":
-        _require(payload, _MLP_KEYS, "mlp model")
-        return MLPParams(**{k: _finite(payload[k], f"mlp {k}") for k in _MLP_KEYS})
+        _require(payload, LAYER_NAMES, "mlp model")
+        return MLPParams(**{k: _finite(payload[k], f"mlp {k}") for k in LAYER_NAMES})
     raise ValueError(f"unknown model kind: {kind!r}")
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "Trajectory",
     "apply_bounding",
     "bounding_grad",
+    "bounding_slope",
     "fcm_step",
     "kafcm_step",
     "new_kafcm",
@@ -59,28 +60,28 @@ def apply_bounding(kind: str, x, out=None):
     if kind == "smooth_clip":
         z = SMOOTH_CLIP_STEEPNESS * (x - 0.5)
         e = np.exp(-np.abs(z))
-        y = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    elif kind == "identity":
-        y = x
-    else:
-        raise ValueError(f"unknown bounding kind: {kind!r}")
-    if out is None:
-        return y
-    np.copyto(out, y)
-    return out
+        return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)  # 1/(1+e) or e/(1+e)
+    if kind == "identity":
+        return x if out is None else np.positive(x, out=out)
+    raise ValueError(f"unknown bounding kind: {kind!r}")
+
+
+def bounding_slope(kind: str, y, out=None, tmp=None):
+    """sigma'(x) from y = sigma(x): tanh 1 - y**2, smooth_clip 8 y (1 - y) and
+    identity y**0 = 1, into out if given, with tmp for 1 - y (neither is y)."""
+    if kind == "tanh":
+        return np.subtract(1.0, np.square(y, out), out)
+    if kind == "smooth_clip":
+        out = np.multiply(SMOOTH_CLIP_STEEPNESS, y, out)
+        return np.multiply(out, np.subtract(1.0, y, tmp), out)
+    if kind == "identity":
+        return np.power(y, 0.0, out)
+    raise ValueError(f"unknown bounding kind: {kind!r}")
 
 
 def bounding_grad(kind: str, x):
-    """d sigma / dx, elementwise."""
-    x = np.asarray(x, dtype=float)
-    if kind == "smooth_clip":
-        s = apply_bounding("smooth_clip", x)
-        return SMOOTH_CLIP_STEEPNESS * s * (1.0 - s)
-    if kind == "tanh":
-        return 1.0 - np.tanh(x) ** 2
-    if kind == "identity":
-        return np.ones_like(x)
-    raise ValueError(f"unknown bounding kind: {kind!r}")
+    """d sigma / dx, elementwise: the slope of sigma(x)."""
+    return bounding_slope(kind, apply_bounding(kind, x))
 
 
 def _grid_key(grid: KnotGrid) -> tuple:

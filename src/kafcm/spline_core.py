@@ -231,23 +231,18 @@ BASIS_BLOCK_POINTS = 1024
 def basis_tensor(grid: KnotGrid, states: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """B of shape (T, N*K): row t is basis_matrix(grid, states[t]) flattened.
 
-    Filled a block of source columns at a time, each block at most
-    BASIS_BLOCK_POINTS points (or one column), which bounds the temporaries
-    of basis_matrix however many rows the states have. out, if given, is a
-    C-contiguous (T, N*K) array to fill and return; scratch is a BasisScratch
-    passed on to basis_matrix.
+    Filled straight into B a block of rows (a contiguous (rows*N, K) view)
+    at a time, each of about BASIS_BLOCK_POINTS points or one row, which
+    bounds the temporaries of basis_matrix however many rows the states have.
+    out, if given, is a C-contiguous (T, N*K) array to fill and return;
+    scratch is a BasisScratch passed on to basis_matrix.
     """
     T, n = states.shape
     K = grid.basis_count
     B = np.empty((T, n * K)) if out is None else _checked_out(out, (T, n * K))
-    if T * n <= BASIS_BLOCK_POINTS or n == 1:
-        basis_matrix(grid, states.ravel(), B.reshape(T * n, K), scratch)
-        return B
-    cols = max(1, BASIS_BLOCK_POINTS // T)
-    blocks = B.reshape(T, n, K)
-    for j in range(0, n, cols):
-        block = states[:, j : j + cols]
-        blocks[:, j : j + cols] = basis_matrix(grid, block.ravel(), scratch=scratch).reshape(*block.shape, K)
+    rows = max(1, BASIS_BLOCK_POINTS // max(n, 1))
+    for t in range(0, T, rows):
+        basis_matrix(grid, states[t : t + rows].ravel(), B[t : t + rows].reshape(-1, K), scratch)
     return B
 
 

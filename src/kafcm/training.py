@@ -27,8 +27,9 @@ fill one workspace of buffers allocated once per fit, which train_gd and
 model_gradient share. At the recipe's sizes (N = 2 with T = 256, N = 5
 with T = 958) an epoch's cost is NumPy call and allocation overhead, not
 arithmetic. The in-place steps keep the float operations of the plain
-allocating expressions and their order, so fits are bit-identical to them;
-the tests keep that plain form as the reference.
+allocating expressions and their order, so fits are bit-identical to that
+plain form, the tests' reference. _squared_error is the loss of loss_rec,
+both trainers and the swarm; cognitive_graph.bounding_slope is sigma'.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ from .atomic_io import atomic_write, write_json
 from .cognitive_graph import (
     DivergenceError,
     KAFCMModel,
-    SMOOTH_CLIP_STEEPNESS,
     StandardFCM,
     Trajectory,
     apply_bounding,
+    bounding_slope,
 )
 from .datagen import Dataset
 
@@ -168,6 +169,15 @@ def _as_states(x) -> np.ndarray:
     return x
 
 
+def _squared_error(pred, target, resid=None, sq=None, rowsum=None):
+    """np.mean(np.sum((pred - target) ** 2, axis=-1), axis=-1) by the same
+    steps, for (..., T, n) arrays; resid, sq and rowsum, if given (passed
+    positionally), receive pred - target, its square and the row sums."""
+    resid = np.subtract(pred, target, resid)
+    rows = np.add.reduce(np.square(resid, sq), -1, None, rowsum)
+    return np.add.reduce(rows, -1) / rows.shape[-1]
+
+
 def loss_rec(pred, target) -> float:
     """(1/T) sum_t ||c(t) - chat(t)||^2 over paired state sequences."""
     pred = _as_states(pred)
@@ -176,7 +186,7 @@ def loss_rec(pred, target) -> float:
         raise ValueError(f"shape mismatch: pred {pred.shape} vs target {target.shape}")
     if pred.size == 0:
         raise ValueError("empty input")
-    return float(np.mean(np.sum((pred - target) ** 2, axis=1)))
+    return float(_squared_error(pred, target))
 
 
 def _l1_alpha(model: KAFCMModel) -> float:
@@ -274,8 +284,7 @@ class _Workspace:
         self.rowsum = np.empty(T)
         self.C = np.empty((n_out, N * K))
         self.prod = np.empty((n_out, N, K))
-        self.two_over_T, self.one = np.array(2.0 / T), np.array(1.0)
-        self.steepness = np.array(SMOOTH_CLIP_STEEPNESS)
+        self.two_over_T = np.array(2.0 / T)
 
     def loss_and_grads(self) -> float:
         """Total loss at the current parameters; fills self.grad.
@@ -283,11 +292,8 @@ class _Workspace:
         Only output rows shape the reconstruction loss, so the backward is
         one matmul against the basis tensor, C = (u.T @ B).reshape(n_out, N, K),
         from which d alpha = w_spline * C and d w_spline = sum_k alpha * C.
-        Every step writes into the workspace's arrays with the float
-        operations, in the order, of the plain expressions, so the results
-        have their bits.
         """
-        m, T, lam = self.model, len(self.targets), self.lam
+        m, lam = self.model, self.lam
         base, B = self.features
         _, w_spline, alpha = self.row_params
         g_wb, g_ws, g_al = self.row_grads
@@ -295,21 +301,14 @@ class _Workspace:
         C = self.C.reshape(self.prod.shape)
         weights = m.assemble(*self.row_params, self.row_mask, out=self.weights)
         m.forward(self.features, weights, out=(pre, self.spline))
-        # sigma(pre); the identity's is pre itself
-        y = pre if m.bounding == "identity" else apply_bounding(m.bounding, pre, self.y)
-        np.subtract(y, self.targets, resid)
-        np.square(resid, sq)
-        # np.mean's own sum and division, without its wrapper
-        loss = float(np.add.reduce(np.add.reduce(sq, 1, None, self.rowsum)) / T)
+        # y = sigma(pre) and u = (2/T) resid sigma'(pre), but the identity's y
+        # is pre and u * 1.0 is u; pre is spent once y holds sigma(pre)
+        identity = m.bounding == "identity"
+        y = pre if identity else apply_bounding(m.bounding, pre, self.y)
+        loss = float(_squared_error(y, self.targets, resid, sq, self.rowsum))
         np.multiply(self.two_over_T, resid, u)
-        # sigma'(pre) from y = sigma(pre), with bounding_grad's bits; the
-        # identity's slope is 1, and u * 1.0 is u
-        if m.bounding == "tanh":
-            np.multiply(u, np.subtract(self.one, np.square(y, sq), sq), u)
-        elif m.bounding == "smooth_clip":
-            np.multiply(self.steepness, y, sq)
-            np.multiply(sq, np.subtract(self.one, y, pre), sq)  # pre is spent once y holds sigma(pre)
-            np.multiply(u, sq, u)
+        if not identity:
+            np.multiply(u, bounding_slope(m.bounding, y, sq, pre), u)
         np.multiply(np.matmul(u.T, base, g_wb), self.row_mask, g_wb)
         np.matmul(u.T, B, self.C)
         np.add.reduce(np.multiply(alpha, C, prod), 2, None, g_ws)
@@ -345,12 +344,17 @@ def model_gradient(model: KAFCMModel, batch: Dataset, lam: float = 0.0) -> Model
     DivergenceError names the first non-finite gradient entry's group and edge."""
     if len(batch) == 0:
         raise ValueError("empty batch")
-    ws = _Workspace(model, batch, lam)
+    return ModelGradient(*_checked_gradient(_Workspace(model, batch, lam)).grads)
+
+
+def _checked_gradient(ws):
+    """ws after ws.loss_and_grads(); DivergenceError if the loss or ws.grad
+    is non-finite, naming ws.grad's first non-finite entry."""
     loss = ws.loss_and_grads()
     if not (math.isfinite(loss) and np.isfinite(ws.grad).all()):
         where = "" if np.isfinite(ws.grad).all() else f", {ws.non_finite_entry(ws.grad)}"
         raise DivergenceError(f"non-finite loss or gradient{where}")
-    return ModelGradient(*ws.grads)
+    return ws
 
 
 def _descend(ws, update, epochs: int, watch: np.ndarray) -> np.ndarray:
@@ -453,8 +457,7 @@ def pso_train_fcm(model: StandardFCM, train: Dataset, config: PSOConfig):
 
     def fitness(swarm: np.ndarray) -> np.ndarray:
         np.matmul(states, swarm.reshape(S, n, n).transpose(0, 2, 1), out=pre)
-        pred = np.asarray(apply_bounding(model.activation, pre[:, :, rows]))
-        return np.mean(np.sum((pred - targets) ** 2, axis=2), axis=1)
+        return _squared_error(apply_bounding(model.activation, pre[:, :, rows]), targets)
 
     pos = rng.uniform(lo, hi, (S, dim))
     vel = np.zeros_like(pos)

@@ -257,6 +257,17 @@ class TestGradient:
         assert np.all(grads.b1 == 0.0)
         assert np.any(grads.b3 != 0.0)
 
+    def test_non_finite_gradient_names_its_layer(self):
+        # hidden units at 1e308 under a zero output layer: the loss is
+        # finite, but d W3 = dZ3.T @ H2 overflows and no other layer's does
+        p = mlp_init(1, 1)
+        p.b2[:] = 1e308
+        p.W2[:] = p.W3[:] = 0.0
+        data = Dataset(np.array([[0.5]]), np.array([[2.0]]))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as info:
+            mlp_gradient(p, data)
+        assert str(info.value) == "non-finite loss or gradient, layer W3"
+
 
 class TestExactness:
     """The in-place workspace against the allocating reference, bit for bit."""

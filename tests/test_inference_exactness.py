@@ -240,9 +240,16 @@ def test_scalar_and_list_inputs():
         assert same_bits(basis_derivative_matrix(grid, xs), ref_basis_derivative_matrix(grid, xs))
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 32), (1, 1024), (2, 1024), (400, 32), (1500, 3), (3, 1000), (0, 4)])
+@pytest.mark.parametrize(
+    "shape",
+    [(1, 1), (1, 32), (1, 1024), (2, 1024), (400, 32), (1500, 3), (3, 1000), (0, 4)]
+    # T*N at BASIS_BLOCK_POINTS and one past it, N past it, T not a multiple of the rows per block
+    + [(32, 32), (41, 25), (1, 1025), (2, 1500), (7, 300), (100, 30)],
+)
 def test_basis_tensor_bits(shape):
-    # one-row and empty states fill in one block, the rest in several
+    # rows are filled in blocks of max(1, BASIS_BLOCK_POINTS // N) rows, each
+    # straight into its rows of B: one block for T*N up to BASIS_BLOCK_POINTS
+    # (and for empty states), a last shorter block when T is not a multiple
     grid = make_uniform_grid(-1.0, 1.0, 8, 3)
     states = np.random.default_rng(sum(shape)).uniform(-1.1, 1.1, shape)
     ref = ref_basis_tensor(grid, states)
@@ -252,6 +259,13 @@ def test_basis_tensor_bits(shape):
     for _ in range(2):
         assert basis_tensor(grid, states, out=out, scratch=scratch) is out
         assert same_bits(out, ref)
+
+
+def test_basis_tensor_nan_in_a_later_block():
+    grid = make_uniform_grid(-1.0, 1.0, 8, 3)
+    states = np.random.default_rng(3).uniform(-1.1, 1.1, (100, 30))
+    states[77, 4] = np.nan
+    assert same_bits(basis_tensor(grid, states), ref_basis_tensor(grid, states))
 
 
 def test_one_scratch_serves_several_grids():
