@@ -573,10 +573,18 @@ def cmd_gridsearch(config: ExperimentConfig) -> int:
     splits = split_for(config, data)
     os.makedirs(config.out, exist_ok=True)
     grid_path = os.path.join(config.out, "grid.csv")
-    done = load_grid_rows(grid_path) if os.path.exists(grid_path) else []
+    # resume only the rows of a run of this config and seed, as grid_run.json records it
+    run_path = os.path.join(config.out, "grid_run.json")
+    run = {k: v for k, v in config.to_dict().items() if k != "out"}
+    resume = os.path.exists(grid_path) and os.path.exists(run_path)
+    if resume:
+        with open(run_path) as fh:
+            resume = json.load(fh) == run
+    done = load_grid_rows(grid_path) if resume else []
     # rewrite what survives (dropping a torn last row), then append each
     # finished cell so an interrupted run leaves its rows to resume from
     save_grid_csv(done, grid_path)
+    write_json(run, run_path)
     task = make_grid_task(config)
     with open(grid_path, "a") as fh:
 

@@ -185,25 +185,13 @@ class KAFCMModel:
         return buf.base, buf.B
 
     def weights(self, rows=slice(None)):
-        """(Wb, Ws) of the target nodes in `rows`, a basic slice."""
+        """(Wb, Ws) of the target nodes in `rows`, a basic slice: w_base *
+        mask, matching base's columns, and (w_spline * mask)[..., None] *
+        alpha flattened to match B's, so absent edges' slots give zeros."""
         w_base, w_spline, alpha = self.views(self.theta)
-        return self.assemble(w_base[rows], w_spline[rows], alpha[rows], self.mask[rows])
-
-    @staticmethod
-    def assemble(w_base, w_spline, alpha, mask, out=None):
-        """(Wb, Ws) from rows of the parameter arrays and of the mask: Wb is
-        w_base * mask, which matches base's N columns, Ws is (w_spline[...,
-        None] * alpha) flattened to match B, and absent edges give zeros.
-
-        out, if given, is a pair of arrays shaped like w_base (rows, N) and
-        alpha (rows, N, K) that receive Wb and Ws, so that repeated calls
-        allocate nothing; Ws is returned as a (rows, N*K) view of the second.
-        """
-        Wb, Ws = (np.empty(np.shape(w_base)), np.empty(np.shape(alpha))) if out is None else out
-        np.multiply(w_spline, mask, out=Wb)  # the masked spline weights, until Wb takes its own
-        np.multiply(Wb[:, :, None], alpha, out=Ws)
-        np.multiply(w_base, mask, out=Wb)
-        return Wb, Ws.reshape(len(Ws), -1)
+        mask = self.mask[rows]
+        Ws = (w_spline[rows] * mask)[:, :, None] * alpha[rows]
+        return w_base[rows] * mask, Ws.reshape(len(Ws), -1)
 
     @staticmethod
     def forward(features, weights, out=None) -> np.ndarray:
@@ -249,36 +237,27 @@ class FeatureBuffers:
         self.scratch = BasisScratch()
 
 
-def _weight(group: int):
-    """A float property backed by theta[group*N*N + at]: w_base (group 0) or w_spline (1)."""
-
-    def write(view, value):
-        view.model.theta[group * view.model.n_nodes**2 + view.at] = value
-
-    return property(lambda view: float(view.model.theta[group * view.model.n_nodes**2 + view.at]), write)
-
-
 class EdgeView:
-    """Edge (i, j) of a KAFCMModel with the attributes of an EdgeFunction,
-    read from and written to the model's arrays at the edge's flat offset
-    at = i*N + j: w_base is theta[at], w_spline theta[N*N + at], and alpha
-    the K entries of theta from 2*N*N + at*K, a view. base is the model's;
-    setting it to another base raises ValueError."""
+    """Edge (i, j) of a KAFCMModel with the attributes of an EdgeFunction:
+    w_base, w_spline and alpha (a view) are entry [i, j] of the model's
+    arrays. base is the model's; setting another base raises ValueError."""
 
-    __slots__ = ("model", "i", "j", "at")
+    __slots__ = ("model", "i", "j")
 
     def __init__(self, model: KAFCMModel, i: int, j: int):
         self.model, self.i, self.j = model, i, j
-        self.at = i * model.n_nodes + j
 
-    w_base = _weight(0)
-    w_spline = _weight(1)
+    w_base = property(lambda view: float(view.model.w_base[view.i, view.j]))
+    w_spline = property(lambda view: float(view.model.w_spline[view.i, view.j]))
+    alpha = property(lambda view: view.model.alpha[view.i, view.j])
 
-    @property
-    def alpha(self) -> np.ndarray:
-        K = self.model.K
-        start = 2 * self.model.n_nodes**2 + self.at * K
-        return self.model.theta[start : start + K]
+    @w_base.setter
+    def w_base(self, value):
+        self.model.w_base[self.i, self.j] = value
+
+    @w_spline.setter
+    def w_spline(self, value):
+        self.model.w_spline[self.i, self.j] = value
 
     @alpha.setter
     def alpha(self, value):

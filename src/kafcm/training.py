@@ -17,10 +17,10 @@ differ only in the step (Adam or plain descent) on their copy of the flat
 buffer `theta`, which a fit writes back only once every epoch has run.
 
 The loss and its gradients are dense, with no loop over edges, and read
-the model's own arrays (cognitive_graph.KAFCMModel). A fit builds the
-(T, N*K) basis tensor B of its input states once; each epoch is then one
-matmul forward over the output rows, one backward C = (u.T @ B).reshape(
-n_out, N, K) for the upstream gradient u, and the update.
+the model's own arrays through KAFCMModel.views, the one layout of theta.
+A fit builds the (T, N*K) basis tensor B of its input states once; each
+epoch is then one matmul forward over the output rows, one backward C =
+(u.T @ B).reshape(n_out, N, K) for the upstream gradient u, and the update.
 
 An epoch allocates nothing: the forward, the backward and the Adam update
 fill one workspace of buffers allocated once per fit, which train_gd and
@@ -249,10 +249,16 @@ class ModelGradient:
 
 
 class _Workspace:
-    """One fit: the features of the data, a copy `theta` of the model's
-    parameter buffer with absent edges' entries at zero, its output rows and
-    their mask, a gradient buffer laid out like it, and every array an epoch
-    fills, allocated once so that an epoch allocates none.
+    """One fit: the features of the data, `present` (True at present
+    edges' entries) and a copy `theta` of the model's parameter buffer with
+    the other entries at zero, its output rows and their mask, a gradient
+    buffer laid out like it, and every array an epoch fills, allocated once
+    so that an epoch allocates none. Layouts all come from KAFCMModel.views.
+
+    The zeros stay: their w_base gradient is masked, their other gradients
+    are products with zeros, and Adam moves nothing whose moments are 0.
+    So the forward's Wb is w_base's output rows and Ws w_spline * alpha,
+    unmasked (the same bits as masking them).
 
     The epoch passes outputs positionally and scalar factors as 0-d arrays:
     on arrays of a few dozen entries a ufunc call takes about 0.45 us (numpy
@@ -266,8 +272,9 @@ class _Workspace:
         self.rows = _output_rows(output_idx)
         self.features = model.features(_state_matrix(model.n_nodes, data, input_idx))
         self.targets = np.asarray(data.targets, dtype=float)
-        mask = model.mask.ravel()
-        self.present = np.concatenate([mask, mask, np.repeat(mask, model.K)])
+        self.present = np.zeros(len(model.theta), dtype=bool)
+        for view in model.views(self.present):
+            view[model.mask] = True
         self.theta = np.where(self.present, model.theta, 0.0)
         w_base, w_spline, self.alpha = model.views(self.theta)
         self.row_params = w_base[self.rows], w_spline[self.rows], self.alpha[self.rows]
@@ -277,13 +284,14 @@ class _Workspace:
         self.row_grads = tuple(g[self.rows] for g in self.grads)
         T, N, K = len(self.targets), model.n_nodes, model.K
         n_out = len(self.row_mask)
-        self.weights = np.empty((n_out, N)), np.empty((n_out, N, K))
+        # Ws, refilled by each forward, is the backward's scratch after it
+        self.Ws = np.empty((n_out, N, K))
+        self.weights = self.row_params[0], self.Ws.reshape(n_out, N * K)
         # the forward's sum and spline term, sigma(pre), the residual, its
         # square and u, the upstream gradient, each (T, n_out)
         self.pre, self.spline, self.y, self.resid, self.sq, self.u = (np.empty((T, n_out)) for _ in range(6))
         self.rowsum = np.empty(T)
         self.C = np.empty((n_out, N * K))
-        self.prod = np.empty((n_out, N, K))
         self.two_over_T = np.array(2.0 / T)
 
     def loss_and_grads(self) -> float:
@@ -297,10 +305,10 @@ class _Workspace:
         base, B = self.features
         _, w_spline, alpha = self.row_params
         g_wb, g_ws, g_al = self.row_grads
-        pre, resid, sq, u, prod = self.pre, self.resid, self.sq, self.u, self.prod
-        C = self.C.reshape(self.prod.shape)
-        weights = m.assemble(*self.row_params, self.row_mask, out=self.weights)
-        m.forward(self.features, weights, out=(pre, self.spline))
+        pre, resid, sq, u, prod = self.pre, self.resid, self.sq, self.u, self.Ws
+        C = self.C.reshape(prod.shape)
+        np.multiply(w_spline[:, :, None], alpha, self.Ws)
+        m.forward(self.features, self.weights, out=(pre, self.spline))
         # y = sigma(pre) and u = (2/T) resid sigma'(pre), but the identity's y
         # is pre and u * 1.0 is u; pre is spent once y holds sigma(pre)
         identity = m.bounding == "identity"
@@ -330,13 +338,10 @@ class _Workspace:
         bad = ~np.isfinite(flat)
         if (bad & self.present).any():
             bad &= self.present
-        at = int(np.argmax(bad))
-        n, nn = self.model.n_nodes, self.model.n_nodes**2
-        if at < 2 * nn:
-            i, j = divmod(at % nn, n)
-            return f"{('w_base', 'w_spline')[at // nn]} of edge ({i}, {j})"
-        edge, k = divmod(at - 2 * nn, self.model.K)
-        return f"alpha of edge ({edge // n}, {edge % n}) at k = {k}"
+        for group, view in zip(("w_base", "w_spline", "alpha"), self.model.views(bad)):
+            if view.any():
+                i, j, *k = np.argwhere(view)[0].tolist()
+                return f"{group} of edge ({i}, {j})" + (f" at k = {k[0]}" if k else "")
 
 
 def model_gradient(model: KAFCMModel, batch: Dataset, lam: float = 0.0) -> ModelGradient:

@@ -52,6 +52,8 @@ SMALL_MACKEY = {"lag": 4, "total_steps": 140, "washout": 20}
 # model-file corruption -> the ValueError message load_model must raise
 MALFORMED_KAFCM = {
     "missing-edges": (lambda p: p.pop("edges"), r"missing keys \['edges'\]"),
+    "zero-nodes": (lambda p: p.update(n_nodes=0), "n_nodes must be a positive integer, got 0"),
+    "text-nodes": (lambda p: p.update(n_nodes="2"), "n_nodes must be a positive integer, got '2'"),
     "missing-grid-key": (lambda p: p["edges"][0]["grid"].pop("degree"), "edge 0 grid is missing"),
     "text-grid-size": (lambda p: p["edges"][1]["grid"].update(grid_size="4"), "edge 1 grid_size and degree"),
     "index-too-large": (lambda p: p["edges"][1].update(i=2), r"edge 1 index \(2, 0\) out of range"),
@@ -162,6 +164,9 @@ class TestConfig:
         ):
             cfg = load_config(f"configs/{name}.json")
             assert cfg.experiment == exp
+            # the shipped file is the canonical configuration, apart from where it writes
+            got, want = cfg.to_dict(), canonical_config(exp).to_dict()
+            assert {k: v for k, v in got.items() if k != "out"} == {k: v for k, v in want.items() if k != "out"}
 
 
 class TestModelFiles:
@@ -700,7 +705,26 @@ class TestCommands:
         assert main(["gridsearch", "--config", cfg]) == 0
         assert trained == [3, 3, 4, 4]  # the rerun trained only the two missing cells
         assert grid_file.read_bytes() == uninterrupted
-        assert sorted(p.name for p in grid_file.parent.iterdir()) == ["grid.csv", "grid_summary.json"]
+        assert sorted(p.name for p in grid_file.parent.iterdir()) == ["grid.csv", "grid_run.json", "grid_summary.json"]
+
+    def test_gridsearch_resumes_only_its_own_config_and_seed(self, tmp_path):
+        space = {"grid_sizes": [3], "learning_rates": [0.05], "epoch_values": [20, 40]}
+        cfg = write_config(tmp_path, dataset={"n": 60, "noise_sd": 0.05}, space=space)
+        fresh = tmp_path / "fresh"
+        assert main(["gridsearch", "--config", cfg, "--out", str(fresh), "--seed", "7"]) == 0
+        out = tmp_path / "out"
+        assert main(["gridsearch", "--config", cfg]) == 0
+        seed0 = (out / "grid.csv").read_bytes()
+        assert seed0 != (fresh / "grid.csv").read_bytes()
+        assert main(["gridsearch", "--config", cfg, "--seed", "7"]) == 0  # into seed 0's rows
+        for name in ("grid.csv", "grid_run.json", "grid_summary.json"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+        # another config (here one more data point) does not reuse seed 7's rows either
+        other = write_config(tmp_path, name="other.json", dataset={"n": 61, "noise_sd": 0.05}, space=space)
+        ref = tmp_path / "ref"
+        assert main(["gridsearch", "--config", other, "--out", str(ref), "--seed", "7"]) == 0
+        assert main(["gridsearch", "--config", other, "--seed", "7"]) == 0
+        assert (out / "grid.csv").read_bytes() == (ref / "grid.csv").read_bytes() != (fresh / "grid.csv").read_bytes()
 
     def test_gridsearch_drops_torn_last_row(self, tmp_path):
         space = {"grid_sizes": [3, 4], "learning_rates": [0.05], "epoch_values": [20]}
@@ -805,6 +829,11 @@ class TestCommands:
             ("train", {"model": "fcm", "pso": {"weight_bounds": [-1, 0, 1]}},
              "pso: weight_bounds must be of type tuple[float, float], got [-1, 0, 1]"),
             ("extract", {"edge": [True, False]}, "edge must be of type tuple[int, int] | None, got [True, False]"),
+            ("train", {"bounding": "relu"}, "unknown bounding 'relu'"),
+            ("generate", {"degree": -1}, "degree must be non-negative, got -1"),
+            ("extract", {"curve_points": 1}, "curve_points must be at least 2"),
+            ("evaluate", {"fcm_encoding": "onehot"}, "unknown fcm_encoding 'onehot'"),
+            ("train", {"model": "fcm", "pso": {"iterations": 0}}, "pso: iterations must be at least 1"),
         ],
         ids=["edge-short", "edge-text", "edge-string", "space-key", "space-scalar",
              "yerkes-n-text", "yerkes-n-float", "yerkes-key", "sine-n-text", "sine-frequency", "mackey-lag",
@@ -812,7 +841,8 @@ class TestCommands:
              "epochs-float", "learning-rate-text", "lam-null", "train-scalar", "swarm-size-float",
              "iterations-bool", "inertia-text", "dataset-scalar", "out-number", "data-path-number",
              "space-grid-size-float", "space-rate-text", "space-epochs-bool", "weight-bounds-text",
-             "weight-bounds-triple", "edge-bools"],
+             "weight-bounds-triple", "edge-bools", "bounding-unknown", "degree-negative",
+             "curve-points-one", "fcm-encoding-unknown", "iterations-zero"],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, overrides, key):
         cfg = write_config(tmp_path, **overrides)

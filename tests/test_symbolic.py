@@ -136,6 +136,28 @@ class TestFitContract:
             assert fa.score == fb.score
             np.testing.assert_array_equal(fa.coefficients, fb.coefficients)
 
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda x: np.sin(3 * x),
+            lambda x: -0.8 * np.sin(2 * x + 1.0) + 0.1,
+            lambda x: 1.6 * np.exp(-4 * x**2) - 1.0,
+            lambda x: 0.5 * x + 0.1 + 0.05 * np.cos(7 * x),
+            lambda x: silu(2 * x) - x**3,
+        ],
+        ids=["sine", "negative-sine", "inverted-u", "wavy-line", "silu-cubic"],
+    )
+    def test_every_fit_predicts_its_own_r_squared(self, fn):
+        # covers each form's evaluation: the sinusoid's amplitude and phase
+        # and the gaussian's coefficient order as predict reads them
+        curve = curve_from(fn)
+        sst = np.sum((curve.ys - curve.ys.mean()) ** 2)
+        fits = fit_candidates(curve)
+        assert {f.form for f in fits} == {"affine", "polynomial", "gaussian", "sinusoid"}
+        for fit in fits:
+            r2 = 1.0 - np.sum((curve.ys - fit.predict(curve.xs)) ** 2) / sst
+            assert abs(r2 - fit.r_squared) <= 1e-9, fit.form
+
     def test_sinusoid_canonical_ranges(self):
         # negative amplitude folds into a phase shift
         fits = fit_candidates(curve_from(lambda x: -0.8 * np.sin(2 * x) + 0.1))
