@@ -19,13 +19,18 @@ __all__ = ["atomic_write", "write_json"]
 @contextmanager
 def atomic_write(path):
     """Text file handle whose contents replace `path` when the block exits
-    without an exception."""
+    without an exception. An OSError from creating the temporary file (say,
+    a missing directory) is raised again naming `path`."""
     path = os.fspath(path)
     head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
     # O_EXCL never reuses a stranger's file; mode 0o666 under the umask gives
     # the permissions a plain open(path, "w") would
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as err:
+        # the temporary name means nothing to the caller: name the target
+        raise type(err)(err.errno, err.strerror, path) from err
     try:
         with os.fdopen(fd, "w") as fh:
             yield fh

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 from dataclasses import asdict, dataclass, field, fields, replace
 import json
+import math
 import os
 import sys
 
@@ -145,6 +146,9 @@ class ExperimentConfig:
         merged = dict(DEFAULT_DATASET[self.experiment])
         merged.update(self.dataset)
         self.dataset = merged
+        for key, value in merged.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"dataset: {key} must be finite, got {value}")
         if not self.out:
             self.out = os.path.join("runs", self.experiment)
         if self.edge is not None:

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic_io import atomic_write
-from .edge_functions import BASE_KINDS, base_eval, init_edge
-from .spline_core import BasisScratch, KnotGrid, basis_tensor, make_uniform_grid
+from .edge_functions import BASE_KINDS, _constant, base_eval, init_edge
+from .spline_core import BasisScratch, KnotGrid, basis_evaluator, basis_tensor, make_uniform_grid
 
 __all__ = [
     "BOUNDING_KINDS",
     "DivergenceError",
     "EdgeView",
-    "FeatureBuffers",
     "KAFCMModel",
     "StandardFCM",
     "Trajectory",
@@ -42,25 +41,34 @@ BOUNDING_KINDS = ("smooth_clip", "tanh", "identity")
 
 SMOOTH_CLIP_STEEPNESS = 8.0
 
+_HALF, _STEEPNESS, _ONE = map(_constant, (0.5, SMOOTH_CLIP_STEEPNESS, 1.0))
+
 
 class DivergenceError(RuntimeError):
     """A state, loss, or gradient became non-finite."""
 
 
-def apply_bounding(kind: str, x, out=None):
+def apply_bounding(kind: str, x, out=None, scratch=None):
     """sigma(x): smooth_clip is logistic(8*(x-0.5)), a smooth surrogate of
     clipping to [0,1] that keeps sigma(0)~0.018 and sigma(1)~0.982.
 
     out, if given, is an array of x's shape that receives sigma(x) and is
-    returned; without it, identity returns x itself.
+    returned; without it, identity returns x itself. scratch, if given, is a
+    pair of float arrays of x's shape for smooth_clip's temporaries, so that
+    with out no bounding allocates an array.
     """
     x = np.asarray(x, dtype=float)
     if kind == "tanh":
         return np.tanh(x, out=out)
     if kind == "smooth_clip":
-        z = SMOOTH_CLIP_STEEPNESS * (x - 0.5)
-        e = np.exp(-np.abs(z))
-        return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)  # 1/(1+e) or e/(1+e)
+        z, e = (np.empty(x.shape), np.empty(x.shape)) if scratch is None else scratch
+        np.multiply(_STEEPNESS, np.subtract(x, _HALF, z), z)
+        np.exp(np.negative(np.abs(z, e), e), e)
+        # heaviside(z, 1) is 1.0 for z >= 0 and 0.0 below; max with e <= 1
+        # makes it 1.0 or e, so the quotient is 1/(1+e) or e/(1+e), and keeps
+        # a NaN e itself, as np.where(z >= 0, 1.0, e) would
+        np.maximum(e, np.heaviside(z, _ONE, z), out=z)
+        return np.divide(z, np.add(_ONE, e, e), out=out)
     if kind == "identity":
         return x if out is None else np.positive(x, out=out)
     raise ValueError(f"unknown bounding kind: {kind!r}")
@@ -97,10 +105,12 @@ class KAFCMModel:
     the base b, named by `base` (one of BASE_KINDS), is the same for every
     edge. w_base, w_spline (N, N) and alpha (N, N, K) are views into one flat
     buffer `theta`, which every inference and training path reads directly;
-    update it in place. mask[i, j] False means the edge is absent: it
-    contributes nothing, whatever finite values its slot holds, so the mask
-    may be edited in place. edges[i][j] is an EdgeView of slot (i, j), and
-    assigning an edge function to it copies its parameters in.
+    update it in place. The model keeps the three views: rebinding theta
+    rebuilds them, and a copy builds its own. mask[i, j] False means the
+    edge is absent: it contributes nothing, whatever finite values its slot
+    holds, so the mask may be edited in place. edges[i][j] is an EdgeView
+    of slot (i, j), and assigning an edge function to it copies its
+    parameters in.
     """
 
     def __init__(self, n_nodes: int, grid: KnotGrid | None, mask=None, bounding="smooth_clip", base="silu"):
@@ -147,7 +157,7 @@ class KAFCMModel:
                 )
             self._check_base(i, j, edge.base, source)
         at = [i for i, _ in slots], [j for _, j in slots]
-        w_base, w_spline, alpha = self.views(self.theta)
+        w_base, w_spline, alpha = self._views
         w_base[at] = [e.w_base for e in edges]
         w_spline[at] = [e.w_spline for e in edges]
         alpha[at] = np.reshape([e.alpha for e in edges], (len(edges), self.K))
@@ -164,9 +174,30 @@ class KAFCMModel:
         n, nn = self.n_nodes, self.n_nodes**2
         return flat[:nn].reshape(n, n), flat[nn : 2 * nn].reshape(n, n), flat[2 * nn :].reshape(n, n, self.K)
 
-    w_base = property(lambda self: self.views(self.theta)[0])
-    w_spline = property(lambda self: self.views(self.theta)[1])
-    alpha = property(lambda self: self.views(self.theta)[2])
+    @property
+    def theta(self) -> np.ndarray:
+        return self._theta
+
+    @theta.setter
+    def theta(self, flat: np.ndarray):
+        # the model keeps theta's three views, so rebinding theta rebuilds them
+        self._theta = flat
+        self._views = self.views(flat)
+
+    def __getstate__(self):
+        # a copy's views must look into the copy's theta: drop them here and
+        # let __setstate__ rebuild them
+        state = dict(self.__dict__)
+        del state["_views"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._views = self.views(self._theta)
+
+    w_base = property(lambda self: self._views[0])
+    w_spline = property(lambda self: self._views[1])
+    alpha = property(lambda self: self._views[2])
     edges = property(lambda self: _EdgeTable(self))
 
     def present_edges(self):
@@ -174,21 +205,19 @@ class KAFCMModel:
         for i, j in np.argwhere(self.mask).tolist():
             yield i, j, EdgeView(self, i, j)
 
-    def features(self, states: np.ndarray, out: FeatureBuffers | None = None):
-        """(base, B) of states with shape (T, N): the states under the model's
-        base, (T, N), and their (T, N*K) basis tensor. They are written into
-        out, FeatureBuffers(T, N, K), when given, and into new ones otherwise."""
-        buf = FeatureBuffers(*states.shape, self.K) if out is None else out
-        base_eval(self.base, states, out=buf.base)
-        if self.K:
-            basis_tensor(self.grid, states, out=buf.B, scratch=buf.scratch)
-        return buf.base, buf.B
+    def features(self, states: np.ndarray):
+        """(base, B) of states with shape (T, N), in new arrays: the states
+        under the model's base, (T, N), and their (T, N*K) basis tensor."""
+        base = base_eval(self.base, states, np.empty(states.shape))
+        if not self.K:
+            return base, np.empty((len(states), 0))
+        return base, basis_tensor(self.grid, states, scratch=BasisScratch())
 
     def weights(self, rows=slice(None)):
         """(Wb, Ws) of the target nodes in `rows`, a basic slice: w_base *
         mask, matching base's columns, and (w_spline * mask)[..., None] *
         alpha flattened to match B's, so absent edges' slots give zeros."""
-        w_base, w_spline, alpha = self.views(self.theta)
+        w_base, w_spline, alpha = self._views
         mask = self.mask[rows]
         Ws = (w_spline[rows] * mask)[:, :, None] * alpha[rows]
         return w_base[rows] * mask, Ws.reshape(len(Ws), -1)
@@ -201,40 +230,38 @@ class KAFCMModel:
         returned, and the second holds the spline term."""
         (base, B), (Wb, Ws) = features, weights
         pre, spline = (None, None) if out is None else out
-        pre = np.matmul(base, Wb.T, out=pre)
-        return np.add(pre, np.matmul(B, Ws.T, out=spline), out=pre)
+        pre = np.matmul(base, Wb.T, pre)
+        return np.add(pre, np.matmul(B, Ws.T, spline), pre)
 
     def stepper(self):
-        """step(state, out=None) -> sigma(pre(state)) for one state.
+        """step(state, out=None) -> sigma(pre(state)) for one state, a float
+        vector of n values.
 
-        The weights, the features and the pre-activation rows are made once
-        per stepper and reused by every step, which writes into out (a new
-        array when None) and returns it; out may be state itself. Separate
-        steppers share nothing, but one stepper must not run two steps at once.
+        Everything that does not depend on the state is bound once per
+        stepper: the weights, the base row and the basis row (filled through
+        an (n, K) view by the basis routine's bound work arrays), the two
+        pre-activation rows and the scratch of the base and the bounding. A
+        step is then a run of in-place calls through the one basis routine
+        and the one forward; it writes into out (a new array when None) and
+        returns it, and out may be state itself. Separate steppers share
+        nothing, but one stepper must not run two steps at once.
         """
+        n, K, kind, bounding, forward = self.n_nodes, self.K, self.base, self.bounding, self.forward
         weights = self.weights()
-        n = self.n_nodes
-        feats = FeatureBuffers(1, n, self.K)
+        feats = base, B = np.empty((1, n)), np.empty((1, n * K))
         pre = np.empty((1, n)), np.empty((1, n))
+        base_row, points, pre_row = base[0], B.reshape(n, K), pre[0][0]
+        basis = basis_evaluator(self.grid, n) if K else None
+        base_scratch, bound_scratch = (np.empty(n), np.empty(n)), (np.empty(n), np.empty(n))
 
         def step(state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-            row = self.forward(self.features(state[None, :], feats), weights, pre)[0]
-            return apply_bounding(self.bounding, row, np.empty(n) if out is None else out)
+            base_eval(kind, state, base_row, base_scratch)
+            if basis is not None:
+                basis(state, points)
+            forward(feats, weights, pre)
+            return apply_bounding(bounding, pre_row, np.empty(n) if out is None else out, bound_scratch)
 
         return step
-
-
-class FeatureBuffers:
-    """The arrays KAFCMModel.features fills for T states of n nodes on K
-    bases: base (T, n), the basis tensor B (T, n*K) and the basis routines'
-    scratch."""
-
-    __slots__ = ("base", "B", "scratch")
-
-    def __init__(self, T: int, n: int, K: int):
-        self.base = np.empty((T, n))
-        self.B = np.empty((T, n * K))
-        self.scratch = BasisScratch()
 
 
 class EdgeView:
@@ -386,9 +413,9 @@ def simulate(model, c0, T: int) -> Trajectory:
     step = model.stepper()
     states = np.empty((T + 1, model.n_nodes))
     states[0] = state
+    finite = np.empty(model.n_nodes, dtype=bool)
     for t in range(T):
-        finite = np.isfinite(step(states[t], states[t + 1]))
-        if np.count_nonzero(finite) < len(finite):
+        if np.count_nonzero(np.isfinite(step(states[t], states[t + 1]), finite)) < len(finite):
             raise DivergenceError(f"non-finite state at step {t + 1}, node {int(np.argmin(finite))}")
     return Trajectory(states)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 import json
+import math
 
 import numpy as np
 
@@ -85,7 +86,7 @@ def gen_yerkes(n: int, noise_sd: float = 0.05, seed: int = 0) -> Dataset:
     """x ~ U[-1,1]; y = yerkes_law(x) + eps, eps ~ N(0, noise_sd^2)."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be an integer of at least 1, got {n!r}")
-    if noise_sd < 0:
+    if not noise_sd >= 0:
         raise ValueError(f"noise_sd must be non-negative, got {noise_sd}")
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, n)
@@ -125,8 +126,8 @@ class MackeyGlassParams:
     x0: float = 1.2
 
     def __post_init__(self):
-        if self.dt <= 0 or self.tau <= 0:
-            raise ValueError("dt and tau must be positive")
+        if not (0 < self.dt < math.inf and 0 < self.tau < math.inf):
+            raise ValueError("dt and tau must be positive and finite")
         if abs(self.tau / self.dt - round(self.tau / self.dt)) > 1e-9:
             raise ValueError(f"dt={self.dt} must divide tau={self.tau} exactly")
         if abs(1.0 / self.dt - round(1.0 / self.dt)) > 1e-9:
@@ -149,7 +150,7 @@ def gen_mackey_glass(params: MackeyGlassParams, seed: int = 0) -> np.ndarray:
     integrator is deterministic: seed is accepted only so callers can record
     a uniform metadata shape.
     """
-    if params.x0 <= 0:
+    if not params.x0 > 0:
         raise ValueError(f"x0 must be positive, got {params.x0}")
     spu = round(1.0 / params.dt)  # micro steps per unit time
     delay_steps = round(params.tau / params.dt)

@@ -38,18 +38,34 @@ __all__ = [
 BASE_KINDS = ("silu", "identity")
 
 
-def silu(x, out=None):
+def _constant(value: float) -> np.ndarray:
+    """value as a read-only 0-d array, which a ufunc takes faster than a Python float."""
+    c = np.array(value)
+    c.setflags(write=False)
+    return c
+
+
+_ONE = _constant(1.0)
+
+
+def silu(x, out=None, scratch=None):
     """SiLU b(x) = x * sigmoid(x), evaluated in an overflow-safe split form:
     x / (1 + e) for x >= 0 and x e / (1 + e) below, with e = exp(-|x|).
 
     e is taken as exp(min(x, -x)), which also keeps the sign bit of a NaN x.
     out, if given, is an array of x's shape that receives the values and is
-    returned.
+    returned. scratch, if given, is a pair of float arrays of x's shape for
+    the temporaries, so that with out the call allocates no array.
     """
     x = np.asarray(x, dtype=float)
-    ex = np.exp(np.minimum(x, -x))
-    out = np.multiply(x, np.where(x >= 0, 1.0, ex), out=out)
-    out /= 1.0 + ex
+    e, factor = (np.empty_like(x), np.empty_like(x)) if scratch is None else scratch
+    np.exp(np.minimum(x, np.negative(x, e), out=e), e)
+    # heaviside(x, 1) is 1.0 for x >= 0 (-0.0 too), 0.0 below and NaN for NaN;
+    # max with e <= 1 makes it 1.0 or e, the factor of x / (1 + e), and keeps
+    # a NaN e itself, as np.where(x >= 0, 1.0, e) would
+    np.maximum(e, np.heaviside(x, _ONE, factor), out=factor)
+    out = np.multiply(x, factor, out)
+    out /= np.add(_ONE, e, e)
     if out.ndim == 0:
         return float(out)
     return out
@@ -66,11 +82,11 @@ def silu_grad(x):
     return out
 
 
-def base_eval(kind: str, x, out=None):
+def base_eval(kind: str, x, out=None, scratch=None):
     """b(x) of base `kind`; out, if given, is an array of x's shape that
-    receives the values and is returned."""
+    receives the values and is returned, and scratch is silu's."""
     if kind == "silu":
-        return silu(x, out)
+        return silu(x, out, scratch)
     if kind == "identity":
         if out is not None:
             np.copyto(out, x)

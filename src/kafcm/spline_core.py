@@ -12,7 +12,7 @@ form of de Boor's algorithm (Piegl & Tiller, *The NURBS Book*, Alg. A2.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial
 
 import numpy as np
@@ -24,6 +24,7 @@ __all__ = [
     "basis_vector",
     "basis_matrix",
     "basis_tensor",
+    "basis_evaluator",
     "BasisScratch",
     "basis_derivative_vector",
     "basis_derivative_matrix",
@@ -129,23 +130,41 @@ def _power_basis(p: int) -> np.ndarray:
 
 
 class _Work:
-    """_local_eval's arrays for n points, K bases and a coefficient matrix of
-    shape (m, p+1): clamped points, offsets, the powers u**k (column 0 held at
-    1.0) with each pair of consecutive columns, the scatter window, indices and
+    """_local_eval's arrays for n points on one grid, and whether it reads the
+    basis values or their derivatives. The state-independent part: the clamp
+    bounds and the spacing as 0-d arrays, the knots and the inner knots a span
+    search counts, the coefficient matrix coef (m, p+1), whether values are
+    clipped at 0, the scatter window and the row of each of its entries. The
+    per-point part: clamped points, offsets, the powers u**k (column 0 held
+    at 1.0) with each pair of consecutive columns, the scatter indices and
     values. The window (n, p+1) holds the offsets r*K + c - p: plus row r's
     span, they are the flat indices of its p+1 columns span-p .. span in an
-    (n, K) array."""
+    (n, K) array. Spans reach the indices by a gather through `rows`, not by
+    broadcasting, since NumPy buffers a broadcast operand of a 2-d ufunc."""
 
-    __slots__ = ("xc", "u", "V", "steps", "window", "at", "vals")
+    __slots__ = (
+        "lo", "hi", "spacing", "knots", "inner", "coef", "clip", "zero",
+        "xc", "u", "V", "steps", "window", "rows", "at", "vals",
+    )
 
-    def __init__(self, n: int, K: int, shape: tuple):
-        m, q = shape
+    def __init__(self, grid: KnotGrid, n: int, derivative: bool = False):
+        p, K = grid.degree, grid.basis_count
+        M = _power_basis(p)
+        self.coef = np.arange(1, p + 1)[:, None] * M[1:] / grid.spacing if derivative else M
+        self.clip = not derivative
+        self.lo, self.hi, self.spacing, self.zero = map(np.array, (grid.domain_lo, grid.domain_hi, grid.spacing, 0.0))
+        self.knots = grid.knots
+        # span = (number of knots <= x) - 1, capped at p+G-1: counting only
+        # knots 1 .. p+G-1 gives both at once, since a clamped x >= knots[0]
+        self.inner = grid.knots[1 : p + grid.grid_size]
+        m, q = self.coef.shape
         self.xc, self.u = np.empty(n), np.empty(n)
         self.V = np.empty((n, m))
         self.V[:, 0] = 1.0
         powers = [self.V[:, k] for k in range(m)]
         self.steps = list(zip(powers, powers[1:]))
         self.window = np.arange(0, n * K, K)[:, None] + np.arange(1 - q, 1)
+        self.rows = np.arange(n).repeat(q).reshape(n, q)
         self.at = np.empty((n, q), dtype=np.intp)
         self.vals = np.empty((n, q))
 
@@ -155,8 +174,7 @@ class BasisScratch(dict):
 
     Passing one object as `scratch` to repeated basis_matrix or basis_tensor
     calls spares them their temporaries. It keeps one set of arrays per
-    (point count, basis count, coefficient shape) it has been used with; one
-    call at a time may use it.
+    (grid, point count) it has been used with; one call at a time may use it.
     """
 
     def __missing__(self, key):
@@ -172,36 +190,42 @@ def _checked_out(out: np.ndarray, shape: tuple) -> np.ndarray:
     return out
 
 
-def _local_eval(grid: KnotGrid, xs, coef: np.ndarray, out=None, scratch=None) -> np.ndarray:
-    """(n, K) rows holding u**arange(len(coef)) @ coef in columns span-p .. span.
-
-    The span of a clamped point is the last knot at or left of it, capped at the
-    last domain interval so that x = domain_hi is a left limit, and u is the
-    offset into that span in units of the spacing. A NaN point gives a NaN row.
-    out, if given, is a C-contiguous (n, K) array: it is zeroed whole, filled
-    and returned. scratch, a BasisScratch, holds the temporaries.
-    """
-    K = grid.basis_count
+def _points(xs) -> np.ndarray:
+    """xs as a float vector; a scalar becomes one point."""
     xs = np.asarray(xs, dtype=float)
-    xs = xs.reshape(1) if xs.ndim == 0 else xs
-    n = xs.shape[0]
-    work = _Work(n, K, coef.shape) if scratch is None else scratch[n, K, coef.shape]
-    xc = clamp_to_domain(grid, xs, out=work.xc)
-    # span = (number of knots <= xc) - 1, capped at p+G-1: counting only knots
-    # 1 .. p+G-1 gives both at once, since xc >= knots[0] after the clamp; a
-    # NaN counts past all of them and so gets the cap
-    span = grid.knots[1 : grid.degree + grid.grid_size].searchsorted(xc, side="right")
-    u = np.subtract(xc, grid.knots[span], out=work.u)
-    u /= grid.spacing
+    return xs.reshape(1) if xs.ndim == 0 else xs
+
+
+def _local_eval(work: _Work, xs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill out, a C-contiguous (n, K) array, with rows holding u**arange(m) @
+    work.coef in columns span-p .. span and zeros elsewhere, and return it.
+
+    xs is a float vector of the n points work was made for. The span of a
+    clamped point is the last knot at or left of it, capped at the last
+    domain interval so that x = domain_hi is a left limit, and u is the
+    offset into that span in units of the spacing. Basis values (work.clip)
+    are clipped at 0, since rounding leaves some at -1e-15 on knots. A NaN
+    point gives a NaN row. Only per-point work happens here: outputs are passed positionally
+    (by keyword to np.maximum and np.minimum, which deprecate a third
+    positional argument), operands as 0-d arrays, and the one array made is
+    the span search's.
+    """
+    xc, u = work.xc, work.u
+    np.minimum(np.maximum(xs, work.lo, out=xc), work.hi, out=xc)
+    # a NaN counts past every inner knot, and so gets the cap
+    span = work.inner.searchsorted(xc, "right")
+    work.knots.take(span, None, u, "clip")
+    np.subtract(xc, u, u)
+    np.divide(u, work.spacing, u)
     # u**k as running products, the order np.vander uses
     for prev, power in work.steps:
-        np.multiply(prev, u, out=power)
-    np.add(work.window, span[:, None], out=work.at)
-    if out is None:
-        out = np.zeros((n, K))
-    else:
-        _checked_out(out, (n, K)).fill(0.0)
-    out.ravel()[work.at] = np.matmul(work.V, coef, out=work.vals)
+        np.multiply(prev, u, power)
+    np.add(work.window, span.take(work.rows, None, work.at, "clip"), work.at)
+    out.fill(0.0)
+    vals = np.matmul(work.V, work.coef, work.vals)
+    if work.clip:
+        np.maximum(vals, work.zero, out=vals)
+    out.ravel()[work.at] = vals
     # u holds offsets in [0, 1] (up to rounding) or NaN, so u @ u, a sum of
     # squares far below overflow, is NaN (unequal to itself) exactly when some u is
     square = u @ u
@@ -218,11 +242,20 @@ def basis_matrix(grid: KnotGrid, xs, out=None, scratch=None) -> np.ndarray:
     on an interior knot takes the interval to its right. Only the p+1 bases
     whose support holds the point are evaluated, from its span and offset;
     they are clipped at 0, since rounding leaves some at -1e-15 on knots.
-    out and scratch are as in _local_eval: a C-contiguous array to fill and
-    return, and a BasisScratch.
+    out, if given, is a C-contiguous (len(xs), K) array to fill and return;
+    scratch, a BasisScratch, holds the temporaries.
     """
-    b = _local_eval(grid, xs, _power_basis(grid.degree), out, scratch)
-    return np.maximum(b, 0.0, out=b)
+    xs = _points(xs)
+    n, K = len(xs), grid.basis_count
+    work = _Work(grid, n) if scratch is None else scratch[grid, n]
+    return _local_eval(work, xs, np.empty((n, K)) if out is None else _checked_out(out, (n, K)))
+
+
+def basis_evaluator(grid: KnotGrid, n: int):
+    """f(xs, out): basis_matrix(grid, xs, out) for a float vector xs of n
+    points and a C-contiguous (n, K) out, with its work arrays bound once, for
+    a caller that evaluates n points many times (one simulate step per call)."""
+    return partial(_local_eval, _Work(grid, n))
 
 
 BASIS_BLOCK_POINTS = 1024
@@ -261,8 +294,8 @@ def basis_derivative_matrix(grid: KnotGrid, xs) -> np.ndarray:
     p = grid.degree
     if p < 1:
         raise ValueError("derivative undefined for degree-zero bases")
-    M = _power_basis(p)
-    return _local_eval(grid, xs, np.arange(1, p + 1)[:, None] * M[1:] / grid.spacing)
+    xs = _points(xs)
+    return _local_eval(_Work(grid, len(xs), derivative=True), xs, np.empty((len(xs), grid.basis_count)))
 
 
 def basis_derivative_vector(grid: KnotGrid, x: float) -> np.ndarray:

@@ -94,12 +94,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        # written so that NaN fails them
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be non-negative, got {self.lam}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be non-negative and finite, got {self.lam}")
 
 
 @dataclass
@@ -117,9 +118,13 @@ class PSOConfig:
             raise ValueError(f"swarm_size must be at least 2, got {self.swarm_size}")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
+        for name in ("inertia", "cognitive", "social"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         lo, hi = self.weight_bounds
-        if not lo < hi:
-            raise ValueError(f"weight bounds must satisfy lo < hi, got {self.weight_bounds}")
+        # written so that NaN fails it
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError(f"weight_bounds must be finite with lo < hi, got {self.weight_bounds}")
 
 
 def _default_epoch_values() -> list[int]:
@@ -312,7 +317,8 @@ class _Workspace:
         # y = sigma(pre) and u = (2/T) resid sigma'(pre), but the identity's y
         # is pre and u * 1.0 is u; pre is spent once y holds sigma(pre)
         identity = m.bounding == "identity"
-        y = pre if identity else apply_bounding(m.bounding, pre, self.y)
+        # (spline is spent and u not yet filled: smooth_clip's scratch)
+        y = pre if identity else apply_bounding(m.bounding, pre, self.y, (self.spline, u))
         loss = float(_squared_error(y, self.targets, resid, sq, self.rowsum))
         np.multiply(self.two_over_T, resid, u)
         if not identity:

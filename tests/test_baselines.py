@@ -375,8 +375,10 @@ class TestTrain:
     )
     def test_divergence_message(self, learning_rate, message):
         data = gen_yerkes(16, seed=2)
+        config = TrainConfig(epochs=10)
+        config.learning_rate = learning_rate  # set past TrainConfig's check, which rejects inf
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as info:
-            mlp_train(mlp_init(1, 1, seed=1), data, TrainConfig(learning_rate=learning_rate, epochs=10))
+            mlp_train(mlp_init(1, 1, seed=1), data, config)
         assert str(info.value) == message
         assert len(info.value.history) == 1  # the loss of epoch 0
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -541,10 +542,14 @@ class TestCommands:
         assert (tmp_path / "out" / "history_kafcm.csv").read_text().count("\n") == 2  # header and epoch 0
 
     def test_train_mlp_divergence_names_the_layer(self, tmp_path, capsys, monkeypatch):
-        # an infinite step: inf * 0 puts NaN into every layer, W1 first
-        monkeypatch.setattr(
-            cli_harness, "default_mlp_config", lambda seed=0: TrainConfig(learning_rate=float("inf"), epochs=5)
-        )
+        # an infinite step: inf * 0 puts NaN into every layer, W1 first; the
+        # rate is set past TrainConfig's check, which rejects inf
+        def infinite_step_config(seed=0):
+            config = TrainConfig(epochs=5)
+            config.learning_rate = float("inf")
+            return config
+
+        monkeypatch.setattr(cli_harness, "default_mlp_config", infinite_step_config)
         cfg = write_config(tmp_path, model="mlp")
         main(["generate", "--config", cfg])
         capsys.readouterr()
@@ -851,5 +856,45 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"train": {"learning_rate": math.nan}}, "train: learning_rate must be positive and finite, got nan"),
+            ({"train": {"learning_rate": math.inf}}, "train: learning_rate must be positive and finite, got inf"),
+            ({"train": {"lam": math.nan}}, "train: lam must be non-negative and finite, got nan"),
+            ({"train": {"lam": math.inf}}, "train: lam must be non-negative and finite, got inf"),
+            ({"model": "fcm", "pso": {"inertia": math.nan}}, "pso: inertia must be finite, got nan"),
+            ({"model": "fcm", "pso": {"cognitive": -math.inf}}, "pso: cognitive must be finite, got -inf"),
+            ({"model": "fcm", "pso": {"social": math.inf}}, "pso: social must be finite, got inf"),
+            ({"model": "fcm", "pso": {"weight_bounds": [-math.inf, 1]}},
+             "pso: weight_bounds must be finite with lo < hi, got [-inf, 1]"),
+            ({"model": "fcm", "pso": {"weight_bounds": [-1, math.nan]}},
+             "pso: weight_bounds must be finite with lo < hi, got [-1, nan]"),
+            ({"dataset": {"n": 80, "noise_sd": math.nan}}, "dataset: noise_sd must be finite, got nan"),
+            ({"experiment": "sine", "dataset": {"frequency": math.inf}}, "dataset: frequency must be finite, got inf"),
+            ({"experiment": "mackey", "dataset": {"lag": 4, "beta": -math.inf}}, "dataset: beta must be finite, got -inf"),
+        ],
+        ids=["learning-rate-nan", "learning-rate-inf", "lam-nan", "lam-inf", "inertia-nan", "cognitive-minus-inf",
+             "social-inf", "weight-bounds-minus-inf", "weight-bounds-nan", "noise-sd-nan", "frequency-inf",
+             "mackey-beta-minus-inf"],
+    )
+    def test_non_finite_config_numbers_exit_2(self, tmp_path, capsys, overrides, message):
+        # json writes NaN and Infinity tokens, which Python's json reads back
+        cfg = write_config(tmp_path, **overrides)
+        for command in ("generate", "train"):
+            capsys.readouterr()
+            assert main([command, "--config", cfg]) == 2
+            assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 4
+
+    def test_unwritable_data_path_names_it(self, tmp_path, capsys):
+        target = tmp_path / "no" / "such" / "x.csv"
+        cfg = write_config(tmp_path, data_path=str(target))
+        capsys.readouterr()
+        assert main(["generate", "--config", cfg]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: [Errno 2] No such file or directory:") and str(target) in err
+        assert ".tmp" not in err

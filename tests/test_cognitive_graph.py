@@ -1,6 +1,8 @@
 """KA-FCM and standard-FCM inference, simulation, and model properties."""
 
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -191,6 +193,30 @@ class TestEdgeViews:
         assert str(err.value) == (
             "edge (1, 2) does not share the model's base kind: base 'identity' differs from edge (0, 1) base 'silu'"
         )
+
+    @pytest.mark.parametrize("make_copy", [copy.deepcopy, copy.copy, lambda m: pickle.loads(pickle.dumps(m))])
+    def test_edge_writes_on_a_copy_land_in_the_copy(self, make_copy):
+        m = new_kafcm(3, make_uniform_grid(-1, 1, 4, 3), seed=1)
+        theta = m.theta.copy()
+        twin = make_copy(m)
+        if make_copy is copy.copy:  # a shallow copy shares theta, so give it its own
+            twin.theta = m.theta.copy()
+        e = twin.edges[2][0]
+        e.w_base, e.w_spline = 7.0, -3.0
+        e.alpha[1] = 5.0
+        npt.assert_array_equal(m.theta, theta)
+        assert (twin.w_base[2, 0], twin.w_spline[2, 0], twin.alpha[2, 0, 1]) == (7.0, -3.0, 5.0)
+        assert not np.shares_memory(twin.theta, m.theta)
+        w_base, w_spline, alpha = twin.views(twin.theta)  # the copy's theta, not a view of its own
+        assert (w_base[2, 0], w_spline[2, 0], alpha[2, 0, 1]) == (7.0, -3.0, 5.0)
+
+    def test_rebinding_theta_rebuilds_the_views(self):
+        m = new_kafcm(3, make_uniform_grid(-1, 1, 4, 3), seed=1)
+        old = m.theta
+        m.theta = old * 2.0
+        assert np.shares_memory(m.w_base, m.theta) and not np.shares_memory(m.alpha, old)
+        m.edges[1][0].w_spline = 9.0
+        assert m.views(m.theta)[1][1, 0] == 9.0 and old[m.n_nodes**2 + m.n_nodes] != 9.0
 
     def test_bad_index_kind_and_row_assignment(self):
         m = new_kafcm(2, make_uniform_grid(-1, 1, 4, 3), seed=1)

@@ -54,8 +54,9 @@ class TestYerkes:
     def test_validation(self):
         with pytest.raises(ValueError, match="n must be"):
             gen_yerkes(0)
-        with pytest.raises(ValueError, match="noise_sd"):
-            gen_yerkes(10, noise_sd=-0.1)
+        for noise_sd in (-0.1, float("nan")):
+            with pytest.raises(ValueError, match="noise_sd"):
+                gen_yerkes(10, noise_sd=noise_sd)
 
 
 def test_gaussian_transform_is_standard_normal():
@@ -117,8 +118,15 @@ class TestMackeyGlass:
             MackeyGlassParams(total_steps=100, washout=100)
 
     def test_x0_positive(self):
-        with pytest.raises(ValueError, match="x0"):
-            gen_mackey_glass(MackeyGlassParams(x0=0.0))
+        for x0 in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="x0"):
+                gen_mackey_glass(MackeyGlassParams(x0=x0))
+
+    @pytest.mark.parametrize("field", ["dt", "tau"])
+    @pytest.mark.parametrize("value", [0.0, float("nan"), float("inf")])
+    def test_dt_and_tau_positive_and_finite(self, field, value):
+        with pytest.raises(ValueError, match="dt and tau must be positive and finite"):
+            MackeyGlassParams(**{field: value})
 
     def test_deterministic(self):
         p = MackeyGlassParams(total_steps=600, washout=100)

@@ -14,6 +14,10 @@ forward, which evaluated every state under both base kinds and masked w_base
 per kind: it sums in another order, so it is held to TWO_BLOCK_ATOL.
 """
 
+import functools
+import linecache
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,7 +27,6 @@ from hypothesis import given, settings, strategies as st
 from kafcm.cognitive_graph import (
     BOUNDING_KINDS,
     DivergenceError,
-    FeatureBuffers,
     KAFCMModel,
     apply_bounding,
     kafcm_step,
@@ -522,16 +525,34 @@ def test_simulate_bits_property(case, T):
         assert same_bits(kafcm_step(model, c0), ref[1])
 
 
-def _step_buffers(step):
-    """Every array a stepper's step function keeps between calls."""
+def _step_buffers(step, model):
+    """Every array a stepper of model keeps between calls: the arrays in the
+    step function's closure, in tuples and lists there, and in the basis
+    routine's bound work arrays (a partial's arguments, an object with
+    __slots__). Asserts that they include the base row, the two
+    pre-activation rows, the basis row and the basis routine's powers,
+    scatter indices and values, so that a check over them is not vacuous."""
     arrays = []
+
+    def collect(value):
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                collect(item)
+        elif isinstance(value, functools.partial):
+            collect(value.args)
+        elif hasattr(type(value), "__slots__") and not isinstance(value, str):
+            for name in type(value).__slots__:
+                collect(getattr(value, name, None))
+
     for cell in step.__closure__:
-        value = cell.cell_contents
-        if isinstance(value, FeatureBuffers):
-            arrays += [value.base, value.B]
-            arrays += [a for work in value.scratch.values() for a in (work.xc, work.u, work.V, work.at, work.vals)]
-        elif isinstance(value, tuple):
-            arrays += [a for a in value if isinstance(a, np.ndarray)]
+        collect(cell.cell_contents)
+    n, K, q = model.n_nodes, model.K, model.grid.degree + 1
+    shapes = [(a.shape, a.dtype) for a in arrays]
+    assert shapes.count(((1, n), np.dtype(float))) >= 3
+    assert ((1, n * K), np.dtype(float)) in shapes
+    assert ((n, q), np.dtype(float)) in shapes and ((n, q), np.dtype(np.intp)) in shapes
     return arrays
 
 
@@ -551,8 +572,8 @@ def test_results_never_share_the_step_buffers(bounding, monkeypatch):
     a_kept = a.copy()
     b = kafcm_step(model, c1)
     assert len(steppers) == 4
-    buffers = [buf for step in steppers for buf in _step_buffers(step)]
-    assert len(buffers) >= 4 * 5
+    buffers = [buf for step in steppers for buf in _step_buffers(step, model)]
+    assert len(buffers) >= 4 * 20
     for result in (first, second, a, b):
         assert not any(np.shares_memory(result, buf) for buf in buffers)
     assert not np.shares_memory(first, second) and not np.shares_memory(a, b)
@@ -573,6 +594,63 @@ def test_interleaved_steppers_match_separate_runs():
         rows1.append(s1(rows1[-1]))
     assert same_bits(np.array(rows0), simulate(model, c0, 12).states)
     assert same_bits(np.array(rows1), simulate(model, c1, 12).states)
+
+
+def _line_peaks(run):
+    """{(file, line): the largest rise of traced memory above its level at the
+    line's start} over every line that run, or a Python function it calls,
+    executes (a line's span ends at the next line, call or return event)."""
+    peaks, last = {}, [None, 0]
+
+    def trace(frame, event, arg):
+        peak = tracemalloc.get_traced_memory()[1]
+        if last[0] is not None:
+            peaks[last[0]] = max(peaks.get(last[0], 0), peak - last[1])
+        where = frame.f_back if event == "return" and frame.f_back is not None else frame
+        last[0] = (where.f_code.co_filename, where.f_lineno)
+        last[1] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return trace
+
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    before = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        run()
+    finally:
+        sys.settrace(before)
+        if started:
+            tracemalloc.stop()
+    return peaks
+
+
+@pytest.mark.parametrize("bounding", BOUNDING_KINDS)
+def test_steps_allocate_no_array_of_n_floats(bounding):
+    """After the first step, 1000 steps of an N = 32 stepper allocate no
+    array of N or more floats. NumPy's call machinery takes a few hundred
+    bytes a call whatever N is, so each line's peak is compared with the same
+    line's at N = 64: none may grow by 8 bytes a node, an array of N floats,
+    but the span search's. Its index array (searchsorted takes no out) has N
+    entries, which shows that the measure sees an allocation of that size."""
+    peaks = {}
+    for n in (32, 64):
+        base = BASE_KINDS[BOUNDING_KINDS.index(bounding) % len(BASE_KINDS)]
+        model = _random_model(n, np.ones((n, n), dtype=bool), 61, bounding, base)
+        step = model.stepper()
+        state, out = np.random.default_rng(62).uniform(-1.0, 1.0, n), np.empty(n)
+        step(state, out)
+
+        def steps():
+            for _ in range(1000):
+                step(state, out)
+
+        peaks[n] = _line_peaks(steps)
+    assert peaks[32].keys() == peaks[64].keys()
+    grown = {where for where, peak in peaks[32].items() if peaks[64][where] - peak >= 8 * 32}
+    lines = [linecache.getline(*where).strip() for where in grown]
+    assert len(lines) == 1 and ".searchsorted(" in lines[0], lines
 
 
 def test_in_place_edits_reach_the_next_simulate():

@@ -423,8 +423,10 @@ class TestOneBufferAdam:
         model.edges[1][2] = model.edges[1][0]  # parameters parked in an absent slot
         theta = model.theta.copy()
         data = Dataset(inputs=np.full(4, 0.5), targets=np.full((4, 2), 100.0))
+        config = TrainConfig(epochs=5)
+        config.learning_rate = learning_rate  # set past TrainConfig's check, which rejects inf
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError, match=message):
-            train_gd(model, data, TrainConfig(learning_rate=learning_rate, epochs=5))
+            train_gd(model, data, config)
         assert np.array_equal(model.theta.view(np.uint64), theta.view(np.uint64))
 
     def test_absent_slots_are_ignored_and_kept(self):
