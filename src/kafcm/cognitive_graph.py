@@ -16,7 +16,7 @@ import numpy as np
 
 from .atomic_io import atomic_write
 from .edge_functions import BASE_KINDS, _constant, base_eval, init_edge
-from .spline_core import BasisScratch, KnotGrid, basis_evaluator, basis_tensor, make_uniform_grid
+from .spline_core import KnotGrid, basis_evaluator, basis_tensor, make_uniform_grid
 
 __all__ = [
     "BOUNDING_KINDS",
@@ -211,7 +211,7 @@ class KAFCMModel:
         base = base_eval(self.base, states, np.empty(states.shape))
         if not self.K:
             return base, np.empty((len(states), 0))
-        return base, basis_tensor(self.grid, states, scratch=BasisScratch())
+        return base, basis_tensor(self.grid, states)
 
     def weights(self, rows=slice(None)):
         """(Wb, Ws) of the target nodes in `rows`, a basic slice: w_base *

@@ -25,10 +25,8 @@ __all__ = [
     "basis_matrix",
     "basis_tensor",
     "basis_evaluator",
-    "BasisScratch",
     "basis_derivative_vector",
     "basis_derivative_matrix",
-    "clamp_to_domain",
 ]
 
 
@@ -80,11 +78,6 @@ def make_uniform_grid(domain_lo: float, domain_hi: float, G: int, p: int = 3) ->
     knots = np.concatenate([left, interior, right])
     knots.setflags(write=False)
     return KnotGrid(domain_lo, domain_hi, int(G), int(p), knots)
-
-
-def clamp_to_domain(grid: KnotGrid, x, out=None):
-    """Clip x (scalar or array) to [domain_lo, domain_hi], into out if given; NaN stays NaN."""
-    return np.minimum(np.maximum(x, grid.domain_lo, out=out), grid.domain_hi, out=out)
 
 
 def basis_value(grid: KnotGrid, k: int, p: int, x: float) -> float:
@@ -169,27 +162,6 @@ class _Work:
         self.vals = np.empty((n, q))
 
 
-class BasisScratch(dict):
-    """Work arrays of the basis routines, kept between calls.
-
-    Passing one object as `scratch` to repeated basis_matrix or basis_tensor
-    calls spares them their temporaries. It keeps one set of arrays per
-    (grid, point count) it has been used with; one call at a time may use it.
-    """
-
-    def __missing__(self, key):
-        work = self[key] = _Work(*key)
-        return work
-
-
-def _checked_out(out: np.ndarray, shape: tuple) -> np.ndarray:
-    """out, which is filled through flat views; ValueError unless it is a
-    C-contiguous array of the given shape."""
-    if out.shape != shape or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous array of shape {shape}")
-    return out
-
-
 def _points(xs) -> np.ndarray:
     """xs as a float vector; a scalar becomes one point."""
     xs = np.asarray(xs, dtype=float)
@@ -234,7 +206,7 @@ def _local_eval(work: _Work, xs: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def basis_matrix(grid: KnotGrid, xs, out=None, scratch=None) -> np.ndarray:
+def basis_matrix(grid: KnotGrid, xs) -> np.ndarray:
     """All K = G + p basis values of degree grid.degree at each point of xs.
 
     Returns shape (len(xs), basis_count). Inputs are clamped to the domain
@@ -242,40 +214,41 @@ def basis_matrix(grid: KnotGrid, xs, out=None, scratch=None) -> np.ndarray:
     on an interior knot takes the interval to its right. Only the p+1 bases
     whose support holds the point are evaluated, from its span and offset;
     they are clipped at 0, since rounding leaves some at -1e-15 on knots.
-    out, if given, is a C-contiguous (len(xs), K) array to fill and return;
-    scratch, a BasisScratch, holds the temporaries.
     """
     xs = _points(xs)
-    n, K = len(xs), grid.basis_count
-    work = _Work(grid, n) if scratch is None else scratch[grid, n]
-    return _local_eval(work, xs, np.empty((n, K)) if out is None else _checked_out(out, (n, K)))
+    return basis_evaluator(grid, len(xs))(xs, np.empty((len(xs), grid.basis_count)))
 
 
 def basis_evaluator(grid: KnotGrid, n: int):
-    """f(xs, out): basis_matrix(grid, xs, out) for a float vector xs of n
-    points and a C-contiguous (n, K) out, with its work arrays bound once, for
-    a caller that evaluates n points many times (one simulate step per call)."""
+    """f(xs, out): basis_matrix(grid, xs) written into out, for a float vector
+    xs of n points and a C-contiguous (n, K) out, with its work arrays bound
+    once: the one binder of the basis routine's work arrays, for a caller
+    that evaluates n points many times (a simulate step, a basis_tensor block)."""
     return partial(_local_eval, _Work(grid, n))
 
 
 BASIS_BLOCK_POINTS = 1024
 
 
-def basis_tensor(grid: KnotGrid, states: np.ndarray, out=None, scratch=None) -> np.ndarray:
+def basis_tensor(grid: KnotGrid, states: np.ndarray) -> np.ndarray:
     """B of shape (T, N*K): row t is basis_matrix(grid, states[t]) flattened.
 
     Filled straight into B a block of rows (a contiguous (rows*N, K) view)
     at a time, each of about BASIS_BLOCK_POINTS points or one row, which
-    bounds the temporaries of basis_matrix however many rows the states have.
-    out, if given, is a C-contiguous (T, N*K) array to fill and return;
-    scratch is a BasisScratch passed on to basis_matrix.
+    bounds the work arrays however many rows the states have; one evaluator
+    serves the full blocks and another a shorter last block.
     """
     T, n = states.shape
     K = grid.basis_count
-    B = np.empty((T, n * K)) if out is None else _checked_out(out, (T, n * K))
+    B = np.empty((T, n * K))
     rows = max(1, BASIS_BLOCK_POINTS // max(n, 1))
+    size = None
     for t in range(0, T, rows):
-        basis_matrix(grid, states[t : t + rows].ravel(), B[t : t + rows].reshape(-1, K), scratch)
+        block = states[t : t + rows].ravel()
+        if len(block) != size:
+            size = len(block)
+            evaluate = basis_evaluator(grid, size)
+        evaluate(block, B[t : t + rows].reshape(-1, K))
     return B
 
 

@@ -125,6 +125,8 @@ class PSOConfig:
         # written so that NaN fails it
         if not -math.inf < lo < hi < math.inf:
             raise ValueError(f"weight_bounds must be finite with lo < hi, got {self.weight_bounds}")
+        if not hi - lo < math.inf:
+            raise ValueError(f"weight_bounds must have a finite width hi - lo, got {self.weight_bounds}")
 
 
 def _default_epoch_values() -> list[int]:
@@ -141,6 +143,13 @@ class GridSearchSpace:
         lists = (self.grid_sizes, self.learning_rates, self.epoch_values)
         if not all(isinstance(v, (list, tuple)) and v for v in lists):
             raise ValueError("grid search space lists must be non-empty")
+        # written so that NaN fails them
+        if not all(G >= 1 for G in self.grid_sizes):
+            raise ValueError(f"grid_sizes must all be at least 1, got {self.grid_sizes}")
+        if not all(0 < eta < math.inf for eta in self.learning_rates):
+            raise ValueError(f"learning_rates must all be positive and finite, got {self.learning_rates}")
+        if not all(epochs >= 1 for epochs in self.epoch_values):
+            raise ValueError(f"epoch_values must all be at least 1, got {self.epoch_values}")
 
     def cells(self):
         for G in self.grid_sizes:
@@ -289,8 +298,9 @@ class _Workspace:
         self.row_grads = tuple(g[self.rows] for g in self.grads)
         T, N, K = len(self.targets), model.n_nodes, model.K
         n_out = len(self.row_mask)
-        # Ws, refilled by each forward, is the backward's scratch after it
-        self.Ws = np.empty((n_out, N, K))
+        # Ws, refilled by each forward, is the backward's scratch after it;
+        # w_spline repeated along K, since NumPy buffers a broadcast operand
+        self.Ws, self.w_spline_k = np.empty((n_out, N, K)), np.empty((n_out, N, K))
         self.weights = self.row_params[0], self.Ws.reshape(n_out, N * K)
         # the forward's sum and spline term, sigma(pre), the residual, its
         # square and u, the upstream gradient, each (T, n_out)
@@ -311,8 +321,9 @@ class _Workspace:
         _, w_spline, alpha = self.row_params
         g_wb, g_ws, g_al = self.row_grads
         pre, resid, sq, u, prod = self.pre, self.resid, self.sq, self.u, self.Ws
-        C = self.C.reshape(prod.shape)
-        np.multiply(w_spline[:, :, None], alpha, self.Ws)
+        C, w_spline_k = self.C.reshape(prod.shape), self.w_spline_k
+        np.copyto(w_spline_k, w_spline[:, :, None])
+        np.multiply(w_spline_k, alpha, self.Ws)
         m.forward(self.features, self.weights, out=(pre, self.spline))
         # y = sigma(pre) and u = (2/T) resid sigma'(pre), but the identity's y
         # is pre and u * 1.0 is u; pre is spent once y holds sigma(pre)
@@ -331,9 +342,9 @@ class _Workspace:
             full = self.grads[2]
             loss += lam * float(np.add.reduce(np.abs(self.alpha, full), None))
             np.multiply(lam, np.sign(self.alpha, full), full)
-            np.add(g_al, np.multiply(w_spline[:, :, None], C, prod), g_al)
+            np.add(g_al, np.multiply(w_spline_k, C, prod), g_al)
         else:
-            np.multiply(w_spline[:, :, None], C, g_al)
+            np.multiply(w_spline_k, C, g_al)
         return loss
 
     def non_finite_entry(self, flat: np.ndarray) -> str:

@@ -661,6 +661,23 @@ class TestCommands:
         assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
         assert cfg.model == model and cfg.grid_size == 4
 
+    @pytest.mark.parametrize(
+        "space, message",
+        [
+            ({"learning_rates": [0.1, math.nan]}, "learning_rates must all be positive and finite, got [0.1, nan]"),
+            ({"grid_sizes": [4, 0]}, "grid_sizes must all be at least 1, got [4, 0]"),
+            ({"epoch_values": [5, -1]}, "epoch_values must all be at least 1, got [5, -1]"),
+        ],
+        ids=["learning-rate-nan", "grid-size-zero", "epochs-negative"],
+    )
+    def test_gridsearch_checks_the_space_before_any_cell(self, tmp_path, capsys, space, message):
+        full = {"grid_sizes": [3], "learning_rates": [0.05], "epoch_values": [5], **space}
+        cfg = write_config(tmp_path, experiment="sine", dataset={"n": 80}, space=full)
+        capsys.readouterr()
+        assert main(["gridsearch", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"config error: space: {message}\n"
+        assert not (tmp_path / "out" / "grid.csv").exists()
+
     def test_gridsearch_jobs_is_an_argparse_error(self, tmp_path):
         cfg = write_config(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -870,13 +887,15 @@ class TestCommands:
              "pso: weight_bounds must be finite with lo < hi, got [-inf, 1]"),
             ({"model": "fcm", "pso": {"weight_bounds": [-1, math.nan]}},
              "pso: weight_bounds must be finite with lo < hi, got [-1, nan]"),
+            ({"model": "fcm", "pso": {"weight_bounds": [-1e308, 1e308]}},
+             "pso: weight_bounds must have a finite width hi - lo, got [-1e+308, 1e+308]"),
             ({"dataset": {"n": 80, "noise_sd": math.nan}}, "dataset: noise_sd must be finite, got nan"),
             ({"experiment": "sine", "dataset": {"frequency": math.inf}}, "dataset: frequency must be finite, got inf"),
             ({"experiment": "mackey", "dataset": {"lag": 4, "beta": -math.inf}}, "dataset: beta must be finite, got -inf"),
         ],
         ids=["learning-rate-nan", "learning-rate-inf", "lam-nan", "lam-inf", "inertia-nan", "cognitive-minus-inf",
-             "social-inf", "weight-bounds-minus-inf", "weight-bounds-nan", "noise-sd-nan", "frequency-inf",
-             "mackey-beta-minus-inf"],
+             "social-inf", "weight-bounds-minus-inf", "weight-bounds-nan", "weight-bounds-too-wide", "noise-sd-nan",
+             "frequency-inf", "mackey-beta-minus-inf"],
     )
     def test_non_finite_config_numbers_exit_2(self, tmp_path, capsys, overrides, message):
         # json writes NaN and Infinity tokens, which Python's json reads back

@@ -37,14 +37,13 @@ from kafcm.datagen import Dataset
 from kafcm.edge_functions import BASE_KINDS, EdgeFunction, init_edge, silu, silu_grad
 from kafcm.spline_core import (
     BASIS_BLOCK_POINTS,
-    BasisScratch,
     _power_basis,
     basis_derivative_matrix,
     basis_matrix,
     basis_tensor,
     make_uniform_grid,
 )
-from kafcm.training import predict_one_step
+from kafcm.training import _Workspace, predict_one_step
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
 
@@ -257,11 +256,6 @@ def test_basis_tensor_bits(shape):
     states = np.random.default_rng(sum(shape)).uniform(-1.1, 1.1, shape)
     ref = ref_basis_tensor(grid, states)
     assert same_bits(basis_tensor(grid, states), ref)
-    # into a reused (dirty) buffer with one scratch, as a stepper calls it
-    out, scratch = np.full(ref.shape, np.nan), BasisScratch()
-    for _ in range(2):
-        assert basis_tensor(grid, states, out=out, scratch=scratch) is out
-        assert same_bits(out, ref)
 
 
 def test_basis_tensor_nan_in_a_later_block():
@@ -269,27 +263,6 @@ def test_basis_tensor_nan_in_a_later_block():
     states = np.random.default_rng(3).uniform(-1.1, 1.1, (100, 30))
     states[77, 4] = np.nan
     assert same_bits(basis_tensor(grid, states), ref_basis_tensor(grid, states))
-
-
-def test_one_scratch_serves_several_grids():
-    # (4, 3) and (5, 2) share K = 7, (4, 3) and (6, 3) share the degree
-    scratch = BasisScratch()
-    xs = np.random.default_rng(5).uniform(-1.2, 1.2, 20)
-    for G, p in [(4, 3), (5, 2), (4, 3), (6, 3), (6, 0)]:
-        grid = make_uniform_grid(-1.0, 1.0, G, p)
-        assert same_bits(basis_matrix(grid, xs, scratch=scratch), ref_basis_matrix(grid, xs))
-        assert same_bits(basis_matrix(grid, xs[:7], scratch=scratch), ref_basis_matrix(grid, xs[:7]))
-
-
-def test_basis_out_must_be_contiguous_and_fit():
-    grid = make_uniform_grid(-1.0, 1.0, 4, 2)
-    K = grid.basis_count
-    for out in (np.empty((K, 2)).T, np.empty((2, K + 1))):
-        with pytest.raises(ValueError, match=rf"C-contiguous array of shape \(2, {K}\)"):
-            basis_matrix(grid, [0.1, 0.2], out=out)
-    for out in (np.empty((2, 6 * K))[:, ::2], np.empty((3, 2 * K))):
-        with pytest.raises(ValueError, match="C-contiguous array of shape"):
-            basis_tensor(grid, np.zeros((2, 3)), out=out)
 
 
 # ---------------------------------------------------------------- silu
@@ -651,6 +624,31 @@ def test_steps_allocate_no_array_of_n_floats(bounding):
     grown = {where for where, peak in peaks[32].items() if peaks[64][where] - peak >= 8 * 32}
     lines = [linecache.getline(*where).strip() for where in grown]
     assert len(lines) == 1 and ".searchsorted(" in lines[0], lines
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.01])
+def test_epochs_allocate_no_array_of_n_floats(lam):
+    """After the first, 5 epochs of a KA-FCM fit's forward and backward (with
+    and without the L1 term) allocate no array that grows with N: as in
+    test_steps_allocate_no_array_of_n_floats, no line's peak may grow by 8
+    bytes a node from N = 32 to N = 64. Two output rows of K = 9 keep the
+    (2, N, K) products below NumPy's ufunc buffer size, so a buffered
+    broadcast operand would grow with N too."""
+    peaks = {}
+    for n in (32, 64):
+        model = _random_model(n, np.ones((n, n), dtype=bool), 63, "tanh", "silu")
+        x = np.random.default_rng(64).uniform(-1.0, 1.0, (50, n))
+        ws = _Workspace(model, Dataset(x[:, :-2], x[:, -2:]), lam)
+        ws.loss_and_grads()
+
+        def epochs():
+            for _ in range(5):
+                ws.loss_and_grads()
+
+        peaks[n] = _line_peaks(epochs)
+    assert peaks[32].keys() == peaks[64].keys()
+    grown = {where for where, peak in peaks[32].items() if peaks[64][where] - peak >= 8 * 32}
+    assert not grown, [linecache.getline(*where).strip() for where in grown]
 
 
 def test_in_place_edits_reach_the_next_simulate():

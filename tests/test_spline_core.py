@@ -17,7 +17,6 @@ from kafcm.spline_core import (
     basis_matrix,
     basis_value,
     basis_vector,
-    clamp_to_domain,
     make_uniform_grid,
 )
 
@@ -136,7 +135,6 @@ class TestBasisVector:
         g = make_uniform_grid(-1, 1, G=6, p=3)
         npt.assert_array_equal(basis_vector(g, -1.0), basis_vector(g, -11.0))
         npt.assert_array_equal(basis_vector(g, 1.0), basis_vector(g, 99.0))
-        assert clamp_to_domain(g, 5.0) == 1.0
 
     def test_right_endpoint_left_limit(self):
         g = make_uniform_grid(0, 1, G=1, p=0)
