@@ -43,8 +43,10 @@ class MLPParams:
 
     W1 (64, n_in), b1 (64,), W2 (64, 64), b2 (64,), W3 (n_out, 64) and b3
     (n_out,) are views into theta in that order, the way KAFCMModel.theta
-    holds its parameters; update them in place. The constructor copies its
-    six arrays in and raises ValueError unless their shapes fit together.
+    holds its parameters; theta is the only parameter state, so update it
+    in place, and a copy's layers look into its own theta. The constructor
+    copies its six arrays in and raises ValueError unless their shapes fit
+    together.
     """
 
     def __init__(self, W1, b1, W2, b2, W3, b3):
@@ -57,17 +59,16 @@ class MLPParams:
         if [a.shape for a in layers] != self.shapes:
             raise ValueError("parameter shapes do not form a 64/64 two-hidden-layer network")
         self.theta = np.concatenate([a.ravel() for a in layers])
-        self._layers = self.views(self.theta)
 
-    W1, b1, W2, b2, W3, b3 = (property(lambda self, k=k: self._layers[k]) for k in range(6))
+    W1, b1, W2, b2, W3, b3 = (property(lambda self, k=k: self.views(self.theta)[k]) for k in range(6))
 
     def views(self, flat: np.ndarray) -> list:
         """[W1, b1, W2, b2, W3, b3] views into a buffer laid out like theta."""
         ends = np.cumsum([math.prod(shape) for shape in self.shapes])[:-1]
         return [part.reshape(shape) for part, shape in zip(np.split(flat, ends), self.shapes)]
 
-    def arrays(self):
-        return list(self._layers)
+    def arrays(self) -> list:
+        return self.views(self.theta)
 
 
 def mlp_init(n_in: int, n_out: int, seed: int = 0) -> MLPParams:
@@ -82,17 +83,19 @@ def mlp_init(n_in: int, n_out: int, seed: int = 0) -> MLPParams:
     return MLPParams(*layers)
 
 
-def _forward(p: MLPParams, X: np.ndarray, H1=None, H2=None, P=None) -> np.ndarray:
-    """tanh(W3 relu(W2 relu(W1 x + b1) + b2) + b3) for each row x of X, into P
-    (T, n_out) if given, with the two relu layers into H1, H2 (T, 64) if given."""
-    H1 = np.matmul(X, p.W1.T, out=H1)
-    H1 += p.b1
+def _forward(layers, X: np.ndarray, H1=None, H2=None, P=None) -> np.ndarray:
+    """tanh(W3 relu(W2 relu(W1 x + b1) + b2) + b3) for each row x of X, with
+    layers = [W1, b1, W2, b2, W3, b3], into P (T, n_out) if given, with the
+    two relu layers into H1, H2 (T, 64) if given."""
+    W1, b1, W2, b2, W3, b3 = layers
+    H1 = np.matmul(X, W1.T, out=H1)
+    H1 += b1
     np.maximum(H1, 0.0, out=H1)
-    H2 = np.matmul(H1, p.W2.T, out=H2)
-    H2 += p.b2
+    H2 = np.matmul(H1, W2.T, out=H2)
+    H2 += b2
     np.maximum(H2, 0.0, out=H2)
-    P = np.matmul(H2, p.W3.T, out=P)
-    P += p.b3
+    P = np.matmul(H2, W3.T, out=P)
+    P += b3
     return np.tanh(P, out=P)
 
 
@@ -104,15 +107,16 @@ def mlp_forward(params: MLPParams, x) -> np.ndarray:
     X = x[None, :] if single else x
     if X.ndim != 2 or X.shape[1] != params.n_in:
         raise ValueError(f"input shape {x.shape} does not match n_in={params.n_in}")
-    out = _forward(params, X)
+    out = _forward(params.arrays(), X)
     return out[0] if single else out
 
 
 class _Workspace:
-    """One batch's forward and backward buffers, allocated once, a copy `work`
-    of the parameters and their gradient `grads`, whose flat buffers are
-    `theta` and `grad`. loss_and_grads keeps the float operations of the
-    plain allocating expressions and their order, so its bits are theirs.
+    """One batch's forward and backward buffers, allocated once, a copy
+    `theta` of the parameters and their gradient `grads`, whose flat buffer
+    is `grad`; `layers` and `grad_layers` are the six views of each, bound
+    once. loss_and_grads keeps the float operations of the plain allocating
+    expressions and their order, so its bits are theirs.
     """
 
     def __init__(self, params: MLPParams, X: np.ndarray, Y: np.ndarray):
@@ -122,36 +126,37 @@ class _Workspace:
         self.P, self.R, self.dZ3, self.tmp = (np.empty((T, params.n_out)) for _ in range(4))
         self.row_loss = np.empty(T)
         self.mask = np.empty((T, h), dtype=bool)
-        self.work = MLPParams(*params.arrays())
+        self.theta = params.theta.copy()
         self.grads = MLPParams(*(np.empty_like(a) for a in params.arrays()))
-        self.theta, self.grad = self.work.theta, self.grads.theta
+        self.grad = self.grads.theta
+        self.layers, self.grad_layers = params.views(self.theta), self.grads.arrays()
 
     def loss_and_grads(self) -> float:
         """Mean squared error at theta; fills grad with its gradient."""
-        X, p, g = self.X, self.work, self.grads
+        X, layers, (gW1, gb1, gW2, gb2, gW3, gb3) = self.X, self.layers, self.grad_layers
         H1, H2, dH1, dH2 = self.H1, self.H2, self.dH1, self.dH2
         P, R, dZ3, tmp, mask = self.P, self.R, self.dZ3, self.tmp, self.mask
-        _forward(p, X, H1, H2, P)
+        _forward(layers, X, H1, H2, P)
         loss = float(_squared_error(P, self.Y, R, tmp, self.row_loss))
         # backward: dZ3 = (2/T) R (1 - P^2); the ReLU subgradient at 0 is 0,
         # and H = relu(Z) > 0 exactly where Z > 0
         np.multiply(2.0 / len(X), R, out=dZ3)
         dZ3 *= bounding_slope("tanh", P, tmp)
-        np.matmul(dZ3, p.W3, out=dH2)
+        np.matmul(dZ3, layers[4], out=dH2)
         dH2 *= np.greater(H2, 0, out=mask)  # dH2 now holds dZ2
-        np.matmul(dH2, p.W2, out=dH1)
+        np.matmul(dH2, layers[2], out=dH1)
         dH1 *= np.greater(H1, 0, out=mask)  # dH1 now holds dZ1
-        np.matmul(dH1.T, X, out=g.W1)
-        np.sum(dH1, axis=0, out=g.b1)
-        np.matmul(dH2.T, H1, out=g.W2)
-        np.sum(dH2, axis=0, out=g.b2)
-        np.matmul(dZ3.T, H2, out=g.W3)
-        np.sum(dZ3, axis=0, out=g.b3)
+        np.matmul(dH1.T, X, out=gW1)
+        np.sum(dH1, axis=0, out=gb1)
+        np.matmul(dH2.T, H1, out=gW2)
+        np.sum(dH2, axis=0, out=gb2)
+        np.matmul(dZ3.T, H2, out=gW3)
+        np.sum(dZ3, axis=0, out=gb3)
         return loss
 
     def non_finite_entry(self, flat: np.ndarray) -> str:
         """The layer holding the first non-finite entry of a buffer laid out like theta."""
-        for name, layer in zip(LAYER_NAMES, self.work.views(flat)):
+        for name, layer in zip(LAYER_NAMES, self.grads.views(flat)):
             if not np.isfinite(layer).all():
                 return f"layer {name}"
 

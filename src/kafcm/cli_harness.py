@@ -44,7 +44,7 @@ from .datagen import (
 from .edge_functions import EdgeFunction
 from .metrics_eval import MetricsReport, compute_metrics, save_metrics_json, upsert_comparison_row
 from .spline_core import make_uniform_grid
-from .symbolic import curve_to_csv, fit_candidates, fits_to_json, sample_edge
+from .symbolic import MIN_CURVE_POINTS, curve_to_csv, fit_candidates, fits_to_json, sample_edge
 from .training import (
     GridSearchSpace,
     PSOConfig,
@@ -137,8 +137,8 @@ class ExperimentConfig:
             raise ConfigError(f"grid_size must be at least 1, got {self.grid_size}")
         if self.degree < 0:
             raise ConfigError(f"degree must be non-negative, got {self.degree}")
-        if self.curve_points < 2:
-            raise ConfigError("curve_points must be at least 2")
+        if self.curve_points < MIN_CURVE_POINTS:
+            raise ConfigError(f"curve_points must be at least {MIN_CURVE_POINTS}, got {self.curve_points}")
         if self.fcm_encoding is None:
             self.fcm_encoding = DEFAULT_FCM_ENCODING[self.experiment]
         if self.fcm_encoding not in FCM_ENCODINGS:
@@ -146,7 +146,10 @@ class ExperimentConfig:
         merged = dict(DEFAULT_DATASET[self.experiment])
         merged.update(self.dataset)
         self.dataset = merged
+        types = _DATASET_TYPES[self.experiment]
         for key, value in merged.items():
+            if types.get(key) in _JSON_TYPES and not _is_a(types[key], value):
+                raise ConfigError(f"dataset: {key} must be of type {types[key]}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"dataset: {key} must be finite, got {value}")
         if not self.out:
@@ -175,6 +178,14 @@ _NESTED_CONFIGS = {"train": TrainConfig, "pso": PSOConfig, "space": GridSearchSp
 # the JSON values a config field annotated with one of these names may
 # hold; a bool is none of them
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str, "dict": dict}
+
+
+# the annotation of the generator parameter each dataset key feeds
+_DATASET_TYPES = {
+    "yerkes": gen_yerkes.__annotations__,
+    "sine": gen_sine.__annotations__,
+    "mackey": {"lag": "int", **{f.name: f.type for f in fields(MackeyGlassParams)}},
+}
 
 
 def _is_a(type_name: str, value) -> bool:
@@ -316,10 +327,11 @@ def _finite(values, where: str) -> np.ndarray:
 def load_model(path):
     """Read a model file written by save_model.
 
-    Raises ValueError for an unknown version or kind, a missing key, an edge
-    index out of range, two records of one edge, a non-finite parameter,
-    (from EdgeFunction) an alpha length that does not match its grid, or
-    (from KAFCMModel.from_edges) edges on different knot grids or bases.
+    Raises ValueError for an unknown version or kind, a missing key, a value
+    of the wrong JSON type, an edge index out of range, two records of one
+    edge, a non-finite parameter, (from EdgeFunction) an alpha length that
+    does not match its grid, or (from KAFCMModel.from_edges) edges on
+    different knot grids or bases.
     """
     with open(path) as fh:
         payload = _require(json.load(fh), (), f"model file {path}")
@@ -330,25 +342,27 @@ def load_model(path):
     if kind == "kafcm":
         _require(payload, ("n_nodes", "bounding", "edges"), "kafcm model")
         n = payload["n_nodes"]
-        if not isinstance(n, int) or n < 1:
+        if not _is_a("int", n) or n < 1:
             raise ValueError(f"n_nodes must be a positive integer, got {n!r}")
         mask = np.zeros((n, n), dtype=bool)
         edges = [[None] * n for _ in range(n)]
         grids = {}  # one KnotGrid per distinct grid record
         records = {}  # (i, j) -> index of the record that describes it
+        if not isinstance(payload["edges"], list):
+            raise ValueError(f"kafcm model edges must be a JSON list, got {payload['edges']!r}")
         for idx, rec in enumerate(payload["edges"]):
             where = f"edge {idx}"
             _require(rec, _EDGE_KEYS, where)
             g = _require(rec["grid"], _GRID_KEYS, f"{where} grid")
             lo, hi = _finite([g["domain_lo"], g["domain_hi"]], f"{where} grid domain")
-            if not (isinstance(g["grid_size"], int) and isinstance(g["degree"], int)):
+            if not (_is_a("int", g["grid_size"]) and _is_a("int", g["degree"])):
                 raise ValueError(f"{where} grid_size and degree must be integers")
             key = (float(lo), float(hi), g["grid_size"], g["degree"])
             if key not in grids:
                 grids[key] = make_uniform_grid(*key)
             grid = grids[key]
             i, j = rec["i"], rec["j"]
-            if not all(isinstance(v, int) and 0 <= v < n for v in (i, j)):
+            if not all(_is_a("int", v) and 0 <= v < n for v in (i, j)):
                 raise ValueError(f"{where} index ({i!r}, {j!r}) out of range for {n} nodes")
             first = records.setdefault((i, j), idx)
             if first != idx:

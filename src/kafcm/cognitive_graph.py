@@ -104,13 +104,13 @@ class KAFCMModel:
     w_base[i, j] * b(x) + w_spline[i, j] * sum_k alpha[i, j, k] B_k(x), where
     the base b, named by `base` (one of BASE_KINDS), is the same for every
     edge. w_base, w_spline (N, N) and alpha (N, N, K) are views into one flat
-    buffer `theta`, which every inference and training path reads directly;
-    update it in place. The model keeps the three views: rebinding theta
-    rebuilds them, and a copy builds its own. mask[i, j] False means the
-    edge is absent: it contributes nothing, whatever finite values its slot
-    holds, so the mask may be edited in place. edges[i][j] is an EdgeView
-    of slot (i, j), and assigning an edge function to it copies its
-    parameters in.
+    buffer `theta`, the model's only parameter state, which every inference
+    and training path reads directly; update it in place. Each read of the
+    three builds them from theta, so a copy's views look into its own theta.
+    mask[i, j] False means the edge is absent: it contributes nothing,
+    whatever finite values its slot holds, so the mask may be edited in
+    place. edges[i][j] is an EdgeView of slot (i, j), and assigning an edge
+    function to it copies its parameters in.
     """
 
     def __init__(self, n_nodes: int, grid: KnotGrid | None, mask=None, bounding="smooth_clip", base="silu"):
@@ -157,7 +157,7 @@ class KAFCMModel:
                 )
             self._check_base(i, j, edge.base, source)
         at = [i for i, _ in slots], [j for _, j in slots]
-        w_base, w_spline, alpha = self._views
+        w_base, w_spline, alpha = self.views(self.theta)
         w_base[at] = [e.w_base for e in edges]
         w_spline[at] = [e.w_spline for e in edges]
         alpha[at] = np.reshape([e.alpha for e in edges], (len(edges), self.K))
@@ -174,30 +174,7 @@ class KAFCMModel:
         n, nn = self.n_nodes, self.n_nodes**2
         return flat[:nn].reshape(n, n), flat[nn : 2 * nn].reshape(n, n), flat[2 * nn :].reshape(n, n, self.K)
 
-    @property
-    def theta(self) -> np.ndarray:
-        return self._theta
-
-    @theta.setter
-    def theta(self, flat: np.ndarray):
-        # the model keeps theta's three views, so rebinding theta rebuilds them
-        self._theta = flat
-        self._views = self.views(flat)
-
-    def __getstate__(self):
-        # a copy's views must look into the copy's theta: drop them here and
-        # let __setstate__ rebuild them
-        state = dict(self.__dict__)
-        del state["_views"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._views = self.views(self._theta)
-
-    w_base = property(lambda self: self._views[0])
-    w_spline = property(lambda self: self._views[1])
-    alpha = property(lambda self: self._views[2])
+    w_base, w_spline, alpha = (property(lambda self, k=k: self.views(self.theta)[k]) for k in range(3))
     edges = property(lambda self: _EdgeTable(self))
 
     def present_edges(self):
@@ -217,7 +194,7 @@ class KAFCMModel:
         """(Wb, Ws) of the target nodes in `rows`, a basic slice: w_base *
         mask, matching base's columns, and (w_spline * mask)[..., None] *
         alpha flattened to match B's, so absent edges' slots give zeros."""
-        w_base, w_spline, alpha = self._views
+        w_base, w_spline, alpha = self.views(self.theta)
         mask = self.mask[rows]
         Ws = (w_spline[rows] * mask)[:, :, None] * alpha[rows]
         return w_base[rows] * mask, Ws.reshape(len(Ws), -1)

@@ -28,9 +28,11 @@ __all__ = [
     "curve_from_csv",
     "fits_to_json",
     "fits_from_json",
+    "MIN_CURVE_POINTS",
 ]
 
 COMPLEXITY_PENALTY = 0.001
+MIN_CURVE_POINTS = 10  # the fewest curve points fit_candidates accepts
 SCAN_POINTS = 200
 SCAN_HI = 10.0
 
@@ -187,8 +189,8 @@ def fit_candidates(curve: EdgeCurve) -> list[CandidateFit]:
     with r_squared 1 by convention (the usual ratio is 0/0 there).
     """
     xs, ys = curve.xs, curve.ys
-    if len(xs) < 10:
-        raise ValueError(f"need at least 10 points, got {len(xs)}")
+    if len(xs) < MIN_CURVE_POINTS:
+        raise ValueError(f"need at least {MIN_CURVE_POINTS} points, got {len(xs)}")
     if xs[-1] - xs[0] <= 0:
         raise ValueError("xs span must be positive")
     sst = float(np.sum((ys - ys.mean()) ** 2))

@@ -1,5 +1,9 @@
 """Tests for the MLP baseline."""
 
+import copy
+import json
+import pickle
+
 import numpy as np
 import pytest
 
@@ -12,9 +16,15 @@ from kafcm.baselines import (
     mlp_init,
     mlp_train,
 )
+from kafcm.cli_harness import save_model
 from kafcm.cognitive_graph import DivergenceError
 from kafcm.datagen import Dataset, gen_sine, gen_yerkes, split_dataset, yerkes_law
 from kafcm.training import TrainConfig
+
+
+def same_view(a, b):
+    """a and b hold equal values at the same address with the same shape."""
+    return a.shape == b.shape and a.ctypes.data == b.ctypes.data and np.array_equal(a, b)
 
 
 def reference_forward(params, x):
@@ -134,9 +144,32 @@ class TestParams:
         assert p.theta.size == 64 * 3 + 64 + 64 * 64 + 64 + 2 * 64 + 2
         for name, layer in zip(LAYER_NAMES, p.arrays()):
             assert np.shares_memory(layer, p.theta), name
-            assert getattr(p, name) is layer
+            assert same_view(getattr(p, name), layer), name
         p.W2[5, 7] = 42.0
         assert p.theta[64 * 3 + 64 + 5 * 64 + 7] == 42.0
+
+    @pytest.mark.parametrize(
+        "make_copy", [copy.deepcopy, copy.copy, lambda p: pickle.loads(pickle.dumps(p))], ids=["deepcopy", "copy", "pickle"]
+    )
+    def test_a_copy_writes_and_trains_its_own_theta(self, make_copy, tmp_path):
+        p = mlp_init(1, 1, seed=1)
+        theta = p.theta.copy()
+        q = make_copy(p)
+        if make_copy is copy.copy:  # a shallow copy shares theta, so give it its own
+            q.theta = p.theta.copy()
+        q.W2[5, 7] = 42.0
+        assert q.theta[64 + 64 + 5 * 64 + 7] == 42.0 and not np.shares_memory(q.theta, p.theta)
+        for name, layer in zip(LAYER_NAMES, q.views(q.theta)):
+            assert same_view(getattr(q, name), layer), name
+        x = np.linspace(-1, 1, 5)[:, None]
+        before = mlp_forward(q, x)
+        save_model(q, tmp_path / "before.json")
+        mlp_train(q, gen_yerkes(16, seed=2), TrainConfig(learning_rate=0.05, epochs=3))
+        save_model(q, tmp_path / "after.json")
+        assert not np.array_equal(mlp_forward(q, x), before)
+        saved = [json.loads((tmp_path / f"{when}.json").read_text())["W3"] for when in ("before", "after")]
+        assert saved[0] != saved[1] and saved[1] == q.W3.tolist()
+        np.testing.assert_array_equal(p.theta, theta)
 
     def test_constructor_copies_and_layers_cannot_be_rebound(self):
         W1 = np.zeros((64, 1))
@@ -400,6 +433,6 @@ class TestTrain:
         arrays = p.arrays()
         trained, _ = mlp_train(p, data, TrainConfig(learning_rate=0.05, epochs=3))
         assert trained is p
-        assert all(a is b for a, b in zip(trained.arrays(), arrays))
+        assert all(same_view(a, b) for a, b in zip(trained.arrays(), arrays))
         assert not np.array_equal(arrays[0], mlp_init(1, 1, seed=1).W1)
         assert np.shares_memory(trained.W1, trained.theta)

@@ -66,6 +66,12 @@ MALFORMED_KAFCM = {
         lambda p: p["edges"].append(dict(p["edges"][0], w_base=42.0)),
         r"edge records 0 and 2 both describe edge \(0, 1\)",
     ),
+    "number-edges": (lambda p: p.update(edges=5), "kafcm model edges must be a JSON list, got 5"),
+    "null-edges": (lambda p: p.update(edges=None), "kafcm model edges must be a JSON list, got None"),
+    "bool-nodes": (lambda p: p.update(n_nodes=True), "n_nodes must be a positive integer, got True"),
+    "bool-index": (lambda p: p["edges"][0].update(i=True, j=False), r"edge 0 index \(True, False\) out of range"),
+    "bool-grid-size": (lambda p: p["edges"][0]["grid"].update(grid_size=True), "edge 0 grid_size and degree"),
+    "bool-degree": (lambda p: p["edges"][1]["grid"].update(degree=True), "edge 1 grid_size and degree"),
 }
 
 
@@ -822,10 +828,10 @@ class TestCommands:
             ("extract", {"edge": "10"}, "edge"),
             ("gridsearch", {"space": {"bogus": [1]}}, "bogus"),
             ("gridsearch", {"space": {"grid_sizes": 4}}, "space"),
-            ("generate", {"dataset": {"n": "abc"}}, "n must be an integer"),
-            ("generate", {"dataset": {"n": 5.5}}, "n must be an integer"),
+            ("generate", {"dataset": {"n": "abc"}}, "dataset: n must be of type int, got 'abc'"),
+            ("generate", {"dataset": {"n": 5.5}}, "dataset: n must be of type int, got 5.5"),
             ("generate", {"dataset": {"bogus": 1}}, "bogus"),
-            ("gridsearch", {"experiment": "sine", "dataset": {"n": "abc"}}, "n must be an integer"),
+            ("gridsearch", {"experiment": "sine", "dataset": {"n": "abc"}}, "dataset: n must be of type int"),
             ("generate", {"experiment": "sine", "dataset": {"frequency": "x"}}, "dataset"),
             ("generate", {"experiment": "mackey", "dataset": {"lag": "4"}}, "dataset"),
             ("train", {"grid_size": 2.5}, "grid_size must be of type int, got 2.5"),
@@ -853,7 +859,16 @@ class TestCommands:
             ("extract", {"edge": [True, False]}, "edge must be of type tuple[int, int] | None, got [True, False]"),
             ("train", {"bounding": "relu"}, "unknown bounding 'relu'"),
             ("generate", {"degree": -1}, "degree must be non-negative, got -1"),
-            ("extract", {"curve_points": 1}, "curve_points must be at least 2"),
+            ("extract", {"curve_points": 1}, "curve_points must be at least 10"),
+            ("extract", {"curve_points": 9}, "curve_points must be at least 10, got 9"),
+            ("generate", {"dataset": {"n": 80, "noise_sd": True}}, "dataset: noise_sd must be of type float, got True"),
+            ("generate", {"dataset": {"n": True}}, "dataset: n must be of type int, got True"),
+            ("generate", {"experiment": "sine", "dataset": {"frequency": False}}, "dataset: frequency must be of type float"),
+            ("generate", {"experiment": "mackey", "dataset": {"lag": True}}, "dataset: lag must be of type int, got True"),
+            ("generate", {"experiment": "mackey", "dataset": {"lag": 4, "washout": 10.5}},
+             "dataset: washout must be of type int, got 10.5"),
+            ("generate", {"experiment": "mackey", "dataset": {"lag": 4, "beta": "x"}},
+             "dataset: beta must be of type float, got 'x'"),
             ("evaluate", {"fcm_encoding": "onehot"}, "unknown fcm_encoding 'onehot'"),
             ("train", {"model": "fcm", "pso": {"iterations": 0}}, "pso: iterations must be at least 1"),
         ],
@@ -864,7 +879,8 @@ class TestCommands:
              "iterations-bool", "inertia-text", "dataset-scalar", "out-number", "data-path-number",
              "space-grid-size-float", "space-rate-text", "space-epochs-bool", "weight-bounds-text",
              "weight-bounds-triple", "edge-bools", "bounding-unknown", "degree-negative",
-             "curve-points-one", "fcm-encoding-unknown", "iterations-zero"],
+             "curve-points-one", "curve-points-nine", "yerkes-noise-bool", "yerkes-n-bool", "sine-frequency-bool",
+             "mackey-lag-bool", "mackey-washout-float", "mackey-beta-text", "fcm-encoding-unknown", "iterations-zero"],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, overrides, key):
         cfg = write_config(tmp_path, **overrides)
