@@ -15,6 +15,7 @@ batch-sized arrays on every epoch cost page faults that doubled its time.
 
 from __future__ import annotations
 
+from itertools import accumulate
 import math
 
 import numpy as np
@@ -64,8 +65,8 @@ class MLPParams:
 
     def views(self, flat: np.ndarray) -> list:
         """[W1, b1, W2, b2, W3, b3] views into a buffer laid out like theta."""
-        ends = np.cumsum([math.prod(shape) for shape in self.shapes])[:-1]
-        return [part.reshape(shape) for part, shape in zip(np.split(flat, ends), self.shapes)]
+        at = list(accumulate((math.prod(shape) for shape in self.shapes), initial=0))
+        return [flat[a:b].reshape(shape) for a, b, shape in zip(at, at[1:], self.shapes)]
 
     def arrays(self) -> list:
         return self.views(self.theta)

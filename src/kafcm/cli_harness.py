@@ -41,7 +41,6 @@ from .datagen import (
     split_dataset,
     yerkes_law,
 )
-from .edge_functions import EdgeFunction
 from .metrics_eval import MetricsReport, compute_metrics, save_metrics_json, upsert_comparison_row
 from .spline_core import make_uniform_grid
 from .symbolic import MIN_CURVE_POINTS, curve_to_csv, fit_candidates, fits_to_json, sample_edge
@@ -79,7 +78,7 @@ __all__ = [
     "main",
 ]
 
-MODEL_FILE_VERSION = 1
+MODEL_FILE_VERSION = 2
 EXPERIMENTS = ("yerkes", "sine", "mackey")
 MODEL_KINDS = ("kafcm", "fcm", "mlp")
 FCM_ENCODINGS = ("raw", "unit")
@@ -137,6 +136,8 @@ class ExperimentConfig:
             raise ConfigError(f"grid_size must be at least 1, got {self.grid_size}")
         if self.degree < 0:
             raise ConfigError(f"degree must be non-negative, got {self.degree}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.curve_points < MIN_CURVE_POINTS:
             raise ConfigError(f"curve_points must be at least {MIN_CURVE_POINTS}, got {self.curve_points}")
         if self.fcm_encoding is None:
@@ -268,26 +269,23 @@ def canonical_config(experiment: str, model: str = "kafcm", seed: int = 0) -> Ex
 # ---------------------------------------------------------------- model files
 
 _GRID_KEYS = ("domain_lo", "domain_hi", "grid_size", "degree")
-_EDGE_KEYS = ("i", "j", "w_base", "w_spline", "alpha", "base", "grid")
+_EDGE_KEYS = ("i", "j", "w_base", "w_spline", "alpha")
 
 
 def save_model(model, path) -> None:
-    """Serialize a KAFCMModel, StandardFCM, or MLPParams as versioned JSON."""
+    """Serialize a KAFCMModel (its grid and base once, then one record per
+    present edge), StandardFCM, or MLPParams as versioned JSON."""
     if isinstance(model, KAFCMModel):
         rows, cols = np.nonzero(model.mask)
-        grid = None if model.grid is None else {k: getattr(model.grid, k) for k in _GRID_KEYS}
-        columns = (model.w_base, model.w_spline, model.alpha)
+        columns = (rows.tolist(), cols.tolist(), *(c[rows, cols].tolist() for c in model.views(model.theta)))
         payload = {
             "version": MODEL_FILE_VERSION,
             "kind": "kafcm",
             "n_nodes": model.n_nodes,
             "bounding": model.bounding,
-            "edges": [
-                {"i": i, "j": j, "w_base": wb, "w_spline": ws, "alpha": al, "base": model.base, "grid": grid}
-                for i, j, wb, ws, al in zip(
-                    rows.tolist(), cols.tolist(), *(c[rows, cols].tolist() for c in columns)
-                )
-            ],
+            "base": model.base,
+            "grid": {k: getattr(model.grid, k) for k in _GRID_KEYS},
+            "edges": [dict(zip(_EDGE_KEYS, values)) for values in zip(*columns)],
         }
     elif isinstance(model, StandardFCM):
         payload = {
@@ -327,11 +325,12 @@ def _finite(values, where: str) -> np.ndarray:
 def load_model(path):
     """Read a model file written by save_model.
 
-    Raises ValueError for an unknown version or kind, a missing key, a value
-    of the wrong JSON type, an edge index out of range, two records of one
-    edge, a non-finite parameter, (from EdgeFunction) an alpha length that
-    does not match its grid, or (from KAFCMModel.from_edges) edges on
-    different knot grids or bases.
+    Each edge record of a kafcm file is written straight into a model on
+    the file's one grid and base. Raises ValueError for another version or
+    kind, a missing key, a value of the wrong JSON type, an unknown bounding
+    or base, a grid make_uniform_grid rejects, an edge index out of range,
+    two records of one edge, a non-finite parameter, or an alpha length that
+    does not match the grid.
     """
     with open(path) as fh:
         payload = _require(json.load(fh), (), f"model file {path}")
@@ -340,44 +339,38 @@ def load_model(path):
         raise ValueError(f"unsupported model file version: {version!r}")
     kind = payload.get("kind")
     if kind == "kafcm":
-        _require(payload, ("n_nodes", "bounding", "edges"), "kafcm model")
+        _require(payload, ("n_nodes", "bounding", "base", "grid", "edges"), "kafcm model")
         n = payload["n_nodes"]
         if not _is_a("int", n) or n < 1:
             raise ValueError(f"n_nodes must be a positive integer, got {n!r}")
-        mask = np.zeros((n, n), dtype=bool)
-        edges = [[None] * n for _ in range(n)]
-        grids = {}  # one KnotGrid per distinct grid record
-        records = {}  # (i, j) -> index of the record that describes it
+        g = _require(payload["grid"], _GRID_KEYS, "kafcm model grid")
+        lo, hi = _finite([g["domain_lo"], g["domain_hi"]], "kafcm model grid domain")
+        if not (_is_a("int", g["grid_size"]) and _is_a("int", g["degree"])):
+            raise ValueError("kafcm model grid_size and degree must be integers")
+        grid = make_uniform_grid(lo, hi, g["grid_size"], g["degree"])
+        model = KAFCMModel(n, grid, np.zeros((n, n), dtype=bool), payload["bounding"], payload["base"])
+        w_base, w_spline, alpha = model.views(model.theta)
         if not isinstance(payload["edges"], list):
             raise ValueError(f"kafcm model edges must be a JSON list, got {payload['edges']!r}")
         for idx, rec in enumerate(payload["edges"]):
             where = f"edge {idx}"
             _require(rec, _EDGE_KEYS, where)
-            g = _require(rec["grid"], _GRID_KEYS, f"{where} grid")
-            lo, hi = _finite([g["domain_lo"], g["domain_hi"]], f"{where} grid domain")
-            if not (_is_a("int", g["grid_size"]) and _is_a("int", g["degree"])):
-                raise ValueError(f"{where} grid_size and degree must be integers")
-            key = (float(lo), float(hi), g["grid_size"], g["degree"])
-            if key not in grids:
-                grids[key] = make_uniform_grid(*key)
-            grid = grids[key]
             i, j = rec["i"], rec["j"]
             if not all(_is_a("int", v) and 0 <= v < n for v in (i, j)):
                 raise ValueError(f"{where} index ({i!r}, {j!r}) out of range for {n} nodes")
-            first = records.setdefault((i, j), idx)
-            if first != idx:
+            if model.mask[i, j]:
+                first = next(k for k, r in enumerate(payload["edges"]) if (r["i"], r["j"]) == (i, j))
                 raise ValueError(f"edge records {first} and {idx} both describe edge ({i}, {j})")
-            alpha = _finite(rec["alpha"], f"{where} alpha")
-            w_base, w_spline = _finite([rec["w_base"], rec["w_spline"]], f"{where} weights")
-            mask[i, j] = True
-            edges[i][j] = EdgeFunction(
-                w_base=float(w_base),
-                w_spline=float(w_spline),
-                alpha=alpha,
-                grid=grid,
-                base=rec["base"],
-            )
-        return KAFCMModel.from_edges(edges, mask, bounding=payload["bounding"])
+            values = _finite(rec["alpha"], f"{where} alpha")
+            if values.shape != (model.K,):
+                raise ValueError(f"{where} alpha length {values.shape} does not match basis count {model.K}")
+            weights = _finite([rec["w_base"], rec["w_spline"]], f"{where} weights")
+            if weights.shape != (2,):
+                raise ValueError(f"{where} weights must be numbers, got {weights.tolist()}")
+            w_base[i, j], w_spline[i, j] = weights
+            alpha[i, j] = values
+            model.mask[i, j] = True
+        return model
     if kind == "fcm":
         _require(payload, ("weights", "activation"), "fcm model")
         return StandardFCM(
@@ -677,6 +670,8 @@ def main(argv=None) -> int:
         if args.out:
             config.out = args.out
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError(f"--seed must be non-negative, got {args.seed}")
             config.seed = args.seed
             config.train.seed = args.seed
             if config.pso is not None:

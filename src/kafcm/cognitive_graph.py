@@ -92,33 +92,30 @@ def bounding_grad(kind: str, x):
     return bounding_slope(kind, apply_bounding(kind, x))
 
 
-def _grid_key(grid: KnotGrid) -> tuple:
-    return (grid.domain_lo, grid.domain_hi, grid.grid_size, grid.degree)
-
-
 class KAFCMModel:
     """N-node map whose adjacency entries are edge functions on one knot grid
-    and one base.
+    `grid`, which every model has (a map without edges too), and one base.
 
     phi_ij, the influence of source node j on target node i, is
     w_base[i, j] * b(x) + w_spline[i, j] * sum_k alpha[i, j, k] B_k(x), where
     the base b, named by `base` (one of BASE_KINDS), is the same for every
-    edge. w_base, w_spline (N, N) and alpha (N, N, K) are views into one flat
-    buffer `theta`, the model's only parameter state, which every inference
-    and training path reads directly; update it in place. Each read of the
-    three builds them from theta, so a copy's views look into its own theta.
+    edge and K = grid.basis_count. w_base, w_spline (N, N) and alpha (N, N,
+    K) are views into one flat buffer `theta`, the model's only parameter
+    state, which every inference and training path reads directly; update
+    it in place. Each read of the three builds them from theta, so a copy's
+    views look into its own theta.
     mask[i, j] False means the edge is absent: it contributes nothing,
     whatever finite values its slot holds, so the mask may be edited in
     place. edges[i][j] is an EdgeView of slot (i, j), and assigning an edge
     function to it copies its parameters in.
     """
 
-    def __init__(self, n_nodes: int, grid: KnotGrid | None, mask=None, bounding="smooth_clip", base="silu"):
+    def __init__(self, n_nodes: int, grid: KnotGrid, mask=None, bounding="smooth_clip", base="silu"):
         """Zero parameters in every slot; default mask is dense without
-        self-loops. grid may be None only for a model without edges."""
+        self-loops."""
         self.n_nodes = n_nodes
         self.grid = grid
-        self.K = 0 if grid is None else grid.basis_count
+        self.K = grid.basis_count
         self.mask = ~np.eye(n_nodes, dtype=bool) if mask is None else np.array(mask, dtype=bool)
         if self.mask.shape != (n_nodes, n_nodes):
             raise ValueError("mask shape must be (n_nodes, n_nodes)")
@@ -134,14 +131,16 @@ class KAFCMModel:
     def from_edges(cls, edges, mask, bounding="smooth_clip") -> "KAFCMModel":
         """A model holding edges[i][j] wherever mask[i, j] (other entries are
         ignored and may be None), on the grid and base of the first present
-        edge. Raises ValueError naming the first edge whose grid or base
-        differs from it, that first edge, and both grids or bases."""
+        edge. Raises ValueError when mask has no present edge to take them
+        from, or naming the first edge whose grid or base differs from it,
+        that first edge, and both grids or bases."""
         mask = np.asarray(mask, dtype=bool)
         present = np.argwhere(mask).tolist()
+        if not present:
+            raise ValueError("from_edges needs a present edge to take the grid and base from")
         chosen = [edges[i][j] for i, j in present]
-        grid, base = (chosen[0].grid, chosen[0].base) if chosen else (None, "silu")
-        model = cls(len(mask), grid, mask, bounding, base)
-        model._put(present, chosen, "edge ({}, {}) ".format(*present[0]) if present else "")
+        model = cls(len(mask), chosen[0].grid, mask, bounding, chosen[0].base)
+        model._put(present, chosen, "edge ({}, {}) ".format(*present[0]))
         return model
 
     def _put(self, slots, edges, source="the model's ") -> None:
@@ -150,10 +149,10 @@ class KAFCMModel:
         its base is the model's; source names where the model's grid and base
         came from in the error."""
         for (i, j), edge in zip(slots, edges):
-            if edge.grid is not self.grid and (self.grid is None or _grid_key(edge.grid) != _grid_key(self.grid)):
+            if edge.grid != self.grid:
                 raise ValueError(
-                    f"edge ({i}, {j}) does not share the model's knot grid: grid {_grid_key(edge.grid)} "
-                    f"differs from {source}grid {self.grid and _grid_key(self.grid)}"
+                    f"edge ({i}, {j}) does not share the model's knot grid: grid {edge.grid!r} "
+                    f"differs from {source}grid {self.grid!r}"
                 )
             self._check_base(i, j, edge.base, source)
         at = [i for i, _ in slots], [j for _, j in slots]
@@ -185,10 +184,7 @@ class KAFCMModel:
     def features(self, states: np.ndarray):
         """(base, B) of states with shape (T, N), in new arrays: the states
         under the model's base, (T, N), and their (T, N*K) basis tensor."""
-        base = base_eval(self.base, states, np.empty(states.shape))
-        if not self.K:
-            return base, np.empty((len(states), 0))
-        return base, basis_tensor(self.grid, states)
+        return base_eval(self.base, states, np.empty(states.shape)), basis_tensor(self.grid, states)
 
     def weights(self, rows=slice(None)):
         """(Wb, Ws) of the target nodes in `rows`, a basic slice: w_base *
@@ -228,13 +224,12 @@ class KAFCMModel:
         feats = base, B = np.empty((1, n)), np.empty((1, n * K))
         pre = np.empty((1, n)), np.empty((1, n))
         base_row, points, pre_row = base[0], B.reshape(n, K), pre[0][0]
-        basis = basis_evaluator(self.grid, n) if K else None
+        basis = basis_evaluator(self.grid, n)
         base_scratch, bound_scratch = (np.empty(n), np.empty(n)), (np.empty(n), np.empty(n))
 
         def step(state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
             base_eval(kind, state, base_row, base_scratch)
-            if basis is not None:
-                basis(state, points)
+            basis(state, points)
             forward(feats, weights, pre)
             return apply_bounding(bounding, pre_row, np.empty(n) if out is None else out, bound_scratch)
 

@@ -11,7 +11,7 @@ form of de Boor's algorithm (Piegl & Tiller, *The NURBS Book*, Alg. A2.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from math import comb, factorial
 
@@ -30,21 +30,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class KnotGrid:
     """Extended uniform knot sequence over [domain_lo, domain_hi].
 
     knots has length grid_size + 2*degree + 1; the interior knots
     knots[degree : degree+grid_size+1] partition the domain into grid_size
     equal intervals, and basis_count = grid_size + degree basis functions
-    of degree `degree` have support intersecting the domain.
+    of degree `degree` have support intersecting the domain. Grids compare
+    and hash by their four scalars, which determine the knots.
     """
 
     domain_lo: float
     domain_hi: float
     grid_size: int
     degree: int
-    knots: np.ndarray
+    knots: np.ndarray = field(compare=False, repr=False)
 
     @property
     def basis_count(self) -> int:

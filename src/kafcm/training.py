@@ -101,6 +101,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if not 0 <= self.lam < math.inf:
             raise ValueError(f"lam must be non-negative and finite, got {self.lam}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -127,6 +129,8 @@ class PSOConfig:
             raise ValueError(f"weight_bounds must be finite with lo < hi, got {self.weight_bounds}")
         if not hi - lo < math.inf:
             raise ValueError(f"weight_bounds must have a finite width hi - lo, got {self.weight_bounds}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def _default_epoch_values() -> list[int]:

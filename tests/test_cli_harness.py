@@ -55,8 +55,8 @@ MALFORMED_KAFCM = {
     "missing-edges": (lambda p: p.pop("edges"), r"missing keys \['edges'\]"),
     "zero-nodes": (lambda p: p.update(n_nodes=0), "n_nodes must be a positive integer, got 0"),
     "text-nodes": (lambda p: p.update(n_nodes="2"), "n_nodes must be a positive integer, got '2'"),
-    "missing-grid-key": (lambda p: p["edges"][0]["grid"].pop("degree"), "edge 0 grid is missing"),
-    "text-grid-size": (lambda p: p["edges"][1]["grid"].update(grid_size="4"), "edge 1 grid_size and degree"),
+    "missing-grid-key": (lambda p: p["grid"].pop("degree"), r"kafcm model grid is missing keys \['degree'\]"),
+    "text-grid-size": (lambda p: p["grid"].update(grid_size="4"), "kafcm model grid_size and degree"),
     "index-too-large": (lambda p: p["edges"][1].update(i=2), r"edge 1 index \(2, 0\) out of range"),
     "negative-index": (lambda p: p["edges"][0].update(j=-1), "out of range"),
     "short-alpha": (lambda p: p["edges"][0]["alpha"].pop(), r"alpha length \(6,\) does not match"),
@@ -70,8 +70,12 @@ MALFORMED_KAFCM = {
     "null-edges": (lambda p: p.update(edges=None), "kafcm model edges must be a JSON list, got None"),
     "bool-nodes": (lambda p: p.update(n_nodes=True), "n_nodes must be a positive integer, got True"),
     "bool-index": (lambda p: p["edges"][0].update(i=True, j=False), r"edge 0 index \(True, False\) out of range"),
-    "bool-grid-size": (lambda p: p["edges"][0]["grid"].update(grid_size=True), "edge 0 grid_size and degree"),
-    "bool-degree": (lambda p: p["edges"][1]["grid"].update(degree=True), "edge 1 grid_size and degree"),
+    "bool-grid-size": (lambda p: p["grid"].update(grid_size=True), "kafcm model grid_size and degree"),
+    "bool-degree": (lambda p: p["grid"].update(degree=True), "kafcm model grid_size and degree"),
+    "missing-base": (lambda p: p.pop("base"), r"missing keys \['base'\]"),
+    "unknown-base": (lambda p: p.update(base="relu"), "unknown base kind: 'relu'"),
+    "missing-grid": (lambda p: p.pop("grid"), r"missing keys \['grid'\]"),
+    "list-grid": (lambda p: p.update(grid=[-1.0, 1.0, 4, 3]), "kafcm model grid must be a JSON object"),
 }
 
 
@@ -233,7 +237,7 @@ class TestModelFiles:
 
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "m.json"
-        path.write_text(json.dumps({"version": 1, "kind": "transformer"}))
+        path.write_text(json.dumps({"version": cli_harness.MODEL_FILE_VERSION, "kind": "transformer"}))
         with pytest.raises(ValueError, match="kind"):
             load_model(path)
 
@@ -293,48 +297,30 @@ class TestModelFiles:
         assert main(["evaluate", "--config", cfg]) == 2
         assert main(["extract", "--config", cfg]) == 2
 
-    def test_edges_on_different_grids_rejected(self, tmp_path):
-        cfg = write_config(tmp_path, experiment="mackey", dataset=SMALL_MACKEY, grid_size=4)
-        assert main(["generate", "--config", cfg]) == 0
-        assert main(["train", "--config", cfg]) == 0
-        path = tmp_path / "out" / "model_kafcm.json"
-        payload = json.loads(path.read_text())
-        edge = payload["edges"][0]
-        edge["grid"]["grid_size"] = 6
-        edge["alpha"] = [0.0] * (6 + edge["grid"]["degree"])
-        path.write_text(json.dumps(payload))
-        # edge 0 is (4, 0) and sets the grid, so (4, 1) is the first to differ:
-        # the message names both edges and both grids
-        with pytest.raises(ValueError) as err:
-            load_model(path)
-        lo, hi = edge["grid"]["domain_lo"], edge["grid"]["domain_hi"]
-        p = edge["grid"]["degree"]
-        assert str(err.value) == (
-            f"edge (4, 1) does not share the model's knot grid: grid {(lo, hi, 4, p)} "
-            f"differs from edge (4, 0) grid {(lo, hi, 6, p)}"
-        )
-        assert main(["evaluate", "--config", cfg]) == 2
+    def test_edgeless_map_round_trip_keeps_grid_base_and_theta(self, tmp_path):
+        grid = make_uniform_grid(-1, 1, 4, 3)
+        model = KAFCMModel(3, grid, np.zeros((3, 3), dtype=bool), "tanh", "identity")
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        back = load_model(path)
+        assert back.grid == grid and back.K == 7 and back.base == "identity" and back.bounding == "tanh"
+        assert back.theta.shape == (81,) and not back.mask.any()
+        np.testing.assert_array_equal(back.theta, model.theta)
 
-    def test_edges_with_different_bases_rejected(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, experiment="mackey", dataset=SMALL_MACKEY, grid_size=4)
+    def test_version_1_file_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
         assert main(["generate", "--config", cfg]) == 0
         assert main(["train", "--config", cfg]) == 0
         path = tmp_path / "out" / "model_kafcm.json"
         payload = json.loads(path.read_text())
-        assert {e["base"] for e in payload["edges"]} == {"silu"}
-        payload["edges"][2]["base"] = "identity"
+        # the version 1 layout: the grid and base in every edge record
+        shared = {"grid": payload.pop("grid"), "base": payload.pop("base")}
+        payload["version"] = 1
+        payload["edges"] = [dict(e, **shared) for e in payload["edges"]]
         path.write_text(json.dumps(payload))
-        # edge 0 is (4, 0) and sets the base; edge 2, (4, 2), is the first to differ
-        message = (
-            "edge (4, 2) does not share the model's base kind: base 'identity' differs from edge (4, 0) base 'silu'"
-        )
-        with pytest.raises(ValueError) as err:
-            load_model(path)
-        assert str(err.value) == message
         capsys.readouterr()
-        for command in ("evaluate", "extract"):
-            assert main([command, "--config", cfg]) == 2
-            assert capsys.readouterr().err == f"error: {message}\n"
+        assert main(["evaluate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: unsupported model file version: 1\n"
 
 
 class TestPipelinePieces:
@@ -871,6 +857,11 @@ class TestCommands:
              "dataset: beta must be of type float, got 'x'"),
             ("evaluate", {"fcm_encoding": "onehot"}, "unknown fcm_encoding 'onehot'"),
             ("train", {"model": "fcm", "pso": {"iterations": 0}}, "pso: iterations must be at least 1"),
+            ("generate", {"seed": -1}, "config error: seed must be non-negative, got -1"),
+            ("train", {"train": {"epochs": 25, "seed": -2}}, "config error: train: seed must be non-negative, got -2"),
+            ("train", {"model": "fcm", "pso": {"seed": -3}}, "config error: pso: seed must be non-negative, got -3"),
+            ("train", {"model": "mlp", "seed": -4}, "config error: seed must be non-negative, got -4"),
+            ("generate --seed -5", {}, "config error: --seed must be non-negative, got -5"),
         ],
         ids=["edge-short", "edge-text", "edge-string", "space-key", "space-scalar",
              "yerkes-n-text", "yerkes-n-float", "yerkes-key", "sine-n-text", "sine-frequency", "mackey-lag",
@@ -880,12 +871,13 @@ class TestCommands:
              "space-grid-size-float", "space-rate-text", "space-epochs-bool", "weight-bounds-text",
              "weight-bounds-triple", "edge-bools", "bounding-unknown", "degree-negative",
              "curve-points-one", "curve-points-nine", "yerkes-noise-bool", "yerkes-n-bool", "sine-frequency-bool",
-             "mackey-lag-bool", "mackey-washout-float", "mackey-beta-text", "fcm-encoding-unknown", "iterations-zero"],
+             "mackey-lag-bool", "mackey-washout-float", "mackey-beta-text", "fcm-encoding-unknown", "iterations-zero",
+             "seed-negative", "train-seed-negative", "pso-seed-negative", "mlp-seed-negative", "seed-flag-negative"],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, overrides, key):
         cfg = write_config(tmp_path, **overrides)
         capsys.readouterr()
-        assert main([command, "--config", cfg]) == 2
+        assert main([*command.split(), "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
 

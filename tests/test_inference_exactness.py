@@ -367,14 +367,19 @@ def _pack_cases():
 
 @pytest.mark.parametrize("name, case", list(_pack_cases()), ids=lambda v: v if isinstance(v, str) else "")
 def test_pack_bits(name, case):
-    """from_edges packs edge objects into theta as the per-(i, j) walk does."""
+    """from_edges packs edge objects into theta as the per-(i, j) walk does,
+    and without a present edge it has no grid to take and raises."""
     edges, mask = case
+    if not mask.any():
+        with pytest.raises(ValueError, match="needs a present edge"):
+            KAFCMModel.from_edges(edges, mask)
+        return
     model = KAFCMModel.from_edges(edges, mask)
     theta, base, grid = ref_pack(edges, mask)
     assert same_bits(model.theta, theta)
     assert model.base == base
     assert model.grid is grid
-    assert model.K == (0 if grid is None else grid.basis_count)
+    assert model.K == grid.basis_count
 
 
 def test_pack_accepts_equal_grid_objects_and_names_a_different_grid():
@@ -454,7 +459,7 @@ def ref_rollout(model, c0, T):
 @st.composite
 def maps_and_states(draw):
     """A map with random size, grid, mask, base kind, bounding and weights
-    (the no-edge map on grid None among them), and an initial state of points
+    (the no-edge map built directly among them), and an initial state of points
     inside and outside the domain, on knots and at +-0.0."""
     n = draw(st.integers(1, 12))
     lo = draw(st.one_of(st.just(0.0), st.floats(-2.0, 1.0)))
@@ -464,7 +469,7 @@ def maps_and_states(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mask = rng.random((n, n)) < draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
     if not mask.any() and draw(st.booleans()):
-        model = KAFCMModel(n, None, mask, bounding, base)
+        model = KAFCMModel(n, grid, mask, bounding, base)
     else:
         model = new_kafcm(n, grid, mask=mask, bounding=bounding, base=base, seed=int(rng.integers(2**31)))
         for _, _, e in model.present_edges():
