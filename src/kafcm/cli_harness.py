@@ -15,8 +15,10 @@ import argparse
 from dataclasses import asdict, dataclass, field, fields, replace
 import json
 import math
+from operator import attrgetter
 import os
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -32,10 +34,9 @@ from .cognitive_graph import (
 from .datagen import (
     Dataset,
     MackeyGlassParams,
-    gen_mackey_glass,
+    gen_mackey,
     gen_sine,
     gen_yerkes,
-    lag_embed,
     load_dataset,
     save_dataset,
     split_dataset,
@@ -61,6 +62,7 @@ from .training import (
 
 __all__ = [
     "ConfigError",
+    "Experiment",
     "ExperimentConfig",
     "ExperimentResult",
     "canonical_config",
@@ -73,32 +75,47 @@ __all__ = [
     "build_model",
     "fit_model",
     "predict",
-    "eval_targets",
     "run_pipeline",
     "main",
 ]
 
 MODEL_FILE_VERSION = 2
-EXPERIMENTS = ("yerkes", "sine", "mackey")
 MODEL_KINDS = ("kafcm", "fcm", "mlp")
 FCM_ENCODINGS = ("raw", "unit")
 SPLIT_FRACTIONS = (0.64, 0.16, 0.2)
 
-# input/output node counts, spline domain, and default standard-FCM input
-# encoding for each experiment
-EXPERIMENT_DIMS = {"yerkes": (1, 1), "sine": (1, 1), "mackey": (4, 1)}
-EXPERIMENT_DOMAINS = {"yerkes": (-1.0, 1.0), "sine": (-1.0, 1.0), "mackey": (0.0, 1.5)}
-DEFAULT_FCM_ENCODING = {"yerkes": "raw", "sine": "unit", "mackey": "raw"}
-DEFAULT_DATASET = {
-    "yerkes": {"n": 400, "noise_sd": 0.05},
-    "sine": {"n": 400, "frequency": 3.0},
-    "mackey": {"lag": 4},
-}
-# best published configuration per experiment
-CANONICAL_HYPERPARAMS = {
-    "yerkes": {"grid_size": 4, "learning_rate": 0.1, "epochs": 610},
-    "sine": {"grid_size": 19, "learning_rate": 0.1, "epochs": 1500},
-    "mackey": {"grid_size": 19, "learning_rate": 0.05, "epochs": 1277},
+
+@dataclass(frozen=True)
+class Experiment:
+    """What sets one experiment apart; EXPERIMENTS holds one per experiment."""
+
+    n_in: int  # input nodes, followed by n_out output nodes
+    n_out: int
+    domain: tuple[float, float]  # the KA-FCM spline domain
+    fcm_encoding: str  # the standard FCM's default input encoding
+    dataset: dict  # the dataset defaults, built by generate(**dataset, seed=seed)
+    generate: Callable[..., Dataset]
+    dataset_types: dict  # the annotation of the generator parameter each dataset key feeds
+    canonical: tuple[int, float, int]  # the best published (grid_size, learning_rate, epochs)
+    chronological: bool = False  # split in time order rather than shuffled
+    targets: Callable[[Dataset], np.ndarray] = attrgetter("targets")  # what predictions are scored against
+
+
+EXPERIMENTS = {
+    "yerkes": Experiment(
+        n_in=1, n_out=1, domain=(-1.0, 1.0), fcm_encoding="raw", dataset={"n": 400, "noise_sd": 0.05},
+        generate=gen_yerkes, dataset_types=gen_yerkes.__annotations__, canonical=(4, 0.1, 610),
+        targets=lambda data: yerkes_law(data.inputs),  # the noise-free law
+    ),
+    "sine": Experiment(
+        n_in=1, n_out=1, domain=(-1.0, 1.0), fcm_encoding="unit", dataset={"n": 400, "frequency": 3.0},
+        generate=gen_sine, dataset_types=gen_sine.__annotations__, canonical=(19, 0.1, 1500),
+    ),
+    "mackey": Experiment(
+        n_in=4, n_out=1, domain=(0.0, 1.5), fcm_encoding="raw", dataset={"lag": 4}, generate=gen_mackey,
+        dataset_types={**gen_mackey.__annotations__, **{f.name: f.type for f in fields(MackeyGlassParams)}},
+        canonical=(19, 0.05, 1277), chronological=True,
+    ),
 }
 
 
@@ -127,7 +144,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}")
+            raise ConfigError(f"unknown experiment {self.experiment!r}; expected one of {tuple(EXPERIMENTS)}")
         if self.model not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {self.model!r}; expected one of {MODEL_KINDS}")
         if self.bounding not in BOUNDING_KINDS:
@@ -141,14 +158,12 @@ class ExperimentConfig:
         if self.curve_points < MIN_CURVE_POINTS:
             raise ConfigError(f"curve_points must be at least {MIN_CURVE_POINTS}, got {self.curve_points}")
         if self.fcm_encoding is None:
-            self.fcm_encoding = DEFAULT_FCM_ENCODING[self.experiment]
+            self.fcm_encoding = self.spec.fcm_encoding
         if self.fcm_encoding not in FCM_ENCODINGS:
             raise ConfigError(f"unknown fcm_encoding {self.fcm_encoding!r}")
-        merged = dict(DEFAULT_DATASET[self.experiment])
-        merged.update(self.dataset)
-        self.dataset = merged
-        types = _DATASET_TYPES[self.experiment]
-        for key, value in merged.items():
+        self.dataset = {**self.spec.dataset, **self.dataset}
+        types = self.spec.dataset_types
+        for key, value in self.dataset.items():
             if types.get(key) in _JSON_TYPES and not _is_a(types[key], value):
                 raise ConfigError(f"dataset: {key} must be of type {types[key]}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
@@ -163,6 +178,10 @@ class ExperimentConfig:
             ):
                 raise ConfigError(f"edge must be a pair of integers, got {self.edge!r}")
             self.edge = tuple(self.edge)
+
+    @property
+    def spec(self) -> Experiment:
+        return EXPERIMENTS[self.experiment]
 
     def to_dict(self) -> dict:
         d = {k: v for k, v in asdict(self).items() if v is not None}
@@ -179,14 +198,6 @@ _NESTED_CONFIGS = {"train": TrainConfig, "pso": PSOConfig, "space": GridSearchSp
 # the JSON values a config field annotated with one of these names may
 # hold; a bool is none of them
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str, "dict": dict}
-
-
-# the annotation of the generator parameter each dataset key feeds
-_DATASET_TYPES = {
-    "yerkes": gen_yerkes.__annotations__,
-    "sine": gen_sine.__annotations__,
-    "mackey": {"lag": "int", **{f.name: f.type for f in fields(MackeyGlassParams)}},
-}
 
 
 def _is_a(type_name: str, value) -> bool:
@@ -256,12 +267,12 @@ def canonical_config(experiment: str, model: str = "kafcm", seed: int = 0) -> Ex
     """The best published hyperparameters for an experiment."""
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    hp = CANONICAL_HYPERPARAMS[experiment]
+    grid_size, learning_rate, epochs = EXPERIMENTS[experiment].canonical
     return ExperimentConfig(
         experiment=experiment,
         model=model,
-        grid_size=hp["grid_size"],
-        train=TrainConfig(learning_rate=hp["learning_rate"], epochs=hp["epochs"], seed=seed),
+        grid_size=grid_size,
+        train=TrainConfig(learning_rate=learning_rate, epochs=epochs, seed=seed),
         seed=seed,
     )
 
@@ -387,25 +398,15 @@ def load_model(path):
 
 def build_dataset(config: ExperimentConfig) -> Dataset:
     """The full (unsplit) dataset for an experiment, regenerable from metadata."""
-    ds = dict(config.dataset)
     try:
-        if config.experiment == "yerkes":
-            return gen_yerkes(**ds, seed=config.seed)
-        if config.experiment == "sine":
-            return gen_sine(**ds, seed=config.seed)
-        lag = ds.pop("lag")
-        params = MackeyGlassParams(**ds)
-        series = gen_mackey_glass(params, seed=config.seed)
-        series_meta = {"generator": "mackey_glass", "params": params.to_dict(), "seed": config.seed}
-        return lag_embed(series, lag, series_metadata=series_meta)
+        return config.spec.generate(**config.dataset, seed=config.seed)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"dataset: {err}") from err
 
 
 def split_for(config: ExperimentConfig, data: Dataset):
-    """64/16/20 split; chronological for the time series, shuffled otherwise."""
-    shuffle = config.experiment != "mackey"
-    return split_dataset(data, SPLIT_FRACTIONS, shuffle=shuffle, seed=config.seed)
+    """64/16/20 split; chronological if the experiment says so, else shuffled."""
+    return split_dataset(data, SPLIT_FRACTIONS, shuffle=not config.spec.chronological, seed=config.seed)
 
 
 def model_view(config: ExperimentConfig, data: Dataset) -> Dataset:
@@ -421,11 +422,10 @@ def model_view(config: ExperimentConfig, data: Dataset) -> Dataset:
 
 
 def build_model(config: ExperimentConfig):
-    n_in, n_out = EXPERIMENT_DIMS[config.experiment]
+    n_in, n_out = config.spec.n_in, config.spec.n_out
     n = n_in + n_out
     if config.model == "kafcm":
-        lo, hi = EXPERIMENT_DOMAINS[config.experiment]
-        grid = make_uniform_grid(lo, hi, config.grid_size, config.degree)
+        grid = make_uniform_grid(*config.spec.domain, config.grid_size, config.degree)
         mask = np.zeros((n, n), dtype=bool)
         mask[n_in:, :n_in] = True
         return new_kafcm(n, grid, mask=mask, bounding=config.bounding, seed=config.seed)
@@ -453,17 +453,9 @@ def predict(config: ExperimentConfig, model, data: Dataset) -> np.ndarray:
     return predict_one_step(model, view)
 
 
-def eval_targets(config: ExperimentConfig, data: Dataset) -> np.ndarray:
-    """Scoring targets: the noise-free law for the noisy task, else the data."""
-    if config.experiment == "yerkes":
-        return yerkes_law(data.inputs)
-    return data.targets
-
-
 @dataclass
 class ExperimentResult:
     config: ExperimentConfig
-    data: Dataset
     train_data: Dataset
     val_data: Dataset
     test_data: Dataset
@@ -475,18 +467,14 @@ class ExperimentResult:
 def run_pipeline(config: ExperimentConfig, splits=None) -> ExperimentResult:
     """Generate (or reuse) data, train the configured model, score the test set."""
     if splits is None:
-        data = build_dataset(config)
-        train_data, val_data, test_data = split_for(config, data)
+        train_data, val_data, test_data = split_for(config, build_dataset(config))
     else:
         train_data, val_data, test_data = splits
-        data = train_data
     model = build_model(config)
     model, history = fit_model(config, model, train_data)
     preds = predict(config, model, test_data)
-    metrics = compute_metrics(preds, eval_targets(config, test_data))
-    return ExperimentResult(
-        config, data, train_data, val_data, test_data, model, history, metrics
-    )
+    metrics = compute_metrics(preds, config.spec.targets(test_data))
+    return ExperimentResult(config, train_data, val_data, test_data, model, history, metrics)
 
 
 def make_grid_task(config: ExperimentConfig):
@@ -511,7 +499,7 @@ def _dataset_path(config: ExperimentConfig) -> str:
 
 def _load_dataset_checked(config: ExperimentConfig):
     data = load_dataset(_dataset_path(config))
-    d_in, d_out = EXPERIMENT_DIMS[config.experiment]
+    d_in, d_out = config.spec.n_in, config.spec.n_out
     if data.inputs.shape[1] != d_in or data.targets.shape[1] != d_out:
         raise ConfigError(
             f"dataset at {_dataset_path(config)} has shape "
@@ -566,7 +554,7 @@ def cmd_evaluate(config: ExperimentConfig) -> int:
     data = _load_dataset_checked(config)
     _, _, test_data = split_for(config, data)
     preds = predict(config, model, test_data)
-    report = compute_metrics(preds, eval_targets(config, test_data))
+    report = compute_metrics(preds, config.spec.targets(test_data))
     os.makedirs(config.out, exist_ok=True)
     metrics_path = os.path.join(config.out, f"metrics_{config.model}.json")
     save_metrics_json(
@@ -626,8 +614,7 @@ def cmd_extract(config: ExperimentConfig) -> int:
     model = load_model(_model_path(config))
     if not isinstance(model, KAFCMModel):
         raise ConfigError("extract requires a kafcm model file")
-    n_in, _ = EXPERIMENT_DIMS[config.experiment]
-    i, j = config.edge if config.edge is not None else (n_in, 0)
+    i, j = config.edge if config.edge is not None else (config.spec.n_in, 0)
     if not (0 <= i < model.n_nodes and 0 <= j < model.n_nodes and model.mask[i, j]):
         raise ConfigError(f"edge ({i}, {j}) is masked or out of range")
     curve = sample_edge(model.edges[i][j], config.curve_points, edge_id=(i, j))
@@ -688,6 +675,9 @@ def main(argv=None) -> int:
         return 4
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:
+        print(f"out of memory: {err}", file=sys.stderr)
         return 2
 
 

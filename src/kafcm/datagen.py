@@ -35,6 +35,7 @@ __all__ = [
     "gen_yerkes",
     "gen_sine",
     "gen_mackey_glass",
+    "gen_mackey",
     "lag_embed",
     "split_dataset",
     "regenerate",
@@ -197,6 +198,14 @@ def lag_embed(series, lag: int, series_metadata: dict | None = None) -> Dataset:
     return Dataset(inputs, targets, meta)
 
 
+def gen_mackey(lag: int, seed: int = 0, **params) -> Dataset:
+    """The series of MackeyGlassParams(**params), lag-embedded; regenerable."""
+    series_params = MackeyGlassParams(**params)
+    series = gen_mackey_glass(series_params, seed)
+    series_meta = {"generator": "mackey_glass", "params": series_params.to_dict(), "seed": seed}
+    return lag_embed(series, lag, series_metadata=series_meta)
+
+
 def _split_sizes(n: int, fractions) -> list[int]:
     """Floor each share, then hand out the remainder by largest fractional part."""
     raw = [f * n for f in fractions]
@@ -251,9 +260,7 @@ def regenerate(metadata: dict) -> Dataset:
             series = np.asarray(series_meta["series_values"], dtype=float)
             return lag_embed(series, metadata["lag"])
         if series_meta.get("generator") == "mackey_glass":
-            params = MackeyGlassParams(**series_meta["params"])
-            series = gen_mackey_glass(params, series_meta.get("seed", 0))
-            return lag_embed(series, metadata["lag"], series_metadata=series_meta)
+            return gen_mackey(metadata["lag"], series_meta.get("seed", 0), **series_meta["params"])
         raise ValueError(f"unknown series metadata: {series_meta!r}")
     if gen == "split":
         parent = regenerate(metadata["parent"])

@@ -185,8 +185,9 @@ _FITTERS = {
 def fit_candidates(curve: EdgeCurve) -> list[CandidateFit]:
     """One fit per library form, ranked by score descending.
 
-    A zero-variance curve short-circuits to a single constant affine fit
-    with r_squared 1 by convention (the usual ratio is 0/0 there).
+    A curve whose values are all equal, or whose spread squares to 0,
+    short-circuits to one constant affine fit (its mean, clipped to its
+    range) with r_squared 1 by convention: the ratio is 0/0 there.
     """
     xs, ys = curve.xs, curve.ys
     if len(xs) < MIN_CURVE_POINTS:
@@ -194,8 +195,8 @@ def fit_candidates(curve: EdgeCurve) -> list[CandidateFit]:
     if xs[-1] - xs[0] <= 0:
         raise ValueError("xs span must be positive")
     sst = float(np.sum((ys - ys.mean()) ** 2))
-    if sst == 0.0:
-        coef = np.array([0.0, float(ys.mean())])
+    if ys.min() == ys.max() or sst == 0.0:
+        coef = np.array([0.0, float(np.clip(ys.mean(), ys.min(), ys.max()))])
         return [CandidateFit("affine", coef, 1.0, 1.0 - 2 * COMPLEXITY_PENALTY)]
     fits = []
     for form, fitter in _FITTERS.items():

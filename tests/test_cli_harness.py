@@ -3,19 +3,20 @@
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from kafcm.baselines import MLPParams, mlp_forward, mlp_init
 from kafcm.cli_harness import (
+    EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     build_dataset,
     build_model,
     canonical_config,
     config_from_dict,
-    eval_targets,
     load_config,
     load_model,
     main,
@@ -101,8 +102,9 @@ class TestConfig:
             config_from_dict({"model": "kafcm"})
 
     def test_invalid_values(self):
-        with pytest.raises(ConfigError, match="unknown experiment"):
+        with pytest.raises(ConfigError) as err:
             config_from_dict({"experiment": "parabola"})
+        assert str(err.value) == "unknown experiment 'parabola'; expected one of ('yerkes', 'sine', 'mackey')"
         with pytest.raises(ConfigError, match="unknown model"):
             config_from_dict({"experiment": "sine", "model": "gru"})
         with pytest.raises(ConfigError, match="grid_size"):
@@ -168,16 +170,13 @@ class TestConfig:
         assert (m.grid_size, m.train.learning_rate, m.train.epochs) == (19, 0.05, 1277)
 
     def test_shipped_config_files_load(self):
-        for name, exp in (
-            ("experiment1", "yerkes"),
-            ("experiment2", "sine"),
-            ("experiment3", "mackey"),
-        ):
-            cfg = load_config(f"configs/{name}.json")
-            assert cfg.experiment == exp
-            # the shipped file is the canonical configuration, apart from where it writes
+        configs = [load_config(f"configs/{name}") for name in sorted(os.listdir("configs"))]
+        for exp in EXPERIMENTS:
+            # one shipped file per experiment: the canonical configuration, apart from where it writes
+            (cfg,) = [c for c in configs if c.experiment == exp]
             got, want = cfg.to_dict(), canonical_config(exp).to_dict()
             assert {k: v for k, v in got.items() if k != "out"} == {k: v for k, v in want.items() if k != "out"}
+        assert len(configs) == len(EXPERIMENTS)
 
 
 class TestModelFiles:
@@ -373,13 +372,13 @@ class TestPipelinePieces:
         mlp = build_model(config_from_dict({"experiment": "mackey", "model": "mlp"}))
         assert (mlp.n_in, mlp.n_out) == (4, 1)
 
-    def test_eval_targets_noise_free_for_yerkes(self):
+    def test_targets_noise_free_for_yerkes(self):
         cfg = config_from_dict({"experiment": "yerkes", "dataset": {"n": 30}})
         data = build_dataset(cfg)
-        np.testing.assert_array_equal(eval_targets(cfg, data), yerkes_law(data.inputs))
+        np.testing.assert_array_equal(cfg.spec.targets(data), yerkes_law(data.inputs))
         scfg = config_from_dict({"experiment": "sine", "dataset": {"n": 30}})
         sdata = build_dataset(scfg)
-        assert eval_targets(scfg, sdata) is sdata.targets
+        assert scfg.spec.targets(sdata) is sdata.targets
 
     def test_run_pipeline_smoke(self):
         cfg = config_from_dict(
@@ -463,6 +462,16 @@ class TestCommands:
         first = model_file.read_bytes()
         main(["train", "--config", cfg])
         assert model_file.read_bytes() == first
+
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        def no_memory(config):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(cli_harness, "build_dataset", no_memory)
+        cfg = write_config(tmp_path)
+        capsys.readouterr()
+        assert main(["generate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "out of memory: Unable to allocate 7.28 TiB\n"
 
     def test_train_divergence_exit_code(self, tmp_path):
         cfg = write_config(
@@ -640,12 +649,13 @@ class TestCommands:
         cfg = config_from_dict({"experiment": experiment, "model": model, "bounding": "tanh", "dataset": dataset})
         splits = split_for(cfg, build_dataset(cfg))
         train_data, val_data, _ = splits
-        n_in, n_out = cli_harness.EXPERIMENT_DIMS[experiment]
+        spec = EXPERIMENTS[experiment]
+        n_in, n_out = spec.n_in, spec.n_out
         n = n_in + n_out
         mask = np.zeros((n, n), dtype=bool)
         mask[n_in:, :n_in] = True
         G, train_config = 5, TrainConfig(learning_rate=0.05, epochs=15, seed=987654)
-        grid = make_uniform_grid(*cli_harness.EXPERIMENT_DOMAINS[experiment], G, cfg.degree)
+        grid = make_uniform_grid(*spec.domain, G, cfg.degree)
         ref = new_kafcm(n, grid, mask=mask, bounding=cfg.bounding, seed=train_config.seed)
         ref, _ = train_gd(ref, train_data, train_config)
         want = loss_rec(predict_one_step(ref, val_data), val_data.targets)

@@ -106,14 +106,22 @@ class TestFitExamples:
         assert abs(b - 4.0) <= 0.1
         assert abs(c + 1.0) <= 0.05
 
-    def test_constant_curve_convention(self):
-        fits = fit_candidates(curve_from(lambda x: np.full_like(x, 0.7)))
+    # equal values; the mean of the last three rounds off them, so their variance is not 0
+    @pytest.mark.parametrize("value, n", [(0.7, 200), (0.3, 200), (0.1, 50), (1e-3, 100)])
+    def test_constant_curve_convention(self, value, n):
+        fits = fit_candidates(curve_from(lambda x: np.full_like(x, value), n=n))
         assert len(fits) == 1
         only = fits[0]
         assert only.form == "affine"
         assert only.coefficients[0] == 0.0
-        assert only.coefficients[1] == pytest.approx(0.7)
+        assert only.coefficients[1] == value
         assert only.r_squared == 1.0
+
+    def test_spread_that_squares_to_zero_is_constant(self):
+        # unequal values whose squared deviations underflow: r2 would divide by 0
+        fits = fit_candidates(curve_from(lambda x: 1e-170 * (1.5 + 0.5 * x), n=50))
+        assert [(f.form, f.r_squared) for f in fits] == [("affine", 1.0)]
+        assert 1e-170 <= fits[0].coefficients[1] <= 2e-170
 
 
 class TestFitContract:

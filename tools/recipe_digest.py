@@ -3,10 +3,12 @@ every artifact it writes, plus one combined digest.
 
 For each experiment the recipe runs `generate`, then `train` and `evaluate`
 for each model kind (kafcm, fcm, mlp), then `extract`, on the shipped
-config with its model kind set and `--seed` applied. All three experiments
-write 42 files. The combined digest is the sha256 of the `sha256sum`-style
-listing (`<sha256>  <path>`, one line per file, sorted by path), so two
-trees that write the same bytes print the same combined digest.
+config with its model kind set and `--seed` applied; an experiment's
+shipped config is the file under `configs/` whose `experiment` key names
+it. All three experiments write 42 files. The combined digest is the
+sha256 of the `sha256sum`-style listing (`<sha256>  <path>`, one line per
+file, sorted by path), so two trees that write the same bytes print the
+same combined digest.
 
     python tools/recipe_digest.py --seed 0                # all three experiments
     python tools/recipe_digest.py --seed 0 yerkes sine    # a subset
@@ -36,12 +38,21 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from kafcm.cli_harness import EXPERIMENTS, MODEL_KINDS, main as kafcm_main  # noqa: E402
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-CONFIG_FILES = {"yerkes": "experiment1.json", "sine": "experiment2.json", "mackey": "experiment3.json"}
 STEPS = (
     [("generate", "kafcm")]
     + [(command, kind) for kind in MODEL_KINDS for command in ("train", "evaluate")]
     + [("extract", "kafcm")]
 )
+
+
+def shipped_configs() -> dict:
+    """Experiment -> the raw JSON of the file under configs/ that names it."""
+    configs = {}
+    for name in sorted(os.listdir(os.path.join(ROOT, "configs"))):
+        with open(os.path.join(ROOT, "configs", name)) as fh:
+            raw = json.load(fh)
+        configs[raw["experiment"]] = raw
+    return configs
 
 
 def run_recipe(workdir, seed: int = 0, experiments=EXPERIMENTS) -> str:
@@ -50,9 +61,9 @@ def run_recipe(workdir, seed: int = 0, experiments=EXPERIMENTS) -> str:
     config_dir = os.path.join(workdir, "configs")
     out_root = os.path.join(workdir, "out")
     os.makedirs(config_dir, exist_ok=True)
+    shipped = shipped_configs()
     for exp in experiments:
-        with open(os.path.join(ROOT, "configs", CONFIG_FILES[exp])) as fh:
-            raw = json.load(fh)
+        raw = shipped[exp]
         configs = {}
         for kind in MODEL_KINDS:
             configs[kind] = os.path.join(config_dir, f"{exp}_{kind}.json")
