@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic_io import atomic_write
-from .edge_functions import BASE_KINDS, _constant, base_eval, init_edge
+from .edge_functions import _BASES, BASE_KINDS, _constant, base_eval, init_edge
 from .spline_core import KnotGrid, basis_evaluator, basis_tensor, make_uniform_grid
 
 __all__ = [
@@ -37,8 +37,6 @@ __all__ = [
     "trajectory_from_csv",
 ]
 
-BOUNDING_KINDS = ("smooth_clip", "tanh", "identity")
-
 SMOOTH_CLIP_STEEPNESS = 8.0
 
 _HALF, _STEEPNESS, _ONE = map(_constant, (0.5, SMOOTH_CLIP_STEEPNESS, 1.0))
@@ -46,6 +44,27 @@ _HALF, _STEEPNESS, _ONE = map(_constant, (0.5, SMOOTH_CLIP_STEEPNESS, 1.0))
 
 class DivergenceError(RuntimeError):
     """A state, loss, or gradient became non-finite."""
+
+
+def _smooth_clip(x, out, scratch):
+    z, e = (np.empty(x.shape), np.empty(x.shape)) if scratch is None else scratch
+    np.multiply(_STEEPNESS, np.subtract(x, _HALF, z), z)
+    np.exp(np.negative(np.abs(z, e), e), e)
+    # heaviside(z, 1) is 1.0 for z >= 0 and 0.0 below; max with e <= 1
+    # makes it 1.0 or e, so the quotient is 1/(1+e) or e/(1+e), and keeps
+    # a NaN e itself, as np.where(z >= 0, 1.0, e) would
+    np.maximum(e, np.heaviside(z, _ONE, z), out=z)
+    return np.divide(z, np.add(_ONE, e, e), out)
+
+
+# sigma of each bounding kind as fn(x, out, scratch) for a float array x:
+# apply_bounding looks its kind up here, and a stepper binds its entry once
+_BOUNDING = {
+    "smooth_clip": _smooth_clip,
+    "tanh": lambda x, out, scratch: np.tanh(x, out),
+    "identity": lambda x, out, scratch: x if out is None else np.positive(x, out),
+}
+BOUNDING_KINDS = tuple(_BOUNDING)
 
 
 def apply_bounding(kind: str, x, out=None, scratch=None):
@@ -57,21 +76,10 @@ def apply_bounding(kind: str, x, out=None, scratch=None):
     pair of float arrays of x's shape for smooth_clip's temporaries, so that
     with out no bounding allocates an array.
     """
-    x = np.asarray(x, dtype=float)
-    if kind == "tanh":
-        return np.tanh(x, out=out)
-    if kind == "smooth_clip":
-        z, e = (np.empty(x.shape), np.empty(x.shape)) if scratch is None else scratch
-        np.multiply(_STEEPNESS, np.subtract(x, _HALF, z), z)
-        np.exp(np.negative(np.abs(z, e), e), e)
-        # heaviside(z, 1) is 1.0 for z >= 0 and 0.0 below; max with e <= 1
-        # makes it 1.0 or e, so the quotient is 1/(1+e) or e/(1+e), and keeps
-        # a NaN e itself, as np.where(z >= 0, 1.0, e) would
-        np.maximum(e, np.heaviside(z, _ONE, z), out=z)
-        return np.divide(z, np.add(_ONE, e, e), out=out)
-    if kind == "identity":
-        return x if out is None else np.positive(x, out=out)
-    raise ValueError(f"unknown bounding kind: {kind!r}")
+    bound = _BOUNDING.get(kind)
+    if bound is None:
+        raise ValueError(f"unknown bounding kind: {kind!r}")
+    return bound(np.asarray(x, dtype=float), out, scratch)
 
 
 def bounding_slope(kind: str, y, out=None, tmp=None):
@@ -192,34 +200,40 @@ class KAFCMModel:
         alpha flattened to match B's, so absent edges' slots give zeros."""
         w_base, w_spline, alpha = self.views(self.theta)
         mask = self.mask[rows]
-        Ws = (w_spline[rows] * mask)[:, :, None] * alpha[rows]
-        return w_base[rows] * mask, Ws.reshape(len(Ws), -1)
+        # w_spline * mask repeated along K, since NumPy buffers a broadcast operand
+        Ws = np.repeat(w_spline[rows] * mask, self.K).reshape(len(mask), -1)
+        Ws *= alpha[rows].reshape(Ws.shape)
+        return w_base[rows] * mask, Ws
 
     @staticmethod
     def forward(features, weights, out=None) -> np.ndarray:
         """Pre-activation sums base @ Wb.T + B @ Ws.T, shape (T, rows): the
         one forward of every inference and training path. out, if given, is
         a pair of (T, rows) arrays: the sum goes into the first, which is
-        returned, and the second holds the spline term."""
+        returned, and the second holds the spline term; both must be
+        C-contiguous float arrays, as np.dot requires of its out. np.dot
+        reaches matmul's BLAS kernels without its ufunc dispatch."""
         (base, B), (Wb, Ws) = features, weights
         pre, spline = (None, None) if out is None else out
-        pre = np.matmul(base, Wb.T, pre)
-        return np.add(pre, np.matmul(B, Ws.T, spline), pre)
+        pre = np.dot(base, Wb.T, pre)
+        return np.add(pre, np.dot(B, Ws.T, spline), pre)
 
     def stepper(self):
         """step(state, out=None) -> sigma(pre(state)) for one state, a float
         vector of n values.
 
         Everything that does not depend on the state is bound once per
-        stepper: the weights, the base row and the basis row (filled through
-        an (n, K) view by the basis routine's bound work arrays), the two
-        pre-activation rows and the scratch of the base and the bounding. A
-        step is then a run of in-place calls through the one basis routine
-        and the one forward; it writes into out (a new array when None) and
-        returns it, and out may be state itself. Separate steppers share
-        nothing, but one stepper must not run two steps at once.
+        stepper: the weights, the base's and the bounding's functions, the
+        base row and the basis row (filled through an (n, K) view by the
+        basis routine's bound work arrays), the two pre-activation rows and
+        the scratch of the base and the bounding. A step is then a run of
+        in-place calls through the one basis routine and the one forward; it
+        writes into out (a new array when None) and returns it, and out may
+        be state itself. Separate steppers share nothing, but one stepper
+        must not run two steps at once.
         """
-        n, K, kind, bounding, forward = self.n_nodes, self.K, self.base, self.bounding, self.forward
+        n, K, forward = self.n_nodes, self.K, self.forward
+        base_fn, bound = _BASES[self.base], _BOUNDING[self.bounding]
         weights = self.weights()
         feats = base, B = np.empty((1, n)), np.empty((1, n * K))
         pre = np.empty((1, n)), np.empty((1, n))
@@ -228,10 +242,10 @@ class KAFCMModel:
         base_scratch, bound_scratch = (np.empty(n), np.empty(n)), (np.empty(n), np.empty(n))
 
         def step(state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-            base_eval(kind, state, base_row, base_scratch)
+            base_fn(state, base_row, base_scratch)
             basis(state, points)
             forward(feats, weights, pre)
-            return apply_bounding(bounding, pre_row, np.empty(n) if out is None else out, bound_scratch)
+            return bound(pre_row, np.empty(n) if out is None else out, bound_scratch)
 
         return step
 

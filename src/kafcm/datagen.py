@@ -149,22 +149,28 @@ def gen_mackey_glass(params: MackeyGlassParams, seed: int = 0) -> np.ndarray:
     Integration is RK4 over steps of dt with the delayed term held constant
     within each step; the delay history starts as the constant x0. The
     integrator is deterministic: seed is accepted only so callers can record
-    a uniform metadata shape.
+    a uniform metadata shape. It runs on Python floats, which round as
+    float64 does; where math.pow or the division raises instead of giving
+    inf or NaN, that step's drive is taken in float64, as NumPy gives it.
     """
     if not params.x0 > 0:
         raise ValueError(f"x0 must be positive, got {params.x0}")
     spu = round(1.0 / params.dt)  # micro steps per unit time
     delay_steps = round(params.tau / params.dt)
-    hist = np.full(delay_steps, float(params.x0))
+    hist = [float(params.x0)] * delay_steps
     idx = 0
     x = float(params.x0)
-    dt, beta, gamma, nexp = params.dt, params.beta, params.gamma, params.exponent
+    dt, beta, gamma, nexp = (float(v) for v in (params.dt, params.beta, params.gamma, params.exponent))
+    power, isfinite = math.pow, math.isfinite
     samples = np.empty(params.total_steps)
     for step in range(params.total_steps * spu):
         if step % spu == 0:
             samples[step // spu] = x
         xd = hist[idx]
-        drive = beta * xd / (1.0 + xd**nexp)
+        try:
+            drive = beta * xd / (1.0 + power(xd, nexp))
+        except (OverflowError, ValueError, ZeroDivisionError):
+            drive = float(beta * np.float64(xd) / (1.0 + np.float64(xd) ** nexp))
         k1 = drive - gamma * x
         k2 = drive - gamma * (x + 0.5 * dt * k1)
         k3 = drive - gamma * (x + 0.5 * dt * k2)
@@ -172,7 +178,7 @@ def gen_mackey_glass(params: MackeyGlassParams, seed: int = 0) -> np.ndarray:
         hist[idx] = x
         idx = (idx + 1) % delay_steps
         x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(x):
+        if not isfinite(x):
             raise DivergenceError(f"non-finite value at integration step {step}")
     return samples[params.washout :]
 

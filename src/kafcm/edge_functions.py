@@ -35,8 +35,6 @@ __all__ = [
     "init_edge",
 ]
 
-BASE_KINDS = ("silu", "identity")
-
 
 def _constant(value: float) -> np.ndarray:
     """value as a read-only 0-d array, which a ufunc takes faster than a Python float."""
@@ -82,17 +80,28 @@ def silu_grad(x):
     return out
 
 
+def _identity(x, out, scratch):
+    if out is not None:
+        np.copyto(out, x)
+        return out
+    return np.asarray(x, dtype=float) if np.ndim(x) else float(x)
+
+
+# b of each base kind as fn(x, out, scratch): base_eval looks its kind up
+# here, and a stepper binds its entry once
+_BASES = {"silu": silu, "identity": _identity}
+
+
 def base_eval(kind: str, x, out=None, scratch=None):
     """b(x) of base `kind`; out, if given, is an array of x's shape that
     receives the values and is returned, and scratch is silu's."""
-    if kind == "silu":
-        return silu(x, out, scratch)
-    if kind == "identity":
-        if out is not None:
-            np.copyto(out, x)
-            return out
-        return np.asarray(x, dtype=float) if np.ndim(x) else float(x)
-    raise ValueError(f"unknown base kind: {kind!r}")
+    base = _BASES.get(kind)
+    if base is None:
+        raise ValueError(f"unknown base kind: {kind!r}")
+    return base(x, out, scratch)
+
+
+BASE_KINDS = tuple(_BASES)
 
 
 def base_grad(kind: str, x):

@@ -181,7 +181,8 @@ def _local_eval(work: _Work, xs: np.ndarray, out: np.ndarray) -> np.ndarray:
     point gives a NaN row. Only per-point work happens here: outputs are passed positionally
     (by keyword to np.maximum and np.minimum, which deprecate a third
     positional argument), operands as 0-d arrays, and the one array made is
-    the span search's.
+    the span search's. Products are np.dot, which reaches matmul's BLAS
+    kernels without its ufunc dispatch.
     """
     xc, u = work.xc, work.u
     np.minimum(np.maximum(xs, work.lo, out=xc), work.hi, out=xc)
@@ -195,13 +196,13 @@ def _local_eval(work: _Work, xs: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.multiply(prev, u, power)
     np.add(work.window, span.take(work.rows, None, work.at, "clip"), work.at)
     out.fill(0.0)
-    vals = np.matmul(work.V, work.coef, work.vals)
+    vals = np.dot(work.V, work.coef, work.vals)
     if work.clip:
         np.maximum(vals, work.zero, out=vals)
     out.ravel()[work.at] = vals
     # u holds offsets in [0, 1] (up to rounding) or NaN, so u @ u, a sum of
     # squares far below overflow, is NaN (unequal to itself) exactly when some u is
-    square = u @ u
+    square = np.dot(u, u)
     if square != square:
         out[np.isnan(u)] = np.nan
     return out

@@ -181,6 +181,9 @@ _FITTERS = {
     "sinusoid": _fit_sinusoid,
 }
 
+# the coefficients of each form that scale with the curve's values
+_LINEAR = {"affine": [0, 1], "polynomial": slice(None), "gaussian": [0, 2], "sinusoid": [0, 3]}
+
 
 def fit_candidates(curve: EdgeCurve) -> list[CandidateFit]:
     """One fit per library form, ranked by score descending.
@@ -188,19 +191,27 @@ def fit_candidates(curve: EdgeCurve) -> list[CandidateFit]:
     A curve whose values are all equal, or whose spread squares to 0,
     short-circuits to one constant affine fit (its mean, clipped to its
     range) with r_squared 1 by convention: the ratio is 0/0 there.
+
+    A curve reaching 1 in magnitude is fitted as ys / 2**e, with 2**e the
+    power of two just above its largest magnitude, so that no sum of
+    squares overflows; the scaling is exact, so r_squared keeps its bits,
+    and the coefficients that scale with the values are scaled back.
     """
     xs, ys = curve.xs, curve.ys
     if len(xs) < MIN_CURVE_POINTS:
         raise ValueError(f"need at least {MIN_CURVE_POINTS} points, got {len(xs)}")
     if xs[-1] - xs[0] <= 0:
         raise ValueError("xs span must be positive")
+    e = max(int(np.frexp(np.abs(ys).max())[1]), 0)
+    ys = np.ldexp(ys, -e)
     sst = float(np.sum((ys - ys.mean()) ** 2))
     if ys.min() == ys.max() or sst == 0.0:
         coef = np.array([0.0, float(np.clip(ys.mean(), ys.min(), ys.max()))])
-        return [CandidateFit("affine", coef, 1.0, 1.0 - 2 * COMPLEXITY_PENALTY)]
+        return [CandidateFit("affine", np.ldexp(coef, e), 1.0, 1.0 - 2 * COMPLEXITY_PENALTY)]
     fits = []
     for form, fitter in _FITTERS.items():
         coef, sse = fitter(xs, ys)
+        coef[_LINEAR[form]] = np.ldexp(coef[_LINEAR[form]], e)
         r2 = 1.0 - sse / sst
         fits.append(CandidateFit(form, coef, r2, r2 - COMPLEXITY_PENALTY * len(coef)))
     fits.sort(key=lambda f: (-f.score, f.form))

@@ -463,12 +463,15 @@ def pso_train_fcm(model: StandardFCM, train: Dataset, config: PSOConfig):
     (trained model, best-fitness history). Fitness is loss_rec of one-step
     predictions on the supervised nodes.
 
-    The whole swarm is scored at once: one stacked product of the states with
-    every particle's W^T into an (S, T, N) buffer allocated once, bounded on
-    the output columns only. Computing the full product and slicing it keeps
-    the arithmetic of scoring one particle at a time, so results are
-    bit-identical to that loop; a product over the output rows of W alone
-    is not.
+    The whole swarm is scored at once, into buffers allocated once per fit:
+    one stacked product of the states with every particle's W^T into an
+    (S, T, N) buffer, bounded on the output columns only, then the squared
+    error. Computing the full product and slicing it keeps the BLAS calls
+    of scoring one particle at a time, so results are bit-identical to that
+    loop. A product over the output rows of W alone is not: a (T, N) @ (N,
+    n_out) product, or one GEMM over every particle's output rows, goes
+    through other BLAS kernels (gemv for one row or one output, OpenBLAS's
+    large-size kernel for a large GEMM) that can round differently.
     """
     n = model.n_nodes
     S = config.swarm_size
@@ -479,11 +482,17 @@ def pso_train_fcm(model: StandardFCM, train: Dataset, config: PSOConfig):
     lo, hi = config.weight_bounds
     rng = np.random.default_rng(config.seed)
     dim = n * n
-    pre = np.empty((S, len(states), n))
+    T, n_out = targets.shape
+    pre = np.empty((S, T, n))
+    # sigma of the output columns and the error's buffers, each (S, T, n_out);
+    # the last two are smooth_clip's scratch before the error fills them
+    y, resid, sq = (np.empty((S, T, n_out)) for _ in range(3))
+    rowsum = np.empty((S, T))
 
     def fitness(swarm: np.ndarray) -> np.ndarray:
         np.matmul(states, swarm.reshape(S, n, n).transpose(0, 2, 1), out=pre)
-        return _squared_error(apply_bounding(model.activation, pre[:, :, rows]), targets)
+        apply_bounding(model.activation, pre[:, :, rows], y, (resid, sq))
+        return _squared_error(y, targets, resid, sq, rowsum)
 
     pos = rng.uniform(lo, hi, (S, dim))
     vel = np.zeros_like(pos)

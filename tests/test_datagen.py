@@ -3,6 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kafcm.cognitive_graph import DivergenceError
 from kafcm.datagen import (
@@ -85,7 +86,72 @@ class TestSine:
         npt.assert_array_equal(a.targets, b.targets)
 
 
+def reference_mackey_glass(params: MackeyGlassParams) -> np.ndarray:
+    """The delay-equation integrator on NumPy float64 scalars: the oracle the
+    Python-float integrator must match bit for bit."""
+    spu = round(1.0 / params.dt)
+    delay_steps = round(params.tau / params.dt)
+    hist = np.full(delay_steps, float(params.x0))
+    idx, x = 0, float(params.x0)
+    dt, beta, gamma, nexp = params.dt, params.beta, params.gamma, params.exponent
+    samples = np.empty(params.total_steps)
+    for step in range(params.total_steps * spu):
+        if step % spu == 0:
+            samples[step // spu] = x
+        xd = hist[idx]
+        drive = beta * xd / (1.0 + xd**nexp)
+        k1 = drive - gamma * x
+        k2 = drive - gamma * (x + 0.5 * dt * k1)
+        k3 = drive - gamma * (x + 0.5 * dt * k2)
+        k4 = drive - gamma * (x + dt * k3)
+        hist[idx] = x
+        idx = (idx + 1) % delay_steps
+        x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(x):
+            raise DivergenceError(f"non-finite value at integration step {step}")
+    return samples[params.washout :]
+
+
+@st.composite
+def mackey_params(draw):
+    dt = draw(st.sampled_from([0.05, 0.1, 0.25, 0.5, 1.0]))
+    unit = st.floats(0.0, 1.0)
+    return MackeyGlassParams(
+        beta=0.05 + 0.45 * draw(unit),
+        gamma=0.02 + 0.28 * draw(unit),
+        exponent=draw(st.sampled_from([0.5, 2.0, 3.0, 10.0]) | st.floats(0.5, 15.0)),
+        tau=dt * draw(st.integers(1, 300)),
+        dt=dt,
+        total_steps=draw(st.integers(20, 300)),
+        washout=draw(st.integers(0, 19)),
+        x0=0.1 + 1.9 * draw(unit),
+    )
+
+
 class TestMackeyGlass:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(mackey_params())
+    @example(MackeyGlassParams())
+    def test_bit_equal_to_float64_scalar_reference(self, params):
+        got = gen_mackey_glass(params)
+        assert np.array_equal(got.view(np.uint64), reference_mackey_glass(params).view(np.uint64))
+
+    # a growing series whose delayed power overflows, a negative base under a
+    # fractional power, and a negative exponent: where math.pow raises
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "params", [dict(gamma=-0.1), dict(beta=-0.5, exponent=2.5), dict(exponent=-2.0, total_steps=600)]
+    )
+    def test_overflow_and_domain_errors_match_reference(self, params):
+        p = MackeyGlassParams(**params)
+        try:
+            want = reference_mackey_glass(p)
+        except DivergenceError as err:
+            with pytest.raises(DivergenceError, match=str(err)):
+                gen_mackey_glass(p)
+        else:
+            assert np.array_equal(gen_mackey_glass(p).view(np.uint64), want.view(np.uint64))
+
     def test_fixed_point_at_one(self):
         # beta*1/(1+1) - gamma*1 = 0 for beta=0.2, gamma=0.1
         p = MackeyGlassParams(x0=1.0, total_steps=40, washout=0)

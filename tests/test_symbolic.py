@@ -117,6 +117,21 @@ class TestFitExamples:
         assert only.coefficients[1] == value
         assert only.r_squared == 1.0
 
+    def test_huge_scale_curve_fits_without_overflow(self):
+        # its squares overflow unless the curve is scaled before the sums
+        # (an overflow warning fails the test)
+        fits = fit_candidates(curve_from(lambda x: 1e300 * x))
+        assert (fits[0].form, fits[0].r_squared) == ("affine", 1.0)
+        assert fits[0].coefficients[0] == pytest.approx(1e300, rel=1e-12)
+        assert all(np.isfinite(f.r_squared) and np.isfinite(f.coefficients).all() for f in fits)
+
+    def test_power_of_two_scale_changes_no_bit(self):
+        base = curve_from(lambda x: np.sin(3 * x) + 0.2 * x)
+        big = EdgeCurve(base.xs, np.ldexp(base.ys, 1000))
+        for small_fit, big_fit in zip(fit_candidates(base), fit_candidates(big)):
+            assert (big_fit.form, big_fit.r_squared) == (small_fit.form, small_fit.r_squared)
+            assert np.array_equal(big_fit.predict(base.xs), np.ldexp(small_fit.predict(base.xs), 1000))
+
     def test_spread_that_squares_to_zero_is_constant(self):
         # unequal values whose squared deviations underflow: r2 would divide by 0
         fits = fit_candidates(curve_from(lambda x: 1e-170 * (1.5 + 0.5 * x), n=50))

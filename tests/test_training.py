@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kafcm import cognitive_graph
 from kafcm.cognitive_graph import (
@@ -634,6 +634,32 @@ class TestPSO:
         ref_weights, ref_history = reference_pso(model, data, config)
         assert np.array_equal(history, ref_history)
         assert np.array_equal(trained.weights, ref_weights)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 9),
+        full_state=st.booleans(),
+        S=st.integers(2, 39),
+        T=st.integers(1, 1299),
+        activation=st.sampled_from(BOUNDING_KINDS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # one row, where a swarm product of other shapes goes through gemv, and
+    # the largest layouts
+    @example(n=3, full_state=False, S=2, T=1, activation="tanh", seed=0)
+    @example(n=5, full_state=False, S=39, T=1299, activation="tanh", seed=1)
+    @example(n=9, full_state=True, S=39, T=1299, activation="smooth_clip", seed=2)
+    def test_bit_equal_to_reference_over_layouts(self, n, full_state, S, T, activation, seed):
+        rng = np.random.default_rng(seed)
+        d_in = n if full_state else int(rng.integers(1, n))
+        d_out = n if full_state else n - d_in
+        data = Dataset(rng.uniform(-1, 1, (T, d_in)), rng.uniform(-0.9, 0.9, (T, d_out)))
+        config = PSOConfig(swarm_size=S, iterations=3, seed=seed)
+        model = StandardFCM(weights=np.zeros((n, n)), activation=activation)
+        trained, history = pso_train_fcm(model, data, config)
+        ref_weights, ref_history = reference_pso(model, data, config)
+        assert np.array_equal(history.view(np.uint64), ref_history.view(np.uint64))
+        assert np.array_equal(trained.weights.view(np.uint64), ref_weights.view(np.uint64))
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="swarm_size"):
