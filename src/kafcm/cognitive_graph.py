@@ -9,13 +9,14 @@ outside a squashed range.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .atomic_io import atomic_write
-from .edge_functions import _BASES, BASE_KINDS, _constant, base_eval, init_edge
+from .edge_functions import _BASES, BASE_KINDS, _constant, _fresh_edge, base_eval
 from .spline_core import KnotGrid, basis_evaluator, basis_tensor, make_uniform_grid
 
 __all__ = [
@@ -114,8 +115,9 @@ class KAFCMModel:
     views look into its own theta.
     mask[i, j] False means the edge is absent: it contributes nothing,
     whatever finite values its slot holds, so the mask may be edited in
-    place. edges[i][j] is an EdgeView of slot (i, j), and assigning an edge
-    function to it copies its parameters in.
+    place. edges[i][j] is an EdgeView of slot (i, j). Parameters enter a
+    model only through these arrays, its views included; the grid and the
+    base are fixed when it is built.
     """
 
     def __init__(self, n_nodes: int, grid: KnotGrid, mask=None, bounding="smooth_clip", base="silu"):
@@ -134,47 +136,6 @@ class KAFCMModel:
         self.bounding = bounding
         self.base = base
         self.theta = np.zeros(n_nodes * n_nodes * (2 + self.K))
-
-    @classmethod
-    def from_edges(cls, edges, mask, bounding="smooth_clip") -> "KAFCMModel":
-        """A model holding edges[i][j] wherever mask[i, j] (other entries are
-        ignored and may be None), on the grid and base of the first present
-        edge. Raises ValueError when mask has no present edge to take them
-        from, or naming the first edge whose grid or base differs from it,
-        that first edge, and both grids or bases."""
-        mask = np.asarray(mask, dtype=bool)
-        present = np.argwhere(mask).tolist()
-        if not present:
-            raise ValueError("from_edges needs a present edge to take the grid and base from")
-        chosen = [edges[i][j] for i, j in present]
-        model = cls(len(mask), chosen[0].grid, mask, bounding, chosen[0].base)
-        model._put(present, chosen, "edge ({}, {}) ".format(*present[0]))
-        return model
-
-    def _put(self, slots, edges, source="the model's ") -> None:
-        """Copy edges[k]'s parameters into slot slots[k] = (i, j) for every k,
-        after checking that each edge's grid equals the model's by value and
-        its base is the model's; source names where the model's grid and base
-        came from in the error."""
-        for (i, j), edge in zip(slots, edges):
-            if edge.grid != self.grid:
-                raise ValueError(
-                    f"edge ({i}, {j}) does not share the model's knot grid: grid {edge.grid!r} "
-                    f"differs from {source}grid {self.grid!r}"
-                )
-            self._check_base(i, j, edge.base, source)
-        at = [i for i, _ in slots], [j for _, j in slots]
-        w_base, w_spline, alpha = self.views(self.theta)
-        w_base[at] = [e.w_base for e in edges]
-        w_spline[at] = [e.w_spline for e in edges]
-        alpha[at] = np.reshape([e.alpha for e in edges], (len(edges), self.K))
-
-    def _check_base(self, i: int, j: int, base: str, source="the model's ") -> None:
-        if base != self.base:
-            raise ValueError(
-                f"edge ({i}, {j}) does not share the model's base kind: base {base!r} "
-                f"differs from {source}base {self.base!r}"
-            )
 
     def views(self, flat: np.ndarray):
         """(w_base, w_spline, alpha) views into a buffer laid out like theta."""
@@ -253,7 +214,8 @@ class KAFCMModel:
 class EdgeView:
     """Edge (i, j) of a KAFCMModel with the attributes of an EdgeFunction:
     w_base, w_spline and alpha (a view) are entry [i, j] of the model's
-    arrays. base is the model's; setting another base raises ValueError."""
+    arrays, and setting them writes that entry. grid and base are the
+    model's and read-only."""
 
     __slots__ = ("model", "i", "j")
 
@@ -276,22 +238,15 @@ class EdgeView:
     def alpha(self, value):
         self.alpha[:] = value
 
-    @property
-    def base(self) -> str:
-        return self.model.base
-
-    @base.setter
-    def base(self, value: str):
-        self.model._check_base(self.i, self.j, value)
-
+    base = property(lambda view: view.model.base)
     grid = property(lambda view: view.model.grid)
 
 
 class _EdgeTable:
     """model.edges, or its row i when i is set: edges[i][j] is
-    EdgeView(model, i, j), and edges[i][j] = edge copies edge's parameters
-    into slot (i, j) after checking its grid equals the model's by value and
-    its base is the model's."""
+    EdgeView(model, i, j) for integer i and j (negative ones count from the
+    end; a slice raises TypeError). It holds no assignment: write through
+    the view's attributes."""
 
     __slots__ = ("model", "i")
 
@@ -299,13 +254,8 @@ class _EdgeTable:
         self.model, self.i = model, i
 
     def __getitem__(self, k):
-        k = range(self.model.n_nodes)[k]
+        k = range(self.model.n_nodes)[operator.index(k)]
         return _EdgeTable(self.model, k) if self.i is None else EdgeView(self.model, self.i, k)
-
-    def __setitem__(self, j, edge):
-        if self.i is None:
-            raise TypeError("assign one edge at a time: model.edges[i][j] = edge")
-        self.model._put([(self.i, range(self.model.n_nodes)[j])], [edge])
 
 
 @dataclass
@@ -357,8 +307,9 @@ def new_kafcm(
     """
     model = KAFCMModel(n_nodes, grid, mask, bounding, base)
     edge_seeds = np.random.SeedSequence(seed).generate_state(n_nodes * n_nodes)
-    present = np.argwhere(model.mask).tolist()
-    model._put(present, [init_edge(grid, base=base, rng_seed=int(edge_seeds[i * n_nodes + j])) for i, j in present])
+    w_base, w_spline, alpha = model.views(model.theta)
+    for i, j in np.argwhere(model.mask).tolist():
+        w_base[i, j], w_spline[i, j], alpha[i, j] = _fresh_edge(model.K, int(edge_seeds[i * n_nodes + j]))
     return model
 
 

@@ -169,8 +169,13 @@ def edge_grad(edge: EdgeFunction, x: float, upstream: float = 1.0) -> EdgeGradie
     return EdgeGradient(float(d_w_base), float(d_w_spline), d_alpha, float(upstream * d_in))
 
 
+def _fresh_edge(K: int, seed: int):
+    """(w_base, w_spline, alpha) of a fresh edge near its base function: unit
+    path weights and K coefficients drawn by default_rng(seed) uniformly from
+    [-0.1, 0.1), the init of init_edge and of every edge of new_kafcm."""
+    return 1.0, 1.0, np.random.default_rng(seed).uniform(-0.1, 0.1, K)
+
+
 def init_edge(grid: KnotGrid, base: str = "silu", rng_seed: int = 0) -> EdgeFunction:
     """Fresh edge near the base function: unit path weights, small uniform alpha."""
-    rng = np.random.default_rng(rng_seed)
-    alpha = rng.uniform(-0.1, 0.1, grid.basis_count)
-    return EdgeFunction(w_base=1.0, w_spline=1.0, alpha=alpha, grid=grid, base=base)
+    return EdgeFunction(*_fresh_edge(grid.basis_count, rng_seed), grid, base)

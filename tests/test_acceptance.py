@@ -284,11 +284,8 @@ def _check_fcm_reduction(rng) -> float:
         n = 4
         W = rng.uniform(-1, 1, (n, n))
         fcm = StandardFCM(W, activation=bounding)
-        edges = [
-            [EdgeFunction(W[i, j], 0.0, np.zeros(grid.basis_count), grid, base="identity") for j in range(n)]
-            for i in range(n)
-        ]
-        model = KAFCMModel.from_edges(edges, np.ones((n, n), dtype=bool), bounding=bounding)
+        model = KAFCMModel(n, grid, np.ones((n, n), dtype=bool), bounding, base="identity")
+        model.w_base[:] = W
         for _ in range(50):
             state = rng.uniform(-1, 1, n)
             worst = max(worst, float(np.abs(kafcm_step(model, state) - fcm_step(fcm, state)).max()))

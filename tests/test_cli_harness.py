@@ -4,6 +4,9 @@ import dataclasses
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -935,3 +938,28 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("i/o error: [Errno 2] No such file or directory:") and str(target) in err
         assert ".tmp" not in err
+
+
+def test_python_m_kafcm_entry_point(tmp_path):
+    """`python -m kafcm` runs a subcommand and maps a config error to exit
+    2 with a one-line message, not a traceback."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+
+    def run(cfg):
+        return subprocess.run(
+            [sys.executable, "-m", "kafcm", "generate", "--config", cfg],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    ok = run(write_config(tmp_path))
+    assert ok.returncode == 0, ok.stderr
+    assert (tmp_path / "out" / "data.csv").exists()
+    bad = run(write_config(tmp_path, name="bad.json", bogus=1))
+    assert bad.returncode == 2
+    assert "config error:" in bad.stderr and "Traceback" not in bad.stderr

@@ -1,13 +1,13 @@
 """The inference fast paths against their straightforward forms, bit for bit.
 
 `basis_matrix`, `basis_derivative_matrix`, `basis_tensor`, `silu`,
-`silu_grad`, `KAFCMModel.from_edges`, `new_kafcm` and `simulate` are written
-for few NumPy calls per step, and `simulate` reuses one set of step buffers
-per call. The references below are the plain forms of the same arithmetic:
-`np.clip`, `np.vander` and a NaN mask for the local basis, boolean-mask
-indexing for SiLU, a per-(i, j) walk of the mask that packs edge objects into
-one parameter buffer, and a forward whose base term is the (T, N) states
-under the map's one base times the (N, N) w_base.
+`silu_grad`, `new_kafcm` and `simulate` are written for few NumPy calls per
+step, and `simulate` reuses one set of step buffers per call. The references
+below are the plain forms of the same arithmetic: `np.clip`, `np.vander` and
+a NaN mask for the local basis, boolean-mask indexing for SiLU, a per-(i, j)
+walk of the mask that packs edges (`init_edge` objects, or a model's edge
+views) into one parameter buffer, and a forward whose base term is the
+(T, N) states under the map's one base times the (N, N) w_base.
 Every comparison is of the raw float64 bits, so signed zeros and NaN
 payloads must match as well as values. The one exception is the two-block
 forward, which evaluated every state under both base kinds and masked w_base
@@ -119,18 +119,18 @@ def ref_silu_grad(x):
 
 
 def ref_pack(edges, mask):
-    """(theta, base, grid) of edges[i][j] from a per-(i, j) walk of the mask."""
+    """(theta, base, grid) of edges[i][j] from a per-(i, j) walk of the mask,
+    on the grid and base of edges[0][0], present or not."""
     n = len(mask)
+    grid, base = edges[0][0].grid, edges[0][0].base
     edges = [edges[i][j] for i in range(n) for j in range(n) if mask[i, j]]
-    grid = edges[0].grid if edges else None
-    base = edges[0].base if edges else "silu"
-    assert all(e.base == base for e in edges)
-    K = 0 if grid is None else grid.basis_count
+    assert all(e.base == base and e.grid == grid for e in edges)
+    K = grid.basis_count
     nn = n * n
     theta = np.zeros(nn * (2 + K))
     theta[:nn].reshape(n, n)[mask] = [e.w_base for e in edges]
     theta[nn : 2 * nn].reshape(n, n)[mask] = [e.w_spline for e in edges]
-    theta[2 * nn :].reshape(n, n, K)[mask] = [e.alpha for e in edges]
+    theta[2 * nn :].reshape(n, n, K)[mask] = np.reshape([e.alpha for e in edges], (len(edges), K))
     return theta, base, grid
 
 
@@ -143,7 +143,7 @@ def ref_weights(model):
     """(base, grid, w_base, Ws) from the reference pack of model's edges."""
     n = model.n_nodes
     theta, base, grid = ref_pack(model.edges, model.mask)
-    K = 0 if grid is None else grid.basis_count
+    K = grid.basis_count
     nn = n * n
     w_base, w_spline = theta[:nn].reshape(n, n), theta[nn : 2 * nn].reshape(n, n)
     Ws = (w_spline[:, :, None] * theta[2 * nn :].reshape(n, n, K)).reshape(n, -1)
@@ -156,8 +156,7 @@ def ref_stepper(model):
 
     def step(state):
         states = state[None, :]
-        B = ref_basis_tensor(grid, states) if grid is not None else np.zeros((1, 0))
-        pre = (ref_base(base, states) @ Wb.T + B @ Ws.T)[0]
+        pre = (ref_base(base, states) @ Wb.T + ref_basis_tensor(grid, states) @ Ws.T)[0]
         return np.asarray(apply_bounding(model.bounding, pre))
 
     return step
@@ -341,10 +340,11 @@ def _random_model(n, mask, seed, bounding="smooth_clip", base="silu"):
 
 
 def _random_edges(n, mask, seed, base):
-    """EdgeFunction objects with one base kind, independent of any model."""
+    """EdgeFunction objects with one base kind, independent of any model:
+    random at present edges, zeros on the same grid at absent ones."""
     grid = make_uniform_grid(-1.0, 1.0, 6, 3)
     rng = np.random.default_rng(seed)
-    edges = [[None] * n for _ in range(n)]
+    edges = [[EdgeFunction(0.0, 0.0, np.zeros(grid.basis_count), grid, base) for _ in range(n)] for _ in range(n)]
     for i, j in zip(*np.nonzero(mask)):
         alpha = rng.uniform(-0.1, 0.1, grid.basis_count)
         edges[i][j] = EdgeFunction(rng.normal(), rng.normal(), alpha, grid, base=base)
@@ -358,7 +358,8 @@ def _pack_cases():
     yield "masked-identity", (_random_edges(n, masked, 1, "identity"), masked)
     dense = np.ones((n, n), dtype=bool)
     yield "dense-silu", (_random_edges(n, dense, 2, "silu"), dense)
-    yield "no-edge", ([[None] * n for _ in range(n)], np.zeros((n, n), dtype=bool))
+    none = np.zeros((n, n), dtype=bool)
+    yield "no-edge", (_random_edges(n, none, 3, "silu"), none)
     one = np.zeros((n, n), dtype=bool)
     one[4, 2] = True
     yield "one-edge", (_random_edges(n, one, 4, "identity"), one)
@@ -367,52 +368,36 @@ def _pack_cases():
 
 @pytest.mark.parametrize("name, case", list(_pack_cases()), ids=lambda v: v if isinstance(v, str) else "")
 def test_pack_bits(name, case):
-    """from_edges packs edge objects into theta as the per-(i, j) walk does,
-    and without a present edge it has no grid to take and raises."""
+    """Edge objects copied into a model through its edge views, one
+    attribute triple per edge, pack theta as the per-(i, j) walk does."""
     edges, mask = case
-    if not mask.any():
-        with pytest.raises(ValueError, match="needs a present edge"):
-            KAFCMModel.from_edges(edges, mask)
-        return
-    model = KAFCMModel.from_edges(edges, mask)
     theta, base, grid = ref_pack(edges, mask)
+    model = KAFCMModel(len(mask), grid, mask, base=base)
+    for i, j, e in model.present_edges():
+        f = edges[i][j]
+        e.w_base, e.w_spline, e.alpha = f.w_base, f.w_spline, f.alpha
     assert same_bits(model.theta, theta)
-    assert model.base == base
-    assert model.grid is grid
-    assert model.K == grid.basis_count
-
-
-def test_pack_accepts_equal_grid_objects_and_names_a_different_grid():
-    mask = np.ones((3, 3), dtype=bool)
-    edges = _random_edges(3, mask, 6, "silu")
-    edges[1][2].grid = make_uniform_grid(-1.0, 1.0, 6, 3)  # equal by value, another object
-    assert edges[1][2].grid is not edges[0][0].grid
-    assert same_bits(KAFCMModel.from_edges(edges, mask).theta, ref_pack(edges, mask)[0])
-    edges[2][1] = EdgeFunction(1.0, 1.0, np.zeros(10), make_uniform_grid(-1.0, 1.0, 7, 3))
-    with pytest.raises(ValueError, match=r"edge \(2, 1\) does not share the model's knot grid"):
-        KAFCMModel.from_edges(edges, mask)
 
 
 @pytest.mark.parametrize("base", BASE_KINDS)
 def test_new_kafcm_matches_per_edge_init(base):
-    n, seed = 6, 17
+    seed = 17
     grid = make_uniform_grid(-1.0, 1.0, 5, 2)
-    mask = np.random.default_rng(3).random((n, n)) < 0.6
-    seeds = np.random.SeedSequence(seed).generate_state(n * n)
-    edges = [[init_edge(grid, base=base, rng_seed=int(seeds[i * n + j])) for j in range(n)] for i in range(n)]
-    model = new_kafcm(n, grid, mask=mask, base=base, seed=seed)
-    theta, ref_base_kind, _ = ref_pack(edges, mask)
-    assert same_bits(model.theta, theta)
-    assert model.base == ref_base_kind == base
+    masks = np.random.default_rng(3).random((6, 6)) < 0.6, np.zeros((6, 6), dtype=bool), np.ones((1, 1), dtype=bool)
+    for mask in masks:  # masked, edgeless, one node
+        n = len(mask)
+        seeds = np.random.SeedSequence(seed).generate_state(n * n)
+        edges = [[init_edge(grid, base=base, rng_seed=int(seeds[i * n + j])) for j in range(n)] for i in range(n)]
+        model = new_kafcm(n, grid, mask=mask, base=base, seed=seed)
+        theta, ref_base_kind, _ = ref_pack(edges, mask)
+        assert same_bits(model.theta, theta)
+        assert model.base == ref_base_kind == base
 
 
 def test_edge_view_round_trip():
-    """Edge views copied into a fresh model through from_edges keep every bit."""
+    """Edge views read floats and an alpha that lies in theta."""
     mask = np.random.default_rng(7).random((5, 5)) < 0.7
     model = _random_model(5, mask, 7, base="identity")
-    back = KAFCMModel.from_edges(model.edges, mask, model.bounding)
-    assert same_bits(back.theta, model.theta)
-    assert back.base == model.base == "identity"
     for i, j, e in model.present_edges():
         assert type(e.w_base) is float and type(e.w_spline) is float
         assert np.shares_memory(e.alpha, model.theta)

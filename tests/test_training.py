@@ -20,7 +20,6 @@ from kafcm.cognitive_graph import (
     simulate,
 )
 from kafcm.datagen import Dataset, gen_yerkes
-from kafcm.edge_functions import EdgeFunction
 from kafcm.spline_core import make_uniform_grid
 from kafcm.training import (
     ADAM_BETA1,
@@ -378,9 +377,9 @@ class TestOneBufferAdam:
         model = random_model(rng, 4, 3, 3, "tanh")
         model.mask[2, 0] = model.mask[0, 2] = False
         model.mask[2, 1] = model.mask[0, 3] = True  # an output edge and an L1-only input edge
-        grid = make_uniform_grid(-1.0, 1.0, 3, 3)
         for i, j in ((2, 1), (0, 3)):
-            model.edges[i][j] = EdgeFunction(0.3, -0.4, rng.normal(0, 0.5, grid.basis_count), grid)
+            e = model.edges[i][j]
+            e.w_base, e.w_spline, e.alpha = 0.3, -0.4, rng.normal(0, 0.5, model.K)
         # two inputs, two outputs: edges into nodes 0 and 1 feel only the L1 term
         data = Dataset(rng.uniform(-1, 1, (12, 2)), rng.uniform(-1, 1, (12, 2)))
         config = TrainConfig(learning_rate=0.05, epochs=1, lam=0.01)
@@ -420,7 +419,8 @@ class TestOneBufferAdam:
     def test_failed_fit_leaves_the_model_unchanged(self, learning_rate, message):
         # each fit aborts after Adam has updated its copy of the parameters
         model = feedforward_model(seed=0, bounding="identity", n=3)
-        model.edges[1][2] = model.edges[1][0]  # parameters parked in an absent slot
+        for view in model.views(model.theta):  # parameters parked in an absent slot
+            view[1, 2] = view[1, 0]
         theta = model.theta.copy()
         data = Dataset(inputs=np.full(4, 0.5), targets=np.full((4, 2), 100.0))
         config = TrainConfig(epochs=5)
@@ -431,7 +431,8 @@ class TestOneBufferAdam:
 
     def test_absent_slots_are_ignored_and_kept(self):
         model = feedforward_model(seed=0, n=3)
-        model.edges[1][2] = model.edges[1][0]  # parked: mask[1, 2] stays False
+        for view in model.views(model.theta):  # parked: mask[1, 2] stays False
+            view[1, 2] = view[1, 0]
         parked = [model.w_base[1, 2], model.w_spline[1, 2], model.alpha[1, 2].copy()]
         data = Dataset(inputs=np.linspace(-1, 1, 8), targets=np.zeros((8, 2)))
         lam = 0.01
