@@ -11,6 +11,9 @@ mlp_forward and training share one forward, _forward; training and
 mlp_gradient share one backward, a per-batch _Workspace whose (T, 64) and
 (T, n_out) buffers and flat gradient every epoch fills in place: fresh
 batch-sized arrays on every epoch cost page faults that doubled its time.
+Every product is np.dot, which gives the bits of `@`: np.matmul takes a
+rank-1 product such as X @ W1.T for one input outside BLAS, several times
+slower.
 """
 
 from __future__ import annotations
@@ -89,13 +92,13 @@ def _forward(layers, X: np.ndarray, H1=None, H2=None, P=None) -> np.ndarray:
     layers = [W1, b1, W2, b2, W3, b3], into P (T, n_out) if given, with the
     two relu layers into H1, H2 (T, 64) if given."""
     W1, b1, W2, b2, W3, b3 = layers
-    H1 = np.matmul(X, W1.T, out=H1)
+    H1 = np.dot(X, W1.T, H1)
     H1 += b1
     np.maximum(H1, 0.0, out=H1)
-    H2 = np.matmul(H1, W2.T, out=H2)
+    H2 = np.dot(H1, W2.T, H2)
     H2 += b2
     np.maximum(H2, 0.0, out=H2)
-    P = np.matmul(H2, W3.T, out=P)
+    P = np.dot(H2, W3.T, P)
     P += b3
     return np.tanh(P, out=P)
 
@@ -122,7 +125,8 @@ class _Workspace:
 
     def __init__(self, params: MLPParams, X: np.ndarray, Y: np.ndarray):
         T, h = len(X), HIDDEN_WIDTH
-        self.X, self.Y = X, Y
+        # contiguous once, or np.dot would copy a strided X every epoch
+        self.X, self.Y = np.ascontiguousarray(X), Y
         self.H1, self.H2, self.dH1, self.dH2 = (np.empty((T, h)) for _ in range(4))
         self.P, self.R, self.dZ3, self.tmp = (np.empty((T, params.n_out)) for _ in range(4))
         self.row_loss = np.empty(T)
@@ -143,16 +147,16 @@ class _Workspace:
         # and H = relu(Z) > 0 exactly where Z > 0
         np.multiply(2.0 / len(X), R, out=dZ3)
         dZ3 *= bounding_slope("tanh", P, tmp)
-        np.matmul(dZ3, layers[4], out=dH2)
+        np.dot(dZ3, layers[4], dH2)
         dH2 *= np.greater(H2, 0, out=mask)  # dH2 now holds dZ2
-        np.matmul(dH2, layers[2], out=dH1)
+        np.dot(dH2, layers[2], dH1)
         dH1 *= np.greater(H1, 0, out=mask)  # dH1 now holds dZ1
-        np.matmul(dH1.T, X, out=gW1)
-        np.sum(dH1, axis=0, out=gb1)
-        np.matmul(dH2.T, H1, out=gW2)
-        np.sum(dH2, axis=0, out=gb2)
-        np.matmul(dZ3.T, H2, out=gW3)
-        np.sum(dZ3, axis=0, out=gb3)
+        np.dot(dH1.T, X, gW1)
+        np.add.reduce(dH1, 0, None, gb1)
+        np.dot(dH2.T, H1, gW2)
+        np.add.reduce(dH2, 0, None, gb2)
+        np.dot(dZ3.T, H2, gW3)
+        np.add.reduce(dZ3, 0, None, gb3)
         return loss
 
     def non_finite_entry(self, flat: np.ndarray) -> str:
@@ -160,6 +164,13 @@ class _Workspace:
         for name, layer in zip(LAYER_NAMES, self.grads.views(flat)):
             if not np.isfinite(layer).all():
                 return f"layer {name}"
+
+
+def _plain_step(ws: _Workspace, learning_rate: float):
+    """The update theta -= lr * grad on ws, in place: lr * grad goes into a
+    scratch buffer bound here, so a step allocates nothing."""
+    lr, step = np.array(learning_rate), np.empty_like(ws.theta)
+    return lambda t: np.subtract(ws.theta, np.multiply(lr, ws.grad, step), ws.theta)
 
 
 def mlp_gradient(params: MLPParams, data: Dataset) -> MLPParams:
@@ -199,7 +210,6 @@ def mlp_train(params: MLPParams, train: Dataset, config: TrainConfig):
             f"model ({params.n_in} in, {params.n_out} out)"
         )
     ws = _Workspace(params, X, Y)
-    lr = config.learning_rate
-    history = _descend(ws, lambda t: np.subtract(ws.theta, lr * ws.grad, ws.theta), config.epochs, ws.grad)
+    history = _descend(ws, _plain_step(ws, config.learning_rate), config.epochs, ws.grad)
     np.copyto(params.theta, ws.theta)
     return params, history

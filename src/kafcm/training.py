@@ -19,8 +19,13 @@ buffer `theta`, which a fit writes back only once every epoch has run.
 The loss and its gradients are dense, with no loop over edges, and read
 the model's own arrays through KAFCMModel.views, the one layout of theta.
 A fit builds the (T, N*K) basis tensor B of its input states once; each
-epoch is then one matmul forward over the output rows, one backward C =
+epoch is then one forward over the output rows, one backward C =
 (u.T @ B).reshape(n_out, N, K) for the upstream gradient u, and the update.
+Every product is np.dot, which reaches the BLAS kernels of np.matmul
+without its ufunc dispatch and gives the same bits, but for a (1, 1) @
+(1, 1) product (a one-node map fit on one row): np.dot multiplies it
+directly, so a zero keeps its sign where BLAS sums from +0.0. Adam's
+moments start at +0.0 and absorb that sign, so fits keep their bits.
 
 An epoch allocates nothing: the forward, the backward and the Adam update
 fill one workspace of buffers allocated once per fit, which train_gd and
@@ -312,12 +317,15 @@ class _Workspace:
         self.rowsum = np.empty(T)
         self.C = np.empty((n_out, N * K))
         self.two_over_T = np.array(2.0 / T)
+        # the L1 term's per-edge sums and their running sum in edge order
+        self.edge_l1, self.l1_run = np.empty((N, N)), np.empty(N * N)
+        self.edge_l1_flat = self.edge_l1.reshape(-1)
 
     def loss_and_grads(self) -> float:
         """Total loss at the current parameters; fills self.grad.
 
         Only output rows shape the reconstruction loss, so the backward is
-        one matmul against the basis tensor, C = (u.T @ B).reshape(n_out, N, K),
+        one product with the basis tensor, C = (u.T @ B).reshape(n_out, N, K),
         from which d alpha = w_spline * C and d w_spline = sum_k alpha * C.
         """
         m, lam = self.model, self.lam
@@ -338,13 +346,17 @@ class _Workspace:
         np.multiply(self.two_over_T, resid, u)
         if not identity:
             np.multiply(u, bounding_slope(m.bounding, y, sq, pre), u)
-        np.multiply(np.matmul(u.T, base, g_wb), self.row_mask, g_wb)
-        np.matmul(u.T, B, self.C)
+        np.multiply(np.dot(u.T, base, g_wb), self.row_mask, g_wb)
+        np.dot(u.T, B, self.C)
         np.add.reduce(np.multiply(alpha, C, prod), 2, None, g_ws)
         if lam > 0:
-            # the penalty covers every present edge, also edges into inputs
+            # the penalty covers every present edge, also edges into inputs,
+            # as per-edge sums added in edge order like _l1_alpha's (an
+            # absent edge's sum, +0.0, leaves the running sum as it is)
             full = self.grads[2]
-            loss += lam * float(np.add.reduce(np.abs(self.alpha, full), None))
+            np.add.reduce(np.abs(self.alpha, full), 2, None, self.edge_l1)
+            np.add.accumulate(self.edge_l1_flat, 0, None, self.l1_run)
+            loss += lam * float(self.l1_run[-1])
             np.multiply(lam, np.sign(self.alpha, full), full)
             np.add(g_al, np.multiply(w_spline_k, C, prod), g_al)
         else:
@@ -464,14 +476,14 @@ def pso_train_fcm(model: StandardFCM, train: Dataset, config: PSOConfig):
     predictions on the supervised nodes.
 
     The whole swarm is scored at once, into buffers allocated once per fit:
-    one stacked product of the states with every particle's W^T into an
-    (S, T, N) buffer, bounded on the output columns only, then the squared
-    error. Computing the full product and slicing it keeps the BLAS calls
-    of scoring one particle at a time, so results are bit-identical to that
-    loop. A product over the output rows of W alone is not: a (T, N) @ (N,
-    n_out) product, or one GEMM over every particle's output rows, goes
-    through other BLAS kernels (gemv for one row or one output, OpenBLAS's
-    large-size kernel for a large GEMM) that can round differently.
+    one GEMM of the (T, N) states with every particle's full W^T side by
+    side, (N, S * N), into a (T, S * N) buffer; its output columns, read
+    as an (S, T, n_out) view, are bounded into a contiguous buffer, so the
+    squared error sums over T as it does for one particle. Each entry of
+    the GEMM is the same dot product over N as in scoring one particle at a
+    time, so results are bit-identical to that loop. A product over the
+    output rows of W alone is not: with one output row it goes through
+    gemv, which rounds differently.
     """
     n = model.n_nodes
     S = config.swarm_size
@@ -483,15 +495,17 @@ def pso_train_fcm(model: StandardFCM, train: Dataset, config: PSOConfig):
     rng = np.random.default_rng(config.seed)
     dim = n * n
     T, n_out = targets.shape
-    pre = np.empty((S, T, n))
+    # column s * n + i of pre is node i's pre-activation under particle s
+    pre = np.empty((T, S * n))
+    out_cols = pre.reshape(T, S, n)[:, :, rows].transpose(1, 0, 2)
     # sigma of the output columns and the error's buffers, each (S, T, n_out);
     # the last two are smooth_clip's scratch before the error fills them
     y, resid, sq = (np.empty((S, T, n_out)) for _ in range(3))
     rowsum = np.empty((S, T))
 
     def fitness(swarm: np.ndarray) -> np.ndarray:
-        np.matmul(states, swarm.reshape(S, n, n).transpose(0, 2, 1), out=pre)
-        apply_bounding(model.activation, pre[:, :, rows], y, (resid, sq))
+        np.dot(states, swarm.reshape(S * n, n).T, pre)
+        apply_bounding(model.activation, out_cols, y, (resid, sq))
         return _squared_error(y, targets, resid, sq, rowsum)
 
     pos = rng.uniform(lo, hi, (S, dim))

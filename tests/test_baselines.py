@@ -6,6 +6,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kafcm.baselines import (
     HIDDEN_WIDTH,
@@ -322,6 +323,38 @@ class TestExactness:
         assert np.array_equal(hist, ref_hist)
         for a, b in zip(trained.arrays(), ref.arrays()):
             assert np.array_equal(a, b)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        T=st.integers(1, 1300),
+        n_in=st.integers(1, 6),
+        n_out=st.integers(1, 4),
+        zeros=st.sampled_from([0.0, 0.1, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # one row, where a (1, 1) factor makes np.dot scale a vector, and the
+    # recipe's yerkes/sine and mackey layouts
+    @example(T=1, n_in=1, n_out=1, zeros=0.5, seed=0)
+    @example(T=256, n_in=1, n_out=1, zeros=0.1, seed=1)
+    @example(T=957, n_in=4, n_out=1, zeros=0.1, seed=2)
+    def test_bit_equal_to_reference_with_signed_zeros(self, T, n_in, n_out, zeros, seed):
+        """mlp_gradient and mlp_train, whose products are np.dot, against
+        the allocating reference, whose products are `@`, with a share of
+        the inputs and parameters set to 0.0 and -0.0."""
+        rng = np.random.default_rng(seed)
+        X, Y = random_batch(T, n_in, n_out, seed)
+        params = mlp_init(n_in, n_out, seed=seed % 1000)
+        for a in (X, params.theta):
+            hit = rng.random(a.shape) < zeros
+            a[hit] = np.where(rng.random(int(hit.sum())) < 0.5, 0.0, -0.0)
+        grads = mlp_gradient(params, Dataset(X, Y))
+        _, ref = reference_loss_and_grads(params, X, Y)
+        assert np.array_equal(grads.theta.view(np.uint64), ref.theta.view(np.uint64))
+        config = TrainConfig(0.05, epochs=3)
+        trained, hist = mlp_train(MLPParams(*params.arrays()), Dataset(X, Y), config)
+        ref, ref_hist = reference_train(MLPParams(*params.arrays()), X, Y, 0.05, 3)
+        assert np.array_equal(hist.view(np.uint64), ref_hist.view(np.uint64))
+        assert np.array_equal(trained.theta.view(np.uint64), ref.theta.view(np.uint64))
 
     def test_yerkes_recipe_equals_reference(self):
         train, _, _ = split_dataset(gen_yerkes(400, seed=0), (0.64, 0.16, 0.2), seed=0)

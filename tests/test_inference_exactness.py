@@ -24,6 +24,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kafcm import baselines
+from kafcm.baselines import HIDDEN_WIDTH
 from kafcm.cognitive_graph import (
     BOUNDING_KINDS,
     DivergenceError,
@@ -639,6 +641,39 @@ def test_epochs_allocate_no_array_of_n_floats(lam):
     assert peaks[32].keys() == peaks[64].keys()
     grown = {where for where, peak in peaks[32].items() if peaks[64][where] - peak >= 8 * 32}
     assert not grown, [linecache.getline(*where).strip() for where in grown]
+
+
+def test_mlp_epochs_allocate_no_array_that_grows_with_the_batch():
+    """After the first, 5 MLP epochs with their descent steps allocate no
+    array that grows with the batch: from (T, n_in) = (100, 2) to (200, 4),
+    where an array of T floats grows by 800 bytes and theta by 1024, no
+    line's peak may grow by 8 bytes a hidden unit. X is a column slice,
+    which the workspace must store contiguous once (np.dot would copy it
+    every epoch). Both batches hold fewer than 8192 hidden values, NumPy's
+    ufunc buffer size, so a buffered operand grows with T too: the two
+    hidden bias adds (a broadcast b) and the two ReLU masks (a bool cast to
+    float) take such a buffer, capped at that size. Filling a (T, 64) float
+    operand in their place costs one more pass over it, which measured
+    slower at T = 958, so they stay, and are the only lines that grow."""
+    peaks = {}
+    for T, n_in in ((100, 2), (200, 4)):
+        x = np.random.default_rng(65).uniform(-1.0, 1.0, (T, n_in + 1))
+        ws = baselines._Workspace(baselines.mlp_init(n_in, 1, seed=66), x[:, :-1], x[:, -1:])
+        step = baselines._plain_step(ws, 0.05)
+        ws.loss_and_grads()
+        step(1)
+
+        def epochs():
+            for t in range(2, 7):
+                ws.loss_and_grads()
+                step(t)
+
+        peaks[T] = _line_peaks(epochs)
+    assert peaks[100].keys() == peaks[200].keys()
+    grown = {where for where, peak in peaks[100].items() if peaks[200][where] - peak >= 8 * HIDDEN_WIDTH}
+    lines = sorted(linecache.getline(*where).split("#")[0].strip() for where in grown)
+    assert lines == sorted(["H1 += b1", "H2 += b2", *(f"dH{k} *= np.greater(H{k}, 0, out=mask)" for k in (1, 2))]), lines
+    assert all(peaks[200][where] <= 8 * np.getbufsize() + 4096 for where in grown)
 
 
 def test_in_place_edits_reach_the_next_simulate():
