@@ -9,6 +9,7 @@ dominates; the table is the artifact, the exponent is context.
 
 import os
 
+from kafcm.atomic_io import write_csv
 from kafcm.cognitive_graph import scaling_benchmark
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
@@ -24,8 +25,5 @@ print(f"\nfitted log-log exponent: {res['fitted_exponent']:.2f}")
 print("operation count per step is quadratic in N (N^2 edge evaluations)")
 
 path = os.path.join(OUT, "scaling.csv")
-with open(path, "w") as fh:
-    fh.write("n_nodes,mean_step_seconds\n")
-    for n, t in zip(res["sizes"], res["mean_step_seconds"]):
-        fh.write(f"{n},{float(t)!r}\n")
+write_csv(path, ("n_nodes", "mean_step_seconds"), zip(res["sizes"], res["mean_step_seconds"]))
 print(f"wrote {path}")

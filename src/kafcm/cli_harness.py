@@ -12,7 +12,7 @@ and sorted keys, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 import json
 import math
 from operator import attrgetter
@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .atomic_io import atomic_write, write_json
+from .atomic_io import csv_line, write_csv, write_json
 from .baselines import LAYER_NAMES, MLPParams, default_mlp_config, mlp_forward, mlp_init, mlp_train
 from .cognitive_graph import (
     BOUNDING_KINDS,
@@ -49,7 +49,6 @@ from .training import (
     GridSearchSpace,
     PSOConfig,
     TrainConfig,
-    grid_csv_line,
     grid_search,
     load_grid_rows,
     loss_rec,
@@ -514,10 +513,7 @@ def _model_path(config: ExperimentConfig) -> str:
 
 
 def save_history_csv(history, path) -> None:
-    with atomic_write(path) as fh:
-        fh.write("epoch,loss\n")
-        for epoch, loss in enumerate(history):
-            fh.write(f"{epoch},{float(loss)!r}\n")
+    write_csv(path, ("epoch", "loss"), enumerate(history))
 
 
 def cmd_generate(config: ExperimentConfig) -> int:
@@ -588,7 +584,7 @@ def cmd_gridsearch(config: ExperimentConfig) -> int:
     with open(grid_path, "a") as fh:
 
         def append(row):
-            fh.write(grid_csv_line(row))
+            fh.write(csv_line(astuple(row)))
             fh.flush()
 
         report = grid_search(

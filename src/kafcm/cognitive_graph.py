@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic_io import atomic_write
-from .edge_functions import _BASES, BASE_KINDS, _constant, _fresh_edge, base_eval
+from .atomic_io import read_csv, write_csv
+from .edge_functions import _BASES, _constant, _fresh_edge, _kind_entry, base_eval
 from .spline_core import KnotGrid, basis_evaluator, basis_tensor, make_uniform_grid
 
 __all__ = [
@@ -58,12 +58,18 @@ def _smooth_clip(x, out, scratch):
     return np.divide(z, np.add(_ONE, e, e), out)
 
 
-# sigma of each bounding kind as fn(x, out, scratch) for a float array x:
-# apply_bounding looks its kind up here, and a stepper binds its entry once
+def _smooth_clip_slope(y, out, tmp):
+    out = np.multiply(SMOOTH_CLIP_STEEPNESS, y, out)
+    return np.multiply(out, np.subtract(1.0, y, tmp), out)
+
+
+# (sigma as fn(x, out, scratch) of a float array x, sigma' from y = sigma(x)
+# as fn(y, out, tmp)) of each bounding kind: apply_bounding and
+# bounding_slope look their kind up here, and a stepper binds its entry once
 _BOUNDING = {
-    "smooth_clip": _smooth_clip,
-    "tanh": lambda x, out, scratch: np.tanh(x, out),
-    "identity": lambda x, out, scratch: x if out is None else np.positive(x, out),
+    "smooth_clip": (_smooth_clip, _smooth_clip_slope),
+    "tanh": (lambda x, out, _: np.tanh(x, out), lambda y, out, _: np.subtract(1.0, np.square(y, out), out)),
+    "identity": (lambda x, out, _: x if out is None else np.positive(x, out), lambda y, out, _: np.power(y, 0.0, out)),
 }
 BOUNDING_KINDS = tuple(_BOUNDING)
 
@@ -77,23 +83,13 @@ def apply_bounding(kind: str, x, out=None, scratch=None):
     pair of float arrays of x's shape for smooth_clip's temporaries, so that
     with out no bounding allocates an array.
     """
-    bound = _BOUNDING.get(kind)
-    if bound is None:
-        raise ValueError(f"unknown bounding kind: {kind!r}")
-    return bound(np.asarray(x, dtype=float), out, scratch)
+    return _kind_entry(_BOUNDING, "bounding", kind)[0](np.asarray(x, dtype=float), out, scratch)
 
 
 def bounding_slope(kind: str, y, out=None, tmp=None):
     """sigma'(x) from y = sigma(x): tanh 1 - y**2, smooth_clip 8 y (1 - y) and
     identity y**0 = 1, into out if given, with tmp for 1 - y (neither is y)."""
-    if kind == "tanh":
-        return np.subtract(1.0, np.square(y, out), out)
-    if kind == "smooth_clip":
-        out = np.multiply(SMOOTH_CLIP_STEEPNESS, y, out)
-        return np.multiply(out, np.subtract(1.0, y, tmp), out)
-    if kind == "identity":
-        return np.power(y, 0.0, out)
-    raise ValueError(f"unknown bounding kind: {kind!r}")
+    return _kind_entry(_BOUNDING, "bounding", kind)[1](y, out, tmp)
 
 
 def bounding_grad(kind: str, x):
@@ -129,10 +125,8 @@ class KAFCMModel:
         self.mask = ~np.eye(n_nodes, dtype=bool) if mask is None else np.array(mask, dtype=bool)
         if self.mask.shape != (n_nodes, n_nodes):
             raise ValueError("mask shape must be (n_nodes, n_nodes)")
-        if bounding not in BOUNDING_KINDS:
-            raise ValueError(f"unknown bounding kind: {bounding!r}")
-        if base not in BASE_KINDS:
-            raise ValueError(f"unknown base kind: {base!r}")
+        _kind_entry(_BOUNDING, "bounding", bounding)
+        _kind_entry(_BASES, "base", base)
         self.bounding = bounding
         self.base = base
         self.theta = np.zeros(n_nodes * n_nodes * (2 + self.K))
@@ -194,7 +188,7 @@ class KAFCMModel:
         must not run two steps at once.
         """
         n, K, forward = self.n_nodes, self.K, self.forward
-        base_fn, bound = _BASES[self.base], _BOUNDING[self.bounding]
+        base_fn, bound = _BASES[self.base][0], _BOUNDING[self.bounding][0]
         weights = self.weights()
         feats = base, B = np.empty((1, n)), np.empty((1, n * K))
         pre = np.empty((1, n)), np.empty((1, n))
@@ -269,8 +263,7 @@ class StandardFCM:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.ndim != 2 or self.weights.shape[0] != self.weights.shape[1]:
             raise ValueError("weights must be a square matrix")
-        if self.activation not in BOUNDING_KINDS:
-            raise ValueError(f"unknown bounding kind: {self.activation!r}")
+        _kind_entry(_BOUNDING, "bounding", self.activation)
 
     @property
     def n_nodes(self) -> int:
@@ -357,19 +350,22 @@ def simulate(model, c0, T: int) -> Trajectory:
     return Trajectory(states)
 
 
+def _trajectory_header(n: int) -> list[str]:
+    return ["t"] + [f"c_{i}" for i in range(n)]
+
+
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write `t,c_0,...,c_{N-1}` rows with full float precision."""
-    n = traj.states.shape[1]
-    header = "t," + ",".join(f"c_{i}" for i in range(n))
-    with atomic_write(path) as fh:
-        fh.write(header + "\n")
-        for t, row in enumerate(traj.states):
-            fh.write(str(t) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+    rows = ([t] + states for t, states in enumerate(traj.states.tolist()))
+    write_csv(path, _trajectory_header(traj.states.shape[1]), rows)
 
 
 def trajectory_from_csv(path) -> Trajectory:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return Trajectory(data[:, 1:])
+    """States written by trajectory_to_csv; ValueError unless the header is t,c_0,...,c_{N-1}."""
+    with open(path) as fh:
+        n = fh.readline().count(",")
+    rows = np.array(read_csv(path, _trajectory_header(n)), dtype=float).reshape(-1, n + 1)
+    return Trajectory(rows[:, 1:])
 
 
 def scaling_benchmark(sizes=(8, 16, 32, 64), G: int = 10, p: int = 3, steps: int = 1000, seed: int = 0):

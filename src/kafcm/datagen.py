@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .atomic_io import atomic_write, write_json
+from .atomic_io import read_csv, write_csv, write_json
 from .cognitive_graph import DivergenceError
 
 
@@ -276,16 +276,15 @@ def regenerate(metadata: dict) -> Dataset:
     raise ValueError(f"unknown generator: {gen!r}")
 
 
+def _dataset_header(d_in: int, d_out: int) -> list[str]:
+    return [f"x_{i}" for i in range(d_in)] + [f"y_{i}" for i in range(d_out)]
+
+
 def save_dataset(data: Dataset, csv_path) -> None:
     """CSV with header x_0,...,y_0,... plus a .json metadata sidecar."""
     csv_path = str(csv_path)
-    d_in = data.inputs.shape[1]
-    d_out = data.targets.shape[1]
-    header = ",".join([f"x_{i}" for i in range(d_in)] + [f"y_{i}" for i in range(d_out)])
-    with atomic_write(csv_path) as fh:
-        fh.write(header + "\n")
-        for xs, ys in zip(data.inputs, data.targets):
-            fh.write(",".join(repr(float(v)) for v in list(xs) + list(ys)) + "\n")
+    header = _dataset_header(data.inputs.shape[1], data.targets.shape[1])
+    write_csv(csv_path, header, np.hstack([data.inputs, data.targets]).tolist())
     write_json(data.metadata, _sidecar_path(csv_path))
 
 
@@ -296,24 +295,23 @@ def _sidecar_path(csv_path: str) -> str:
 def load_dataset(csv_path) -> Dataset:
     """Read a dataset written by save_dataset.
 
-    Raises ValueError if the rows do not have the header's column count, and
-    names the first row and column that hold a NaN or an infinity: every model would train on them (or silently skip them if they
-    fall outside the training split), so they are a data error, not a
-    divergence.
+    Raises ValueError unless the header is x_0,...,y_0,... and fits every
+    row, and names the first row and column that hold a NaN or an infinity:
+    every model would train on them (or silently skip them if they fall
+    outside the training split), so they are a data error, not a divergence.
     """
     csv_path = str(csv_path)
     with open(csv_path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if len(rows) and rows.shape[1] != len(header):
-        raise ValueError(f"{csv_path}: the header names {len(header)} columns, the rows hold {rows.shape[1]}")
+        names = fh.readline().rstrip("\n").split(",")
+    d_in = sum(name.startswith("x_") for name in names)
+    header = _dataset_header(d_in, len(names) - d_in)
+    rows = np.array(read_csv(csv_path, header), dtype=float).reshape(-1, len(header))
     bad = np.argwhere(~np.isfinite(rows))
     if len(bad):
         r, c = bad[0]
         raise ValueError(
             f"{csv_path}: non-finite value {rows[r, c]} in data row {r} (line {r + 2}), column {header[c]}"
         )
-    d_in = sum(1 for c in header if c.startswith("x_"))
     with open(_sidecar_path(csv_path)) as fh:
         meta = json.load(fh)
     return Dataset(rows[:, :d_in], rows[:, d_in:], meta)

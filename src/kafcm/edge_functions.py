@@ -87,29 +87,30 @@ def _identity(x, out, scratch):
     return np.asarray(x, dtype=float) if np.ndim(x) else float(x)
 
 
-# b of each base kind as fn(x, out, scratch): base_eval looks its kind up
-# here, and a stepper binds its entry once
-_BASES = {"silu": silu, "identity": _identity}
+# (b as fn(x, out, scratch), b' as fn(x)) of each base kind: base_eval and
+# base_grad look their kind up here, and a stepper binds its entry once
+_BASES = {
+    "silu": (silu, silu_grad),
+    "identity": (_identity, lambda x: np.ones_like(np.asarray(x, dtype=float)) if np.ndim(x) else 1.0),
+}
+BASE_KINDS = tuple(_BASES)
+
+
+def _kind_entry(table: dict, what: str, kind):
+    """table[kind], or ValueError "unknown <what> kind" for any other kind."""
+    if not isinstance(kind, str) or kind not in table:
+        raise ValueError(f"unknown {what} kind: {kind!r}")
+    return table[kind]
 
 
 def base_eval(kind: str, x, out=None, scratch=None):
     """b(x) of base `kind`; out, if given, is an array of x's shape that
     receives the values and is returned, and scratch is silu's."""
-    base = _BASES.get(kind)
-    if base is None:
-        raise ValueError(f"unknown base kind: {kind!r}")
-    return base(x, out, scratch)
-
-
-BASE_KINDS = tuple(_BASES)
+    return _kind_entry(_BASES, "base", kind)[0](x, out, scratch)
 
 
 def base_grad(kind: str, x):
-    if kind == "silu":
-        return silu_grad(x)
-    if kind == "identity":
-        return np.ones_like(np.asarray(x, dtype=float)) if np.ndim(x) else 1.0
-    raise ValueError(f"unknown base kind: {kind!r}")
+    return _kind_entry(_BASES, "base", kind)[1](x)
 
 
 @dataclass
@@ -124,8 +125,7 @@ class EdgeFunction:
 
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=float)
-        if self.base not in BASE_KINDS:
-            raise ValueError(f"unknown base kind: {self.base!r}")
+        _kind_entry(_BASES, "base", self.base)
         if self.alpha.shape != (self.grid.basis_count,):
             raise ValueError(
                 f"alpha length {self.alpha.shape} does not match basis count {self.grid.basis_count}"

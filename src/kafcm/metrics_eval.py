@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .atomic_io import atomic_write, write_json
+from .atomic_io import read_csv, write_csv, write_json
 
 __all__ = [
     "MetricsReport",
@@ -64,7 +64,7 @@ def save_metrics_json(report: MetricsReport, path, model_id: str = "", dataset_i
     write_json(metrics_to_dict(report, model_id, dataset_id), path)
 
 
-COMPARISON_HEADER = "model,mse,mape_percent,max_abs_error,std_dev_error,n"
+COMPARISON_HEADER = ("model", "mse", "mape_percent", "max_abs_error", "std_dev_error", "n")
 
 
 def upsert_comparison_row(path, model_name: str, report: MetricsReport) -> None:
@@ -73,19 +73,10 @@ def upsert_comparison_row(path, model_name: str, report: MetricsReport) -> None:
     A model already in the table has its row replaced in place and a new
     model is appended, so evaluating the FCM, MLP, and KA-FCM in turn yields
     the usual three-row layout, and rerunning an evaluation leaves the table
-    byte-identical.
+    byte-identical. An undefined MAPE is an empty field.
     """
-    mape = "" if report.mape_percent is None else repr(report.mape_percent)
-    row = f"{model_name},{report.mse!r},{mape},{report.max_abs_error!r},{report.std_dev_error!r},{report.n}"
-    lines = []
-    if os.path.exists(path):
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    lines = lines or [COMPARISON_HEADER]
-    names = [line.split(",", 1)[0] for line in lines]
-    if model_name in names[1:]:
-        lines[names.index(model_name, 1)] = row
-    else:
-        lines.append(row)
-    with atomic_write(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    mape = "" if report.mape_percent is None else report.mape_percent
+    row = [model_name, report.mse, mape, report.max_abs_error, report.std_dev_error, report.n]
+    rows = {r[0]: r for r in read_csv(path, COMPARISON_HEADER)} if os.path.exists(path) else {}
+    rows[model_name] = row  # a dict keeps a replaced key in its place
+    write_csv(path, COMPARISON_HEADER, rows.values())

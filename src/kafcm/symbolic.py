@@ -16,7 +16,7 @@ import json
 
 import numpy as np
 
-from .atomic_io import atomic_write, write_json
+from .atomic_io import read_csv, write_csv, write_json
 from .edge_functions import EdgeFunction, edge_eval
 
 __all__ = [
@@ -35,6 +35,7 @@ COMPLEXITY_PENALTY = 0.001
 MIN_CURVE_POINTS = 10  # the fewest curve points fit_candidates accepts
 SCAN_POINTS = 200
 SCAN_HI = 10.0
+CURVE_HEADER = ("x", "phi")
 
 
 @dataclass
@@ -219,20 +220,11 @@ def fit_candidates(curve: EdgeCurve) -> list[CandidateFit]:
 
 
 def curve_to_csv(curve: EdgeCurve, path) -> None:
-    with atomic_write(path) as fh:
-        fh.write("x,phi\n")
-        for x, y in zip(curve.xs, curve.ys):
-            fh.write(f"{float(x)!r},{float(y)!r}\n")
+    write_csv(path, CURVE_HEADER, zip(curve.xs.tolist(), curve.ys.tolist()))
 
 
 def curve_from_csv(path, edge_id: tuple = (0, 0)) -> EdgeCurve:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "x,phi":
-            raise ValueError(f"unexpected curve header: {header!r}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    xs = np.array([float(r[0]) for r in rows])
-    ys = np.array([float(r[1]) for r in rows])
+    xs, ys = np.array(read_csv(path, CURVE_HEADER), dtype=float).reshape(-1, 2).T.copy()
     return EdgeCurve(xs=xs, ys=ys, edge_id=edge_id)
 
 

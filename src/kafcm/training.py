@@ -39,13 +39,13 @@ both trainers and the swarm; cognitive_graph.bounding_slope is sigma'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 import math
 import zlib
 
 import numpy as np
 
-from .atomic_io import atomic_write, write_json
+from .atomic_io import read_csv, write_csv, write_json
 from .cognitive_graph import (
     DivergenceError,
     KAFCMModel,
@@ -72,7 +72,6 @@ __all__ = [
     "pso_train_fcm",
     "grid_search",
     "derive_cell_seed",
-    "grid_csv_line",
     "save_grid_csv",
     "load_grid_rows",
     "save_grid_summary",
@@ -606,34 +605,19 @@ def grid_search(
     return GridSearchReport(rows=rows, best=best, correlations=correlations)
 
 
-GRID_CSV_HEADER = "G,eta,epochs,val_error,status"
-
-
-def grid_csv_line(r: GridRow) -> str:
-    """One grid.csv row, newline included, with round-trip float precision."""
-    return f"{int(r.G)},{float(r.eta)!r},{int(r.epochs)},{float(r.val_error)!r},{r.status}\n"
+GRID_CSV_HEADER = tuple(f.name for f in fields(GridRow))  # a row is astuple(GridRow)
 
 
 def save_grid_csv(rows, path) -> None:
-    with atomic_write(path) as fh:
-        fh.write(GRID_CSV_HEADER + "\n")
-        fh.writelines(grid_csv_line(r) for r in rows)
+    write_csv(path, GRID_CSV_HEADER, map(astuple, rows))
 
 
 def load_grid_rows(path) -> list[GridRow]:
-    """Rows of a grid.csv. A last line without its newline is a row torn by
-    an interrupted append and is dropped."""
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != GRID_CSV_HEADER:
-            raise ValueError(f"unexpected grid csv header: {header!r}")
-        for line in fh:
-            if not line.endswith("\n"):
-                break
-            G, eta, epochs, err, status = line.strip().split(",")
-            rows.append(GridRow(int(G), float(eta), int(epochs), float(err), status))
-    return rows
+    """Rows of a grid.csv, a torn last row dropped as by every reader."""
+    return [
+        GridRow(int(G), float(eta), int(epochs), float(err), status)
+        for G, eta, epochs, err, status in read_csv(path, GRID_CSV_HEADER)
+    ]
 
 
 def save_grid_summary(report: GridSearchReport, path) -> None:

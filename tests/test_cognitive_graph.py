@@ -349,3 +349,10 @@ class TestTrajectoryCsv:
         assert len(text) == 7
         back = trajectory_from_csv(path)
         npt.assert_array_equal(back.states, states)
+
+    @pytest.mark.parametrize("text", ["x,phi\n-1.0,0.5\n", "t,c_1\n0,0.5\n", "t,c_0\n0,0.5,0.25\n"])
+    def test_other_csv_rejected(self, tmp_path, text):
+        path = tmp_path / "other.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="header"):
+            trajectory_from_csv(path)

@@ -117,3 +117,13 @@ class TestSerialization:
         assert len(lines) == 4
         assert lines[2] == "mlp,0.25,12.5,0.5,0.1,100"
         assert [line.split(",")[0] for line in lines[1:]] == ["fcm", "mlp", "kafcm"]
+
+    def test_numpy_scalars_write_the_bytes_of_python_numbers(self, tmp_path):
+        python, numpy = tmp_path / "python.csv", tmp_path / "numpy.csv"
+        for name, values in (("fcm", (0.25, 3.0, 0.5, 0.125, 200)), ("kafcm", (1e-10, None, 2e-5, 1e-5, 80))):
+            upsert_comparison_row(python, name, MetricsReport(*values))
+            as_numpy = [None if v is None else np.int64(v) if isinstance(v, int) else np.float64(v) for v in values]
+            upsert_comparison_row(numpy, name, MetricsReport(*as_numpy))
+        assert numpy.read_bytes() == python.read_bytes()
+        assert python.read_text().splitlines()[1] == "fcm,0.25,3.0,0.5,0.125,200"
+
