@@ -11,6 +11,7 @@ import os
 
 import numpy as np
 
+from kafcm.atomic_io import write_csv
 from kafcm.spline_core import basis_matrix, basis_derivative_matrix, make_uniform_grid
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
@@ -50,8 +51,5 @@ B0 = basis_matrix(coarse, np.linspace(0.01, 0.99, 99))
 print(f"\ndegree-0 grid: every point has {int((B0 > 0).sum(axis=1).max())} active function")
 
 path = os.path.join(OUT, "spline_basis.csv")
-with open(path, "w") as fh:
-    fh.write("x," + ",".join(f"B_{k}" for k in range(grid.basis_count)) + "\n")
-    for x, row in zip(xs, B):
-        fh.write(f"{float(x)!r}," + ",".join(f"{float(v)!r}" for v in row) + "\n")
+write_csv(path, ["x"] + [f"B_{k}" for k in range(grid.basis_count)], np.column_stack([xs, B]).tolist())
 print(f"\nwrote {path}")

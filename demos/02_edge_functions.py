@@ -11,6 +11,7 @@ import os
 
 import numpy as np
 
+from kafcm.atomic_io import write_csv
 from kafcm.edge_functions import EdgeFunction, edge_eval, init_edge, silu
 from kafcm.spline_core import make_uniform_grid
 
@@ -61,11 +62,6 @@ resid = np.abs(edge_eval(shaped, dom) - target).max()
 print(f"least-squares inverted-U fit: max residual {resid:.2e} on [-1, 1]")
 
 path = os.path.join(OUT, "edge_shapes.csv")
-with open(path, "w") as fh:
-    fh.write("x,silu,random_edge,inverted_u\n")
-    for x in xs:
-        fh.write(
-            f"{float(x)!r},{float(silu(x))!r},"
-            f"{float(edge_eval(edge, float(x)))!r},{float(edge_eval(shaped, float(x)))!r}\n"
-        )
+rows = ([x, silu(x), edge_eval(edge, x), edge_eval(shaped, x)] for x in xs.tolist())
+write_csv(path, ("x", "silu", "random_edge", "inverted_u"), rows)
 print(f"wrote {path}")

@@ -9,6 +9,9 @@ headline metric, with max-abs and error-spread columns as stability checks.
 
 import os
 
+import numpy as np
+
+from kafcm.atomic_io import write_csv
 from kafcm.cli_harness import build_dataset, canonical_config, predict, run_pipeline, split_for
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
@@ -35,13 +38,7 @@ print("\nevery column keeps the same ordering: edge functions, then MLP, then sc
 # Dump test-set forecasts for plotting against the truth.
 test = splits[2]
 path = os.path.join(OUT, "mackey_forecast.csv")
-cols = {kind: predict(results[kind].config, results[kind].model, test) for kind in results}
-with open(path, "w") as fh:
-    fh.write("t,truth,kafcm,mlp,fcm\n")
-    for t in range(len(test)):
-        fh.write(
-            f"{t},{float(test.targets[t, 0])!r},"
-            + ",".join(f"{float(cols[k][t, 0])!r}" for k in ("kafcm", "mlp", "fcm"))
-            + "\n"
-        )
+kinds = ("kafcm", "mlp", "fcm")
+cols = [test.targets[:, 0]] + [predict(results[k].config, results[k].model, test)[:, 0] for k in kinds]
+write_csv(path, ("t", "truth") + kinds, ([t] + row for t, row in enumerate(np.column_stack(cols).tolist())))
 print(f"wrote {path}")

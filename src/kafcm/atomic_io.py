@@ -51,6 +51,8 @@ def write_json(payload, path) -> None:
 
 def _field(v) -> str:
     if isinstance(v, str):
+        if "," in v or "\n" in v or "\r" in v:
+            raise ValueError(f"CSV field {v!r} holds a comma or a line break")
         return v
     if isinstance(v, float) or not isinstance(v, (int, Integral)):  # a float or int skips the slower ABC check
         return repr(float(v))
@@ -60,7 +62,9 @@ def _field(v) -> str:
 def csv_line(row) -> str:
     """`row`'s fields joined by commas, newline included: a string as it is,
     an integer in decimal and any other value (a NumPy scalar too) as
-    repr(float(v)), the shortest text that reads back to the same bits."""
+    repr(float(v)), the shortest text that reads back to the same bits.
+    Raises ValueError naming a string field that holds a comma or a line
+    break, which read_csv could not split back."""
     return ",".join(map(_field, row)) + "\n"
 
 

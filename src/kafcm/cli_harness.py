@@ -32,6 +32,7 @@ from .cognitive_graph import (
     new_kafcm,
 )
 from .datagen import (
+    SPLIT_FRACTIONS,
     Dataset,
     MackeyGlassParams,
     gen_mackey,
@@ -81,7 +82,6 @@ __all__ = [
 MODEL_FILE_VERSION = 2
 MODEL_KINDS = ("kafcm", "fcm", "mlp")
 FCM_ENCODINGS = ("raw", "unit")
-SPLIT_FRACTIONS = (0.64, 0.16, 0.2)
 
 
 @dataclass(frozen=True)
@@ -288,8 +288,7 @@ def save_model(model, path) -> None:
     if isinstance(model, KAFCMModel):
         rows, cols = np.nonzero(model.mask)
         columns = (rows.tolist(), cols.tolist(), *(c[rows, cols].tolist() for c in model.views(model.theta)))
-        payload = {
-            "version": MODEL_FILE_VERSION,
+        fields = {
             "kind": "kafcm",
             "n_nodes": model.n_nodes,
             "bounding": model.bounding,
@@ -298,18 +297,12 @@ def save_model(model, path) -> None:
             "edges": [dict(zip(_EDGE_KEYS, values)) for values in zip(*columns)],
         }
     elif isinstance(model, StandardFCM):
-        payload = {
-            "version": MODEL_FILE_VERSION,
-            "kind": "fcm",
-            "activation": model.activation,
-            "weights": model.weights.tolist(),
-        }
+        fields = {"kind": "fcm", "activation": model.activation, "weights": model.weights.tolist()}
     elif isinstance(model, MLPParams):
-        payload = {"version": MODEL_FILE_VERSION, "kind": "mlp"}
-        payload.update((k, getattr(model, k).tolist()) for k in LAYER_NAMES)
+        fields = {"kind": "mlp", **{k: getattr(model, k).tolist() for k in LAYER_NAMES}}
     else:
         raise TypeError(f"cannot serialize model of type {type(model).__name__}")
-    write_json(payload, path)
+    write_json({"version": MODEL_FILE_VERSION, **fields}, path)
 
 
 def _require(record, keys, where: str) -> dict:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic_io import read_csv, write_csv
-from .edge_functions import _BASES, _constant, _fresh_edge, _kind_entry, base_eval
+from .edge_functions import _BASES, _ONE, _constant, _fresh_edge, _kind_entry, base_eval
 from .spline_core import KnotGrid, basis_evaluator, basis_tensor, make_uniform_grid
 
 __all__ = [
@@ -40,7 +40,7 @@ __all__ = [
 
 SMOOTH_CLIP_STEEPNESS = 8.0
 
-_HALF, _STEEPNESS, _ONE = map(_constant, (0.5, SMOOTH_CLIP_STEEPNESS, 1.0))
+_HALF, _STEEPNESS = map(_constant, (0.5, SMOOTH_CLIP_STEEPNESS))
 
 
 class DivergenceError(RuntimeError):
@@ -318,16 +318,13 @@ def _check_state(n: int, state) -> np.ndarray:
     return state
 
 
-def kafcm_step(model: KAFCMModel, state) -> np.ndarray:
-    """One synchronous update: out_i = sigma(sum_j phi_ij(c_j)), a new array."""
-    state = _check_state(model.n_nodes, state)
-    return model.stepper()(state)
+def kafcm_step(model, state) -> np.ndarray:
+    """One synchronous update, a new array: out_i = sigma(sum_j phi_ij(c_j))
+    for a KAFCMModel, out = f(W c) for a StandardFCM (fcm_step is this function)."""
+    return model.stepper()(_check_state(model.n_nodes, state))
 
 
-def fcm_step(model: StandardFCM, state) -> np.ndarray:
-    """One synchronous update: out = f(W c), a new array."""
-    state = _check_state(model.n_nodes, state)
-    return model.stepper()(state)
+fcm_step = kafcm_step
 
 
 def simulate(model, c0, T: int) -> Trajectory:

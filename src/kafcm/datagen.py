@@ -37,6 +37,7 @@ __all__ = [
     "gen_mackey_glass",
     "gen_mackey",
     "lag_embed",
+    "SPLIT_FRACTIONS",
     "split_dataset",
     "regenerate",
     "save_dataset",
@@ -224,7 +225,11 @@ def _split_sizes(n: int, fractions) -> list[int]:
     return sizes
 
 
-def split_dataset(data: Dataset, fractions=(0.64, 0.16, 0.2), shuffle: bool = True, seed: int = 0):
+# the (train, val, test) fractions of every experiment
+SPLIT_FRACTIONS = (0.64, 0.16, 0.2)
+
+
+def split_dataset(data: Dataset, fractions=SPLIT_FRACTIONS, shuffle: bool = True, seed: int = 0):
     """Deterministic (train, val, test) partition; chronological when shuffle=False."""
     fractions = tuple(float(f) for f in fractions)
     if len(fractions) != 3 or any(f <= 0 for f in fractions):

@@ -141,7 +141,7 @@ class _Work:
         "xc", "u", "V", "steps", "window", "rows", "at", "vals",
     )
 
-    def __init__(self, grid: KnotGrid, n: int, derivative: bool = False):
+    def __init__(self, grid: KnotGrid, n: int, derivative: bool):
         p, K = grid.degree, grid.basis_count
         M = _power_basis(p)
         self.coef = np.arange(1, p + 1)[:, None] * M[1:] / grid.spacing if derivative else M
@@ -221,12 +221,16 @@ def basis_matrix(grid: KnotGrid, xs) -> np.ndarray:
     return basis_evaluator(grid, len(xs))(xs, np.empty((len(xs), grid.basis_count)))
 
 
-def basis_evaluator(grid: KnotGrid, n: int):
-    """f(xs, out): basis_matrix(grid, xs) written into out, for a float vector
-    xs of n points and a C-contiguous (n, K) out, with its work arrays bound
-    once: the one binder of the basis routine's work arrays, for a caller
-    that evaluates n points many times (a simulate step, a basis_tensor block)."""
-    return partial(_local_eval, _Work(grid, n))
+def basis_evaluator(grid: KnotGrid, n: int, derivative: bool = False):
+    """f(xs, out): basis_matrix(grid, xs), or basis_derivative_matrix(grid, xs)
+    if derivative, written into out, for a float vector xs of n points and a
+    C-contiguous (n, K) out, with its work arrays bound once: the one binder
+    of the basis routine's work arrays, for a caller that evaluates n points
+    many times (a simulate step, a basis_tensor block). A derivative needs
+    degree >= 1."""
+    if derivative and grid.degree < 1:
+        raise ValueError("derivative undefined for degree-zero bases")
+    return partial(_local_eval, _Work(grid, n, derivative))
 
 
 BASIS_BLOCK_POINTS = 1024
@@ -266,11 +270,8 @@ def basis_derivative_matrix(grid: KnotGrid, xs) -> np.ndarray:
     divided by the spacing. Requires degree >= 1. Points are clamped, and
     boundary points take the one-sided interior limit.
     """
-    p = grid.degree
-    if p < 1:
-        raise ValueError("derivative undefined for degree-zero bases")
     xs = _points(xs)
-    return _local_eval(_Work(grid, len(xs), derivative=True), xs, np.empty((len(xs), grid.basis_count)))
+    return basis_evaluator(grid, len(xs), derivative=True)(xs, np.empty((len(xs), grid.basis_count)))
 
 
 def basis_derivative_vector(grid: KnotGrid, x: float) -> np.ndarray:

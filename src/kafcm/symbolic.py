@@ -65,7 +65,7 @@ class CandidateFit:
         self.coefficients = np.asarray(self.coefficients, dtype=float)
 
     def predict(self, xs) -> np.ndarray:
-        return _FORM_EVAL[self.form](self.coefficients, np.asarray(xs, dtype=float))
+        return _FORMS[self.form][1](self.coefficients, np.asarray(xs, dtype=float))
 
 
 def sample_edge(edge: EdgeFunction, n: int, edge_id: tuple = (0, 0)) -> EdgeCurve:
@@ -91,14 +91,6 @@ def _eval_gaussian(c, x):
 
 def _eval_sinusoid(c, x):
     return c[0] * np.sin(c[1] * x + c[2]) + c[3]
-
-
-_FORM_EVAL = {
-    "affine": _eval_affine,
-    "polynomial": _eval_polynomial,
-    "gaussian": _eval_gaussian,
-    "sinusoid": _eval_sinusoid,
-}
 
 
 def _lstsq(design: np.ndarray, ys: np.ndarray):
@@ -175,15 +167,15 @@ def _fit_sinusoid(xs, ys):
     return np.array([a, b, c, d]), sse
 
 
-_FITTERS = {
-    "affine": _fit_affine,
-    "polynomial": _fit_polynomial,
-    "gaussian": _fit_gaussian,
-    "sinusoid": _fit_sinusoid,
+# one record per form: its fit (xs, ys) -> (coefficients, sse), its evaluate
+# (coefficients, xs) -> values, and the coefficients that scale with the
+# curve's values
+_FORMS = {
+    "affine": (_fit_affine, _eval_affine, [0, 1]),
+    "polynomial": (_fit_polynomial, _eval_polynomial, slice(None)),
+    "gaussian": (_fit_gaussian, _eval_gaussian, [0, 2]),
+    "sinusoid": (_fit_sinusoid, _eval_sinusoid, [0, 3]),
 }
-
-# the coefficients of each form that scale with the curve's values
-_LINEAR = {"affine": [0, 1], "polynomial": slice(None), "gaussian": [0, 2], "sinusoid": [0, 3]}
 
 
 def fit_candidates(curve: EdgeCurve) -> list[CandidateFit]:
@@ -210,9 +202,9 @@ def fit_candidates(curve: EdgeCurve) -> list[CandidateFit]:
         coef = np.array([0.0, float(np.clip(ys.mean(), ys.min(), ys.max()))])
         return [CandidateFit("affine", np.ldexp(coef, e), 1.0, 1.0 - 2 * COMPLEXITY_PENALTY)]
     fits = []
-    for form, fitter in _FITTERS.items():
-        coef, sse = fitter(xs, ys)
-        coef[_LINEAR[form]] = np.ldexp(coef[_LINEAR[form]], e)
+    for form, (fit, _, scaled) in _FORMS.items():
+        coef, sse = fit(xs, ys)
+        coef[scaled] = np.ldexp(coef[scaled], e)
         r2 = 1.0 - sse / sst
         fits.append(CandidateFit(form, coef, r2, r2 - COMPLEXITY_PENALTY * len(coef)))
     fits.sort(key=lambda f: (-f.score, f.form))

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -71,6 +72,16 @@ class TestCsvFormat:
         write_csv(path, ("a", "b"), [(1, 0.5), ("x", np.float64(2.0))])
         assert path.read_text() == "a,b\n1,0.5\nx,2.0\n"
         assert read_csv(path, ("a", "b")) == [["1", "0.5"], ["x", "2.0"]]
+
+    @pytest.mark.parametrize("text", ["a,b", "a\nb", "a\rb", "\r\n"])
+    def test_separator_in_a_string_field_rejected(self, tmp_path, text):
+        with pytest.raises(ValueError, match=f"CSV field {re.escape(repr(text))} holds"):
+            csv_line(["ok", text, 1.0])
+        path = tmp_path / "t.csv"
+        write_csv(path, ("a", "b"), [("x", 1.0)])
+        with pytest.raises(ValueError):
+            write_csv(path, ("a", "b"), [("y", 2.0), (text, 3.0)])
+        assert path.read_text() == "a,b\nx,1.0\n"
 
     def test_torn_last_row_dropped(self, tmp_path):
         path = tmp_path / "t.csv"

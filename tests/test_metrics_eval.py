@@ -127,3 +127,17 @@ class TestSerialization:
         assert numpy.read_bytes() == python.read_bytes()
         assert python.read_text().splitlines()[1] == "fcm,0.25,3.0,0.5,0.125,200"
 
+
+    def test_model_name_with_a_comma_rejected(self, tmp_path):
+        # such a row would hold 7 fields under the 6-column header, and the
+        # reader would refuse the table at every later upsert
+        path = tmp_path / "comparison.csv"
+        report = MetricsReport(0.25, None, 0.5, 0.125, 200)
+        for name in ("fcm", "kafcm"):
+            upsert_comparison_row(path, name, report)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="CSV field 'a,b' holds a comma"):
+            upsert_comparison_row(path, "a,b", report)
+        assert path.read_bytes() == before
+        upsert_comparison_row(path, "mlp", report)
+        assert [line.split(",")[0] for line in path.read_text().splitlines()] == ["model", "fcm", "kafcm", "mlp"]

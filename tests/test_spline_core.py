@@ -14,6 +14,7 @@ from scipy.interpolate import BSpline
 from kafcm.spline_core import (
     basis_derivative_matrix,
     basis_derivative_vector,
+    basis_evaluator,
     basis_matrix,
     basis_value,
     basis_vector,
@@ -166,6 +167,32 @@ class TestBasisDerivative:
         g = make_uniform_grid(0, 1, G=3, p=0)
         with pytest.raises(ValueError, match="degree-zero"):
             basis_derivative_vector(g, 0.5)
+
+    def test_degree_zero_evaluator_error(self):
+        g = make_uniform_grid(0, 1, G=3, p=0)
+        with pytest.raises(ValueError, match="degree-zero"):
+            basis_evaluator(g, 4, derivative=True)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_bound_evaluator_gives_the_matrix_bits(self, p):
+        """One derivative evaluator, bound once, fills the bits of
+        basis_derivative_matrix for every set of n points it is given."""
+        g = make_uniform_grid(-1, 1, G=11, p=p)
+        n = 12
+        rng = np.random.default_rng(p)
+        point_sets = [
+            g.knots[p : p + n],  # the interior knots, both endpoints among them
+            np.resize(np.concatenate([g.knots[:p], g.knots[-p:], [np.nan]]), n),  # the knots outside
+            np.array([-1.0, 1.0, -1.5, 1.5, -1e300, 1e300, -np.inf, np.inf, np.nan, 0.0, -0.0, 5e-324]),
+            np.where(rng.random(n) < 0.3, np.nan, rng.uniform(-2, 2, n)),
+            rng.uniform(-1, 1, n),
+        ]
+        evaluate = basis_evaluator(g, n, derivative=True)
+        out = np.empty((n, g.basis_count))
+        for xs in point_sets:
+            got = evaluate(xs, out)
+            assert got is out
+            assert got.tobytes() == basis_derivative_matrix(g, xs).tobytes()
 
     def test_hat_slope(self):
         g = make_uniform_grid(0, 1, G=2, p=1)  # hats over {-0.5, 0, 0.5, 1, 1.5}
