@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic_io import read_csv, write_csv
 from .edge_functions import _BASES, _ONE, _constant, _fresh_edge, _kind_entry, base_eval
 from .spline_core import KnotGrid, basis_evaluator, basis_tensor, make_uniform_grid
 
@@ -34,8 +33,6 @@ __all__ = [
     "new_kafcm",
     "simulate",
     "scaling_benchmark",
-    "trajectory_to_csv",
-    "trajectory_from_csv",
 ]
 
 SMOOTH_CLIP_STEEPNESS = 8.0
@@ -345,24 +342,6 @@ def simulate(model, c0, T: int) -> Trajectory:
         if np.count_nonzero(np.isfinite(step(states[t], states[t + 1]), finite)) < len(finite):
             raise DivergenceError(f"non-finite state at step {t + 1}, node {int(np.argmin(finite))}")
     return Trajectory(states)
-
-
-def _trajectory_header(n: int) -> list[str]:
-    return ["t"] + [f"c_{i}" for i in range(n)]
-
-
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write `t,c_0,...,c_{N-1}` rows with full float precision."""
-    rows = ([t] + states for t, states in enumerate(traj.states.tolist()))
-    write_csv(path, _trajectory_header(traj.states.shape[1]), rows)
-
-
-def trajectory_from_csv(path) -> Trajectory:
-    """States written by trajectory_to_csv; ValueError unless the header is t,c_0,...,c_{N-1}."""
-    with open(path) as fh:
-        n = fh.readline().count(",")
-    rows = np.array(read_csv(path, _trajectory_header(n)), dtype=float).reshape(-1, n + 1)
-    return Trajectory(rows[:, 1:])
 
 
 def scaling_benchmark(sizes=(8, 16, 32, 64), G: int = 10, p: int = 3, steps: int = 1000, seed: int = 0):

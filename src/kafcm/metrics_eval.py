@@ -18,7 +18,6 @@ from .atomic_io import read_csv, write_csv, write_json
 __all__ = [
     "MetricsReport",
     "compute_metrics",
-    "metrics_to_dict",
     "save_metrics_json",
     "upsert_comparison_row",
 ]
@@ -56,12 +55,8 @@ def compute_metrics(pred, target) -> MetricsReport:
     )
 
 
-def metrics_to_dict(report: MetricsReport, model_id: str = "", dataset_id: str = "") -> dict:
-    return {**asdict(report), "model_id": model_id, "dataset_id": dataset_id}
-
-
 def save_metrics_json(report: MetricsReport, path, model_id: str = "", dataset_id: str = "") -> None:
-    write_json(metrics_to_dict(report, model_id, dataset_id), path)
+    write_json({**asdict(report), "model_id": model_id, "dataset_id": dataset_id}, path)
 
 
 COMPARISON_HEADER = ("model", "mse", "mape_percent", "max_abs_error", "std_dev_error", "n")

@@ -12,11 +12,10 @@ the simplest form wins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import json
 
 import numpy as np
 
-from .atomic_io import read_csv, write_csv, write_json
+from .atomic_io import write_csv, write_json
 from .edge_functions import EdgeFunction, edge_eval
 
 __all__ = [
@@ -25,9 +24,7 @@ __all__ = [
     "sample_edge",
     "fit_candidates",
     "curve_to_csv",
-    "curve_from_csv",
     "fits_to_json",
-    "fits_from_json",
     "MIN_CURVE_POINTS",
 ]
 
@@ -215,19 +212,5 @@ def curve_to_csv(curve: EdgeCurve, path) -> None:
     write_csv(path, CURVE_HEADER, zip(curve.xs.tolist(), curve.ys.tolist()))
 
 
-def curve_from_csv(path, edge_id: tuple = (0, 0)) -> EdgeCurve:
-    xs, ys = np.array(read_csv(path, CURVE_HEADER), dtype=float).reshape(-1, 2).T.copy()
-    return EdgeCurve(xs=xs, ys=ys, edge_id=edge_id)
-
-
 def fits_to_json(fits, path) -> None:
     write_json([{**vars(f), "coefficients": f.coefficients.tolist()} for f in fits], path)
-
-
-def fits_from_json(path) -> list[CandidateFit]:
-    with open(path) as fh:
-        payload = json.load(fh)
-    return [
-        CandidateFit(d["form"], np.array(d["coefficients"]), d["r_squared"], d["score"])
-        for d in payload
-    ]

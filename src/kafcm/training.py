@@ -54,7 +54,7 @@ from .cognitive_graph import (
     apply_bounding,
     bounding_slope,
 )
-from .datagen import Dataset
+from .datagen import Dataset, _as_columns
 
 __all__ = [
     "TrainConfig",
@@ -183,12 +183,7 @@ class GridSearchReport:
 
 
 def _as_states(x) -> np.ndarray:
-    if isinstance(x, Trajectory):
-        x = x.states
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    return x
+    return _as_columns(x.states if isinstance(x, Trajectory) else x)
 
 
 def _squared_error(pred, target, resid=None, sq=None, rowsum=None):

@@ -13,15 +13,12 @@ from kafcm.cognitive_graph import (
     DivergenceError,
     KAFCMModel,
     StandardFCM,
-    Trajectory,
     apply_bounding,
     bounding_grad,
     fcm_step,
     kafcm_step,
     new_kafcm,
     simulate,
-    trajectory_from_csv,
-    trajectory_to_csv,
 )
 from kafcm.datagen import Dataset
 from kafcm.edge_functions import BASE_KINDS, EdgeFunction, edge_eval, silu
@@ -337,22 +334,3 @@ class TestSimulate:
                     pre[i] += edge_eval(e, state[j])
                 state = np.tanh(pre)
                 npt.assert_allclose(traj.states[t + 1], state, atol=1e-12)
-
-
-class TestTrajectoryCsv:
-    def test_round_trip(self, tmp_path):
-        states = np.random.default_rng(2).uniform(-1, 1, (6, 3))
-        path = tmp_path / "traj.csv"
-        trajectory_to_csv(Trajectory(states), path)
-        text = path.read_text().splitlines()
-        assert text[0] == "t,c_0,c_1,c_2"
-        assert len(text) == 7
-        back = trajectory_from_csv(path)
-        npt.assert_array_equal(back.states, states)
-
-    @pytest.mark.parametrize("text", ["x,phi\n-1.0,0.5\n", "t,c_1\n0,0.5\n", "t,c_0\n0,0.5,0.25\n"])
-    def test_other_csv_rejected(self, tmp_path, text):
-        path = tmp_path / "other.csv"
-        path.write_text(text)
-        with pytest.raises(ValueError, match="header"):
-            trajectory_from_csv(path)

@@ -1,17 +1,19 @@
 """Tests for edge sampling and closed-form recovery."""
 
+import json
+
 import numpy as np
 import pytest
 
+from kafcm.atomic_io import read_csv
 from kafcm.edge_functions import EdgeFunction, silu
 from kafcm.spline_core import make_uniform_grid
 from kafcm.symbolic import (
+    CURVE_HEADER,
     CandidateFit,
     EdgeCurve,
-    curve_from_csv,
     curve_to_csv,
     fit_candidates,
-    fits_from_json,
     fits_to_json,
     sample_edge,
 )
@@ -199,7 +201,8 @@ class TestSerialization:
         path = tmp_path / "curve.csv"
         curve_to_csv(curve, path)
         assert path.read_text().splitlines()[0] == "x,phi"
-        back = curve_from_csv(path, edge_id=(1, 0))
+        xs, ys = np.array(read_csv(path, CURVE_HEADER), dtype=float).reshape(-1, 2).T
+        back = EdgeCurve(xs=xs, ys=ys, edge_id=(1, 0))
         np.testing.assert_array_equal(back.xs, curve.xs)
         np.testing.assert_array_equal(back.ys, curve.ys)
         assert back.edge_id == (1, 0)
@@ -208,7 +211,8 @@ class TestSerialization:
         fits = fit_candidates(curve_from(lambda x: np.sin(3 * x)))
         path = tmp_path / "fits.json"
         fits_to_json(fits, path)
-        back = fits_from_json(path)
+        with open(path) as fh:
+            back = [CandidateFit(**record) for record in json.load(fh)]
         assert [f.form for f in back] == [f.form for f in fits]
         for fa, fb in zip(fits, back):
             np.testing.assert_array_equal(fa.coefficients, fb.coefficients)

@@ -93,6 +93,10 @@ class TestLossRec:
         with pytest.raises(ValueError, match="empty"):
             loss_rec(np.zeros((0, 2)), np.zeros((0, 2)))
 
+    def test_three_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match=r"got shape \(2, 3, 1\)"):
+            loss_rec(np.zeros((2, 3, 1)), np.zeros((2, 3, 1)))
+
 
 class TestLossTotal:
     def test_additivity_is_exact(self):
