@@ -389,7 +389,7 @@ def load_model(path):
 
 
 def build_dataset(config: ExperimentConfig) -> Dataset:
-    """The full (unsplit) dataset for an experiment, regenerable from metadata."""
+    """The full (unsplit) dataset for an experiment, from its generator."""
     try:
         return config.spec.generate(**config.dataset, seed=config.seed)
     except (TypeError, ValueError) as err:

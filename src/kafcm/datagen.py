@@ -1,10 +1,11 @@
 """Synthetic data generators, the Mackey-Glass integrator, and splitting.
 
-Every Dataset carries metadata sufficient to regenerate it bit-identically
-via `regenerate`. Randomness comes from numpy's PCG64 (`default_rng(seed)`);
-Gaussian noise is drawn by the Box-Muller transform over that uniform stream
-(see `gaussian_from_uniform`) so the exact byte stream can be reproduced in
-any language with a PCG64 implementation.
+Each generator records its name, parameters and seed in the Dataset's
+metadata; calling it again with them gives the same bits. Randomness comes
+from numpy's PCG64 (`default_rng(seed)`); Gaussian noise is drawn by the
+Box-Muller transform over that uniform stream (see `gaussian_from_uniform`)
+so the exact byte stream can be reproduced in any language with a PCG64
+implementation.
 """
 
 from __future__ import annotations
@@ -27,6 +28,14 @@ def _as_columns(x) -> np.ndarray:
         raise ValueError(f"expected 1-D or 2-D array, got shape {x.shape}")
     return x
 
+
+def _check_count(name: str, value) -> int:
+    """value as an int, if it is an integer (not a bool) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+    return int(value)
+
+
 __all__ = [
     "Dataset",
     "MackeyGlassParams",
@@ -39,7 +48,6 @@ __all__ = [
     "lag_embed",
     "SPLIT_FRACTIONS",
     "split_dataset",
-    "regenerate",
     "save_dataset",
     "load_dataset",
 ]
@@ -86,27 +94,27 @@ def yerkes_law(x):
 
 def gen_yerkes(n: int, noise_sd: float = 0.05, seed: int = 0) -> Dataset:
     """x ~ U[-1,1]; y = yerkes_law(x) + eps, eps ~ N(0, noise_sd^2)."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be an integer of at least 1, got {n!r}")
-    if not noise_sd >= 0:
-        raise ValueError(f"noise_sd must be non-negative, got {noise_sd}")
+    n = _check_count("n", n)
+    if not 0 <= noise_sd < math.inf:
+        raise ValueError(f"noise_sd must be non-negative and finite, got {noise_sd}")
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, n)
     y = yerkes_law(x)
     if noise_sd > 0:
         y = y + noise_sd * gaussian_from_uniform(rng, n)
-    meta = {"generator": "yerkes", "n": int(n), "noise_sd": float(noise_sd), "seed": int(seed)}
+    meta = {"generator": "yerkes", "n": n, "noise_sd": float(noise_sd), "seed": int(seed)}
     return Dataset(x[:, None], y[:, None], meta)
 
 
 def gen_sine(n: int, frequency: float = 3.0, seed: int = 0) -> Dataset:
     """x ~ U[-1,1]; y = sin(frequency * x), noiseless."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be an integer of at least 1, got {n!r}")
+    n = _check_count("n", n)
+    if not -math.inf < frequency < math.inf:
+        raise ValueError(f"frequency must be finite, got {frequency}")
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, n)
     y = np.sin(frequency * x)
-    meta = {"generator": "sine", "n": int(n), "frequency": float(frequency), "seed": int(seed)}
+    meta = {"generator": "sine", "n": n, "frequency": float(frequency), "seed": int(seed)}
     return Dataset(x[:, None], y[:, None], meta)
 
 
@@ -143,16 +151,15 @@ class MackeyGlassParams:
         return asdict(self)
 
 
-def gen_mackey_glass(params: MackeyGlassParams, seed: int = 0) -> np.ndarray:
+def gen_mackey_glass(params: MackeyGlassParams) -> np.ndarray:
     """Integrate the delay equation; returns total_steps - washout samples
     spaced one time unit apart.
 
     Integration is RK4 over steps of dt with the delayed term held constant
-    within each step; the delay history starts as the constant x0. The
-    integrator is deterministic: seed is accepted only so callers can record
-    a uniform metadata shape. It runs on Python floats, which round as
-    float64 does; where math.pow or the division raises instead of giving
-    inf or NaN, that step's drive is taken in float64, as NumPy gives it.
+    within each step; the delay history starts as the constant x0. It runs
+    on Python floats, which round as float64 does; where math.pow or the
+    division raises instead of giving inf or NaN, that step's drive is taken
+    in float64, as NumPy gives it.
     """
     if not params.x0 > 0:
         raise ValueError(f"x0 must be positive, got {params.x0}")
@@ -187,28 +194,27 @@ def gen_mackey_glass(params: MackeyGlassParams, seed: int = 0) -> np.ndarray:
 def lag_embed(series, lag: int, series_metadata: dict | None = None) -> Dataset:
     """Windows of `lag` consecutive values predicting the next one.
 
-    series_metadata, when given, is embedded so the Dataset stays regenerable;
-    otherwise the raw series values are stored in the metadata.
+    series_metadata, when given, is recorded under the metadata's `series` key.
     """
     series = np.asarray(series, dtype=float)
-    if lag < 1:
-        raise ValueError(f"lag must be at least 1, got {lag}")
+    lag = _check_count("lag", lag)
+    if series.ndim != 1:
+        raise ValueError(f"series must be 1-D, got shape {series.shape}")
     if len(series) <= lag:
         raise ValueError(f"series of length {len(series)} is too short for lag {lag}")
     inputs = np.stack([series[i : len(series) - lag + i] for i in range(lag)], axis=1)
     targets = series[lag:][:, None]
-    if series_metadata is None:
-        series_meta = {"series_values": [float(v) for v in series]}
-    else:
-        series_meta = series_metadata
-    meta = {"generator": "lag_embed", "lag": int(lag), "series": series_meta}
+    meta = {"generator": "lag_embed", "lag": lag}
+    if series_metadata is not None:
+        meta["series"] = series_metadata
     return Dataset(inputs, targets, meta)
 
 
 def gen_mackey(lag: int, seed: int = 0, **params) -> Dataset:
-    """The series of MackeyGlassParams(**params), lag-embedded; regenerable."""
+    """The series of MackeyGlassParams(**params), lag-embedded. The
+    integrator draws no randomness; seed is recorded with the parameters."""
     series_params = MackeyGlassParams(**params)
-    series = gen_mackey_glass(series_params, seed)
+    series = gen_mackey_glass(series_params)
     series_meta = {"generator": "mackey_glass", "params": series_params.to_dict(), "seed": seed}
     return lag_embed(series, lag, series_metadata=series_meta)
 
@@ -232,7 +238,7 @@ SPLIT_FRACTIONS = (0.64, 0.16, 0.2)
 def split_dataset(data: Dataset, fractions=SPLIT_FRACTIONS, shuffle: bool = True, seed: int = 0):
     """Deterministic (train, val, test) partition; chronological when shuffle=False."""
     fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3 or any(f <= 0 for f in fractions):
+    if len(fractions) != 3 or any(not f > 0 for f in fractions):
         raise ValueError("fractions must be three positive numbers")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
@@ -240,45 +246,8 @@ def split_dataset(data: Dataset, fractions=SPLIT_FRACTIONS, shuffle: bool = True
     order = np.arange(n)
     if shuffle:
         order = np.random.default_rng(seed).permutation(n)
-    sizes = _split_sizes(n, fractions)
-    parts = []
-    start = 0
-    for name, size in zip(("train", "val", "test"), sizes):
-        sel = order[start : start + size]
-        meta = {
-            "generator": "split",
-            "part": name,
-            "fractions": list(fractions),
-            "shuffle": bool(shuffle),
-            "seed": int(seed),
-            "parent": data.metadata,
-        }
-        parts.append(Dataset(data.inputs[sel], data.targets[sel], meta))
-        start += size
-    return tuple(parts)
-
-
-def regenerate(metadata: dict) -> Dataset:
-    """Rebuild a Dataset from its metadata, bit-identically."""
-    gen = metadata.get("generator")
-    if gen == "yerkes":
-        return gen_yerkes(metadata["n"], metadata["noise_sd"], metadata["seed"])
-    if gen == "sine":
-        return gen_sine(metadata["n"], metadata["frequency"], metadata["seed"])
-    if gen == "lag_embed":
-        series_meta = metadata["series"]
-        if "series_values" in series_meta:
-            series = np.asarray(series_meta["series_values"], dtype=float)
-            return lag_embed(series, metadata["lag"])
-        if series_meta.get("generator") == "mackey_glass":
-            return gen_mackey(metadata["lag"], series_meta.get("seed", 0), **series_meta["params"])
-        raise ValueError(f"unknown series metadata: {series_meta!r}")
-    if gen == "split":
-        parent = regenerate(metadata["parent"])
-        parts = split_dataset(parent, tuple(metadata["fractions"]), metadata["shuffle"], metadata["seed"])
-        index = {"train": 0, "val": 1, "test": 2}[metadata["part"]]
-        return parts[index]
-    raise ValueError(f"unknown generator: {gen!r}")
+    bounds = np.cumsum(_split_sizes(n, fractions)[:2])
+    return tuple(Dataset(data.inputs[sel], data.targets[sel]) for sel in np.split(order, bounds))
 
 
 def _dataset_header(d_in: int, d_out: int) -> list[str]:

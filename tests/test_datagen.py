@@ -10,12 +10,12 @@ from kafcm.datagen import (
     Dataset,
     MackeyGlassParams,
     gaussian_from_uniform,
+    gen_mackey,
     gen_mackey_glass,
     gen_sine,
     gen_yerkes,
     lag_embed,
     load_dataset,
-    regenerate,
     save_dataset,
     split_dataset,
     yerkes_law,
@@ -48,14 +48,15 @@ class TestYerkes:
 
     def test_deterministic_and_regenerable(self):
         a = gen_yerkes(100, 0.05, seed=7)
-        b = regenerate(a.metadata)
+        meta = a.metadata
+        b = gen_yerkes(meta["n"], meta["noise_sd"], meta["seed"])
         npt.assert_array_equal(a.inputs, b.inputs)
         npt.assert_array_equal(a.targets, b.targets)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="n must be"):
             gen_yerkes(0)
-        for noise_sd in (-0.1, float("nan")):
+        for noise_sd in (-0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="noise_sd"):
                 gen_yerkes(10, noise_sd=noise_sd)
 
@@ -81,7 +82,8 @@ class TestSine:
 
     def test_regenerable(self):
         a = gen_sine(64, 3.0, seed=9)
-        b = regenerate(a.metadata)
+        meta = a.metadata
+        b = gen_sine(meta["n"], meta["frequency"], meta["seed"])
         npt.assert_array_equal(a.inputs, b.inputs)
         npt.assert_array_equal(a.targets, b.targets)
 
@@ -226,20 +228,49 @@ class TestLagEmbed:
         ds = lag_embed(series, 4)
         npt.assert_array_equal(ds.inputs[1:, -1], ds.targets[:-1, 0])
 
-    def test_regenerable_from_inline_series(self):
-        series = np.random.default_rng(1).uniform(0, 1, 30)
-        a = lag_embed(series, 3)
-        b = regenerate(a.metadata)
-        npt.assert_array_equal(a.inputs, b.inputs)
+    def test_metadata_without_a_series_record(self):
+        ds = lag_embed(np.random.default_rng(1).uniform(0, 1, 30), 3)
+        assert ds.metadata == {"generator": "lag_embed", "lag": 3}
 
     def test_regenerable_from_mackey_metadata(self):
         p = MackeyGlassParams(total_steps=60, washout=10)
         series = gen_mackey_glass(p)
         meta = {"generator": "mackey_glass", "params": p.to_dict(), "seed": 0}
         a = lag_embed(series, 4, series_metadata=meta)
-        b = regenerate(a.metadata)
+        assert a.metadata == {"generator": "lag_embed", "lag": 4, "series": meta}
+        b = gen_mackey(a.metadata["lag"], meta["seed"], **meta["params"])
+        assert b.metadata == a.metadata
         npt.assert_array_equal(a.inputs, b.inputs)
         npt.assert_array_equal(a.targets, b.targets)
+
+
+@pytest.mark.parametrize(
+    "generator, args, kwargs, name",
+    [
+        pytest.param(gen_yerkes, (True,), {}, "n", id="yerkes-n-bool"),
+        pytest.param(gen_yerkes, (5.0,), {}, "n", id="yerkes-n-float"),
+        pytest.param(gen_sine, (False,), {}, "n", id="sine-n-bool"),
+        pytest.param(gen_sine, (5,), {"frequency": float("inf")}, "frequency", id="sine-frequency-inf"),
+        pytest.param(gen_sine, (5,), {"frequency": float("-inf")}, "frequency", id="sine-frequency-minus-inf"),
+        pytest.param(gen_sine, (5,), {"frequency": float("nan")}, "frequency", id="sine-frequency-nan"),
+        pytest.param(lag_embed, (np.arange(10.0), True), {}, "lag", id="lag_embed-lag-bool"),
+        pytest.param(lag_embed, (np.arange(10.0), 2.5), {}, "lag", id="lag_embed-lag-float"),
+        pytest.param(lag_embed, (np.arange(10.0), 0), {}, "lag", id="lag_embed-lag-zero"),
+        pytest.param(lag_embed, (np.zeros((10, 2)), 2), {}, "series", id="lag_embed-series-2d"),
+        pytest.param(lag_embed, (np.float64(1.0), 1), {}, "series", id="lag_embed-series-0d"),
+        pytest.param(gen_mackey, (True,), {"total_steps": 60, "washout": 10}, "lag", id="mackey-lag-bool"),
+    ],
+)
+def test_invalid_argument_named(generator, args, kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        generator(*args, **kwargs)
+
+
+def test_numpy_integer_counts_accepted():
+    a, b = gen_yerkes(np.int64(20), seed=1), gen_yerkes(20, seed=1)
+    assert a.metadata == b.metadata and type(a.metadata["n"]) is int
+    npt.assert_array_equal(a.targets, b.targets)
+    assert lag_embed(np.arange(6.0), np.int32(4)).metadata == {"generator": "lag_embed", "lag": 4}
 
 
 class TestSplitDataset:
@@ -265,13 +296,18 @@ class TestSplitDataset:
         ds = Dataset(np.zeros((4, 1)), np.zeros((4, 1)), {})
         with pytest.raises(ValueError, match="sum to 1"):
             split_dataset(ds, (0.5, 0.5, 0.5))
+        for fractions in ((0.5, 0.5, 0.0), (0.5, 0.5), (float("nan"), 0.5, 0.5), (0.5, float("nan"), 0.5)):
+            with pytest.raises(ValueError, match="fractions must be three positive numbers"):
+                split_dataset(ds, fractions)
 
     def test_deterministic_and_regenerable(self):
         base = gen_yerkes(50, 0.05, seed=2)
-        a = split_dataset(base, (0.64, 0.16, 0.2), shuffle=True, seed=3)[0]
-        b = regenerate(a.metadata)
-        npt.assert_array_equal(a.inputs, b.inputs)
-        npt.assert_array_equal(a.targets, b.targets)
+        a = split_dataset(base, (0.64, 0.16, 0.2), shuffle=True, seed=3)
+        b = split_dataset(base, (0.64, 0.16, 0.2), shuffle=True, seed=3)
+        for x, y in zip(a, b):
+            assert x.metadata == y.metadata == {}
+            npt.assert_array_equal(x.inputs, y.inputs)
+            npt.assert_array_equal(x.targets, y.targets)
 
 
 class TestDatasetFiles:
@@ -296,7 +332,8 @@ class TestDatasetFiles:
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
         save_dataset(ds, p1)
-        save_dataset(regenerate(ds.metadata), p2)
+        meta = ds.metadata
+        save_dataset(gen_sine(meta["n"], meta["frequency"], meta["seed"]), p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 

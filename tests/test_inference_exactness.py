@@ -16,6 +16,7 @@ per kind: it sums in another order, so it is held to TWO_BLOCK_ATOL.
 
 import functools
 import linecache
+import math
 import sys
 import tracemalloc
 import warnings
@@ -30,6 +31,7 @@ from kafcm.cognitive_graph import (
     BOUNDING_KINDS,
     DivergenceError,
     KAFCMModel,
+    StandardFCM,
     apply_bounding,
     kafcm_step,
     new_kafcm,
@@ -45,7 +47,7 @@ from kafcm.spline_core import (
     basis_tensor,
     make_uniform_grid,
 )
-from kafcm.training import _Workspace, predict_one_step
+from kafcm.training import TrainConfig, _Workspace, predict_one_step, train_gd
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
 
@@ -431,6 +433,35 @@ def test_simulate_rollout_bits(model):
     for _ in range(200):
         ref.append(step(ref[-1]))
     assert same_bits(simulate(model, c0, 200).states, np.array(ref))
+
+
+@functools.cache
+def _settling_maps():
+    """A dense N = 32 tanh KA-FCM trained as the dense_map benchmark trains
+    it (G = 8, p = 3, 10 Adam epochs at 0.01, seed 7), a saturating standard
+    FCM, and eight initial states."""
+    n, seed = 32, 7
+    rng = np.random.default_rng(seed)
+    a, c = rng.normal(0.0, 1.0 / math.sqrt(n), (2, n, n))
+    x = rng.uniform(-1.0, 1.0, (400, n))
+    data = Dataset(x, np.tanh(x @ a.T + np.sin(np.pi * x) @ c.T))
+    model = new_kafcm(n, make_uniform_grid(-1.0, 1.0, 8, 3), mask=np.ones((n, n), dtype=bool), bounding="tanh", seed=seed)
+    model, _ = train_gd(model, data, TrainConfig(learning_rate=0.01, epochs=10, seed=seed))
+    standard = StandardFCM(20.0 * np.eye(n) + rng.normal(0.0, 1.0, (n, n)), "tanh")
+    return {"kafcm-dense-N32": model, "standard-saturating-N32": standard}, rng.uniform(-1.0, 1.0, (8, n))
+
+
+@pytest.mark.parametrize("name", ["kafcm-dense-N32", "standard-saturating-N32"])
+def test_settled_traffic_stays_settled(name):
+    """Once a step repeats its state bit for bit, every later step does:
+    a step reads only the values of its row, not where the row lives."""
+    maps, c0s = _settling_maps()
+    for c0 in c0s:
+        bits = simulate(maps[name], c0, 50).states.view(np.uint64)
+        repeats = (bits[1:] == bits[:-1]).all(axis=1)
+        assert repeats.any()
+        t = int(np.argmax(repeats))
+        assert (bits[t + 1 :] == bits[t]).all()
 
 
 def ref_rollout(model, c0, T):

@@ -16,9 +16,11 @@ same combined digest.
 The package is imported from this tree's `src/`. The bytes of the MLP
 baseline's artifacts depend on the BLAS thread count, so the digest is
 comparable only between runs with the same setting; pin it before numpy
-loads (for example `OPENBLAS_NUM_THREADS=1`). The tool prints the
-`OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS` and `MKL_NUM_THREADS` settings
-to standard error, so the listing on standard output stays comparable.
+loads (for example `OPENBLAS_NUM_THREADS=1`), and with the same numpy
+and BLAS library. The tool prints the `OPENBLAS_NUM_THREADS`,
+`OMP_NUM_THREADS` and `MKL_NUM_THREADS` settings, the numpy version and
+the BLAS library (`unknown` on numpy < 1.25) to standard error, so the
+listing on standard output stays comparable.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
@@ -43,6 +47,14 @@ STEPS = (
     + [(command, kind) for kind in MODEL_KINDS for command in ("train", "evaluate")]
     + [("extract", "kafcm")]
 )
+
+
+def blas_library() -> str:
+    """The BLAS version numpy was built against, or 'unknown'."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"].get("version", "unknown")
+    except (TypeError, KeyError):  # numpy < 1.25 has no dict mode
+        return "unknown"
 
 
 def shipped_configs() -> dict:
@@ -105,7 +117,8 @@ def main(argv=None) -> int:
     unknown = sorted(set(args.experiments) - set(EXPERIMENTS))
     if unknown:
         parser.error(f"unknown experiments: {unknown}")
-    print(" ".join(f"{name}={os.environ.get(name, '(unset)')}" for name in BLAS_THREAD_VARIABLES), file=sys.stderr)
+    settings = [f"{name}={os.environ.get(name, '(unset)')}" for name in BLAS_THREAD_VARIABLES]
+    print(" ".join(settings + [f"numpy={np.__version__}", f"blas={blas_library()}"]), file=sys.stderr)
     with tempfile.TemporaryDirectory(prefix="recipe-") as workdir:
         digests = file_digests(run_recipe(workdir, args.seed, args.experiments or EXPERIMENTS))
     for path in sorted(digests):
