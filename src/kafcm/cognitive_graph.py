@@ -2,6 +2,12 @@
 
 A KA-FCM replaces every scalar edge weight with a learnable univariate
 function, so one inference step is c(t+1) = sigma(sum_j phi_ij(c_j(t))).
+Every KA-FCM path (a simulate step, predict_one_step and a fit) computes
+the sums of its target nodes as one product F @ W.T, KAFCMModel.forward:
+F = [b(x) | B(x)] holds the states x of the target nodes' source span
+(KAFCMModel.span, the smallest contiguous range of nodes that feeds one of
+them) under the base and their B-spline basis tensor, and W = [w_base |
+w_spline * alpha] the matching weights (KAFCMModel.features and weights).
 The bounding operator sigma is a differentiable squashing choice shared by
 both model kinds; `identity` is provided for tasks whose targets live
 outside a squashed range.
@@ -141,61 +147,80 @@ class KAFCMModel:
         for i, j in np.argwhere(self.mask).tolist():
             yield i, j, EdgeView(self, i, j)
 
-    def features(self, states: np.ndarray):
-        """(base, B) of states with shape (T, N), in new arrays: the states
-        under the model's base, (T, N), and their (T, N*K) basis tensor."""
-        return base_eval(self.base, states, np.empty(states.shape)), basis_tensor(self.grid, states)
+    def span(self, rows=slice(None)) -> slice:
+        """The source span of the target nodes in `rows`, a basic slice: the
+        smallest contiguous range of nodes that feeds a present edge into one
+        of them, slice(0, 0) when none does. Only these sources reach the
+        rows' pre-activations."""
+        used = np.flatnonzero(self.mask[rows].any(axis=0))
+        return slice(int(used[0]), int(used[-1]) + 1) if len(used) else slice(0, 0)
 
-    def weights(self, rows=slice(None)):
-        """(Wb, Ws) of the target nodes in `rows`, a basic slice: w_base *
-        mask, matching base's columns, and (w_spline * mask)[..., None] *
-        alpha flattened to match B's, so absent edges' slots give zeros."""
+    def features(self, states: np.ndarray, span: slice) -> np.ndarray:
+        """F = [b(x) | B(x)] of the span's columns x of states (T, N), a new
+        (T, S*(1+K)) array for S nodes in span: x under the model's base in
+        the first S columns, then x's (T, S*K) basis tensor."""
+        x = states[:, span]
+        S = x.shape[1]
+        F = np.empty((len(x), S * (1 + self.K)))
+        base_eval(self.base, x, F[:, :S])
+        F[:, S:] = basis_tensor(self.grid, x)
+        return F
+
+    def weights(self, rows: slice, span: slice) -> np.ndarray:
+        """W = [Wb | Ws], (rows, S*(1+K)), of the target nodes in `rows` and
+        the sources in `span`, both basic slices, matching F's columns: w_base
+        * mask, then (w_spline * mask)[..., None] * alpha flattened, so absent
+        edges' slots give zeros."""
         w_base, w_spline, alpha = self.views(self.theta)
-        mask = self.mask[rows]
+        mask = self.mask[rows, span]
+        (n_out, S), K = mask.shape, self.K
+        W = np.empty((n_out, S * (1 + K)))
+        np.multiply(w_base[rows, span], mask, W[:, :S])
         # w_spline * mask repeated along K, since NumPy buffers a broadcast operand
-        Ws = np.repeat(w_spline[rows] * mask, self.K).reshape(len(mask), -1)
-        Ws *= alpha[rows].reshape(Ws.shape)
-        return w_base[rows] * mask, Ws
+        spline = np.repeat(w_spline[rows, span] * mask, K).reshape(n_out, S, K)
+        np.multiply(spline, alpha[rows, span], W[:, S:].reshape(spline.shape))
+        return W
 
     @staticmethod
     def forward(features, weights, out=None) -> np.ndarray:
-        """Pre-activation sums base @ Wb.T + B @ Ws.T, shape (T, rows): the
-        one forward of every inference and training path. out, if given, is
-        a pair of (T, rows) arrays: the sum goes into the first, which is
-        returned, and the second holds the spline term; both must be
-        C-contiguous float arrays, as np.dot requires of its out. np.dot
-        reaches matmul's BLAS kernels without its ufunc dispatch."""
-        (base, B), (Wb, Ws) = features, weights
-        pre, spline = (None, None) if out is None else out
-        pre = np.dot(base, Wb.T, pre)
-        return np.add(pre, np.dot(B, Ws.T, spline), pre)
+        """Pre-activations F @ W.T, shape (T, rows), as one np.dot: the one
+        forward of every inference and training path. out, if given, is a
+        C-contiguous (T, rows) float array, as np.dot requires, that receives
+        them. np.dot reaches matmul's BLAS kernels without its ufunc
+        dispatch; an empty span gives zeros."""
+        return np.dot(features, weights.T, out)
 
     def stepper(self):
         """step(state, out=None) -> sigma(pre(state)) for one state, a float
         vector of n values.
 
         Everything that does not depend on the state is bound once per
-        stepper: the weights, the base's and the bounding's functions, the
-        base row and the basis row (filled through an (n, K) view by the
-        basis routine's bound work arrays), the two pre-activation rows and
-        the scratch of the base and the bounding. A step is then a run of
-        in-place calls through the one basis routine and the one forward; it
-        writes into out (a new array when None) and returns it, and out may
-        be state itself. Separate steppers share nothing, but one stepper
-        must not run two steps at once.
+        stepper: the source span of all n nodes, the weights over it, the
+        base's and the bounding's functions, the (1, S*(1+K)) feature row
+        (the base writes its first S entries and the basis routine, through
+        its bound work arrays for S points, the rest as an (S, K) view), the
+        pre-activation row and the scratch of the base and the bounding. A
+        step is then a run of in-place calls through the one basis routine
+        and the one forward; it writes into out (a new array when None) and
+        returns it, and out may be state itself. Separate steppers share
+        nothing, but one stepper must not run two steps at once.
         """
         n, K, forward = self.n_nodes, self.K, self.forward
         base_fn, bound = _BASES[self.base][0], _BOUNDING[self.bounding][0]
-        weights = self.weights()
-        feats = base, B = np.empty((1, n)), np.empty((1, n * K))
-        pre = np.empty((1, n)), np.empty((1, n))
-        base_row, points, pre_row = base[0], B.reshape(n, K), pre[0][0]
-        basis = basis_evaluator(self.grid, n)
-        base_scratch, bound_scratch = (np.empty(n), np.empty(n)), (np.empty(n), np.empty(n))
+        span = self.span()
+        S = span.stop - span.start
+        weights = self.weights(slice(None), span)
+        feats = np.empty((1, S * (1 + K)))
+        base_row, points = feats[0, :S], feats[0, S:].reshape(S, K)
+        pre = np.empty((1, n))
+        pre_row = pre[0]
+        basis = basis_evaluator(self.grid, S)
+        base_scratch, bound_scratch = (np.empty(S), np.empty(S)), (np.empty(n), np.empty(n))
 
         def step(state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-            base_fn(state, base_row, base_scratch)
-            basis(state, points)
+            sources = state[span]
+            base_fn(sources, base_row, base_scratch)
+            basis(sources, points)
             forward(feats, weights, pre)
             return bound(pre_row, np.empty(n) if out is None else out, bound_scratch)
 

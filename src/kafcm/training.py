@@ -18,23 +18,29 @@ buffer `theta`, which a fit writes back only once every epoch has run.
 
 The loss and its gradients are dense, with no loop over edges, and read
 the model's own arrays through KAFCMModel.views, the one layout of theta.
-A fit builds the (T, N*K) basis tensor B of its input states once; each
-epoch is then one forward over the output rows, one backward C =
-(u.T @ B).reshape(n_out, N, K) for the upstream gradient u, and the update.
-Every product is np.dot, which reaches the BLAS kernels of np.matmul
-without its ufunc dispatch and gives the same bits, but for a (1, 1) @
-(1, 1) product (a one-node map fit on one row): np.dot multiplies it
-directly, so a zero keeps its sign where BLAS sums from +0.0. Adam's
-moments start at +0.0 and absorb that sign, so fits keep their bits.
+Only the output rows enter the reconstruction loss, and only their source
+span feeds them (KAFCMModel.span: the smallest contiguous range of nodes
+with a present edge into an output; the inputs, in the recipe's
+feedforward maps). A fit builds the features F = [b(x) | B(x)] of the
+span's states once, shape (T, S*(1+K)); each epoch is then one forward F @
+W.T with W = [w_base | w_spline * alpha] over the output rows and the span,
+one backward G = u.T @ F for the upstream gradient u, whose first S columns
+give d w_base and the rest C, (n_out, S, K), and the update. Both products
+are np.dot, which reaches the BLAS kernels of np.matmul without its ufunc
+dispatch and gives the same bits. The recipe's KA-FCM artifacts have the
+same bytes on one BLAS thread and on two (CI compares them).
 
 An epoch allocates nothing: the forward, the backward and the Adam update
 fill one workspace of buffers allocated once per fit, which train_gd and
-model_gradient share. At the recipe's sizes (N = 2 with T = 256, N = 5
-with T = 958) an epoch's cost is NumPy call and allocation overhead, not
-arithmetic. The in-place steps keep the float operations of the plain
-allocating expressions and their order, so fits are bit-identical to that
-plain form, the tests' reference. _squared_error is the loss of loss_rec,
-both trainers and the swarm; cognitive_graph.bounding_slope is sigma'.
+model_gradient share (but for NumPy's ufunc buffer when more than one
+output row meets a span short of every node: the [rows, span] blocks of
+theta and of the gradient then have gaps between rows). At the recipe's
+sizes (N = 2 with T = 256, N = 5 with T = 958) an epoch's cost is NumPy
+call and allocation overhead, not arithmetic. The in-place steps keep the
+float operations of the plain allocating expressions and their order, so
+fits are bit-identical to that plain form, the tests' reference.
+_squared_error is the loss of loss_rec, both trainers and the swarm;
+cognitive_graph.bounding_slope is sigma'.
 """
 
 from __future__ import annotations
@@ -252,7 +258,9 @@ def predict_one_step(model, data: Dataset) -> np.ndarray:
     states = _state_matrix(model.n_nodes, data, input_idx)
     if isinstance(model, StandardFCM):
         return np.asarray(apply_bounding(model.activation, states @ model.weights.T))[:, output_idx]
-    pre = model.forward(model.features(states), model.weights(_output_rows(output_idx)))
+    rows = _output_rows(output_idx)
+    span = model.span(rows)
+    pre = model.forward(model.features(states, span), model.weights(rows, span))
     return np.asarray(apply_bounding(model.bounding, pre))
 
 
@@ -266,16 +274,18 @@ class ModelGradient:
 
 
 class _Workspace:
-    """One fit: the features of the data, `present` (True at present
-    edges' entries) and a copy `theta` of the model's parameter buffer with
-    the other entries at zero, its output rows and their mask, a gradient
-    buffer laid out like it, and every array an epoch fills, allocated once
-    so that an epoch allocates none. Layouts all come from KAFCMModel.views.
+    """One fit: the features F of the data over the output rows' source span,
+    `present` (True at present edges' entries) and a copy `theta` of the
+    model's parameter buffer with the other entries at zero, the [rows,
+    span] blocks of its views and of a gradient buffer laid out like it, and
+    every array an epoch fills, allocated once so that an epoch allocates
+    none. Layouts all come from KAFCMModel.views.
 
-    The zeros stay: their w_base gradient is masked, their other gradients
+    The zeros stay: their w_base gradient is never written, their others
     are products with zeros, and Adam moves nothing whose moments are 0.
-    So the forward's Wb is w_base's output rows and Ws w_spline * alpha,
-    unmasked (the same bits as masking them).
+    So the forward's W is [w_base | w_spline * alpha] over the block,
+    unmasked (the same bits as masking them). Gradient entries outside the
+    block stay zero, but for the L1 term's, which covers every present edge.
 
     The epoch passes outputs positionally and scalar factors as 0-d arrays:
     on arrays of a few dozen entries a ufunc call takes about 0.45 us (numpy
@@ -286,62 +296,77 @@ class _Workspace:
     def __init__(self, model: KAFCMModel, data: Dataset, lam: float):
         self.model, self.lam = model, lam
         input_idx, output_idx = supervision_layout(model.n_nodes, data)
-        self.rows = _output_rows(output_idx)
-        self.features = model.features(_state_matrix(model.n_nodes, data, input_idx))
+        rows = _output_rows(output_idx)
+        span = model.span(rows)
+        self.features = model.features(_state_matrix(model.n_nodes, data, input_idx), span)
         self.targets = np.asarray(data.targets, dtype=float)
         self.present = np.zeros(len(model.theta), dtype=bool)
         for view in model.views(self.present):
             view[model.mask] = True
         self.theta = np.where(self.present, model.theta, 0.0)
         w_base, w_spline, self.alpha = model.views(self.theta)
-        self.row_params = w_base[self.rows], w_spline[self.rows], self.alpha[self.rows]
-        self.row_mask = model.mask[self.rows].astype(float)
+        self.block_params = w_base[rows, span], w_spline[rows, span], self.alpha[rows, span]
+        self.block_mask = model.mask[rows, span]
         self.grad = np.zeros_like(self.theta)
         self.grads = model.views(self.grad)
-        self.row_grads = tuple(g[self.rows] for g in self.grads)
-        T, N, K = len(self.targets), model.n_nodes, model.K
-        n_out = len(self.row_mask)
-        # Ws, refilled by each forward, is the backward's scratch after it;
-        # w_spline repeated along K, since NumPy buffers a broadcast operand
-        self.Ws, self.w_spline_k = np.empty((n_out, N, K)), np.empty((n_out, N, K))
-        self.weights = self.row_params[0], self.Ws.reshape(n_out, N * K)
-        # the forward's sum and spline term, sigma(pre), the residual, its
-        # square and u, the upstream gradient, each (T, n_out)
-        self.pre, self.spline, self.y, self.resid, self.sq, self.u = (np.empty((T, n_out)) for _ in range(6))
+        self.block_grads = tuple(g[rows, span] for g in self.grads)
+        (T, n_out), (S, K) = self.targets.shape, (self.block_mask.shape[1], model.K)
+        # W = [Wb | Ws] and G = u.T @ F, each (n_out, S*(1+K)), with their
+        # (n_out, S) base and (n_out, S, K) spline blocks. With more than one
+        # output row a block has a gap between rows, and a ufunc reads or
+        # writes it through a buffer of up to 8192 entries each call, so Ws
+        # and C, the spline block of G, are then contiguous twins that
+        # np.copyto, which takes no buffer, moves into W and out of G
+        self.weights, self.G = np.empty((n_out, S * (1 + K))), np.empty((n_out, S * (1 + K)))
+        self.Wb, self.G_base = self.weights[:, :S], self.G[:, :S]
+        self.W_spline, self.G_spline = (a[:, S:].reshape(n_out, S, K) for a in (self.weights, self.G))
+        self.Ws, self.C = (v if v.flags.c_contiguous else np.empty(v.shape) for v in (self.W_spline, self.G_spline))
+        # w_spline repeated along K (NumPy buffers a broadcast operand too)
+        # and the backward's products
+        self.w_spline_k, self.prod = np.empty((n_out, S, K)), np.empty((n_out, S, K))
+        # the forward's sum, sigma(pre), the residual, its square and u, the
+        # upstream gradient, each (T, n_out)
+        self.pre, self.y, self.resid, self.sq, self.u = (np.empty((T, n_out)) for _ in range(5))
         self.rowsum = np.empty(T)
-        self.C = np.empty((n_out, N * K))
         self.two_over_T = np.array(2.0 / T)
         # the L1 term's per-edge sums and their running sum in edge order
+        N = model.n_nodes
         self.edge_l1, self.l1_run = np.empty((N, N)), np.empty(N * N)
         self.edge_l1_flat = self.edge_l1.reshape(-1)
 
     def loss_and_grads(self) -> float:
         """Total loss at the current parameters; fills self.grad.
 
-        Only output rows shape the reconstruction loss, so the backward is
-        one product with the basis tensor, C = (u.T @ B).reshape(n_out, N, K),
-        from which d alpha = w_spline * C and d w_spline = sum_k alpha * C.
+        Only output rows shape the reconstruction loss, and only the span's
+        sources feed them, so the backward is the one product G = u.T @ F:
+        its first S columns give d w_base at present edges, and the rest is
+        C, (n_out, S, K), from which d alpha = w_spline * C and d w_spline =
+        sum_k alpha * C.
         """
         m, lam = self.model, self.lam
-        base, B = self.features
-        _, w_spline, alpha = self.row_params
-        g_wb, g_ws, g_al = self.row_grads
-        pre, resid, sq, u, prod = self.pre, self.resid, self.sq, self.u, self.Ws
-        C, w_spline_k = self.C.reshape(prod.shape), self.w_spline_k
+        w_base, w_spline, alpha = self.block_params
+        g_wb, g_ws, g_al = self.block_grads
+        pre, resid, sq, u, prod = self.pre, self.resid, self.sq, self.u, self.prod
+        C, w_spline_k = self.C, self.w_spline_k
+        np.copyto(self.Wb, w_base)
         np.copyto(w_spline_k, w_spline[:, :, None])
         np.multiply(w_spline_k, alpha, self.Ws)
-        m.forward(self.features, self.weights, out=(pre, self.spline))
+        if self.Ws is not self.W_spline:
+            np.copyto(self.W_spline, self.Ws)
+        m.forward(self.features, self.weights, pre)
         # y = sigma(pre) and u = (2/T) resid sigma'(pre), but the identity's y
         # is pre and u * 1.0 is u; pre is spent once y holds sigma(pre)
         identity = m.bounding == "identity"
-        # (spline is spent and u not yet filled: smooth_clip's scratch)
-        y = pre if identity else apply_bounding(m.bounding, pre, self.y, (self.spline, u))
+        # (resid and sq are not yet filled: smooth_clip's scratch)
+        y = pre if identity else apply_bounding(m.bounding, pre, self.y, (resid, sq))
         loss = float(_squared_error(y, self.targets, resid, sq, self.rowsum))
         np.multiply(self.two_over_T, resid, u)
         if not identity:
             np.multiply(u, bounding_slope(m.bounding, y, sq, pre), u)
-        np.multiply(np.dot(u.T, base, g_wb), self.row_mask, g_wb)
-        np.dot(u.T, B, self.C)
+        np.dot(u.T, self.features, self.G)
+        np.copyto(g_wb, self.G_base, where=self.block_mask)
+        if C is not self.G_spline:
+            np.copyto(C, self.G_spline)
         np.add.reduce(np.multiply(alpha, C, prod), 2, None, g_ws)
         if lam > 0:
             # the penalty covers every present edge, also edges into inputs,

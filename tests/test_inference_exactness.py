@@ -6,8 +6,9 @@ step, and `simulate` reuses one set of step buffers per call. The references
 below are the plain forms of the same arithmetic: `np.clip`, `np.vander` and
 a NaN mask for the local basis, boolean-mask indexing for SiLU, a per-(i, j)
 walk of the mask that packs edges (`init_edge` objects, or a model's edge
-views) into one parameter buffer, and a forward whose base term is the
-(T, N) states under the map's one base times the (N, N) w_base.
+views) into one parameter buffer, and a forward that is one product F @
+W.T over the map's source span, F the span's states under the map's one
+base beside their basis tensor.
 Every comparison is of the raw float64 bits, so signed zeros and NaN
 payloads must match as well as values. The one exception is the two-block
 forward, which evaluated every state under both base kinds and masked w_base
@@ -154,14 +155,24 @@ def ref_weights(model):
     return base, grid, w_base, Ws
 
 
+def ref_span(mask):
+    """The smallest contiguous range of columns with a True entry, or an empty slice."""
+    used = np.flatnonzero(mask.any(axis=0))
+    return slice(int(used[0]), int(used[-1]) + 1) if len(used) else slice(0, 0)
+
+
 def ref_stepper(model):
-    """forward(features(s[None]), weights)[0] from the reference pack and features."""
+    """One product F @ W.T over the map's source span s, from the reference
+    pack and features: F = [b(x) | B(x)] of the state's span entries x and W
+    = [w_base[:, s] | Ws of s's columns]."""
     base, grid, Wb, Ws = ref_weights(model)
+    n, s = model.n_nodes, ref_span(model.mask)
+    W = np.hstack([Wb[:, s], Ws.reshape(n, n, -1)[:, s].reshape(n, -1)])
 
     def step(state):
-        states = state[None, :]
-        pre = (ref_base(base, states) @ Wb.T + ref_basis_tensor(grid, states) @ Ws.T)[0]
-        return np.asarray(apply_bounding(model.bounding, pre))
+        x = state[None, s]
+        F = np.hstack([ref_base(base, x), ref_basis_tensor(grid, x)])
+        return np.asarray(apply_bounding(model.bounding, (F @ W.T)[0]))
 
     return step
 
@@ -525,9 +536,10 @@ def _step_buffers(step, model):
     """Every array a stepper of model keeps between calls: the arrays in the
     step function's closure, in tuples and lists there, and in the basis
     routine's bound work arrays (a partial's arguments, an object with
-    __slots__). Asserts that they include the base row, the two
-    pre-activation rows, the basis row and the basis routine's powers,
-    scatter indices and values, so that a check over them is not vacuous."""
+    __slots__). Asserts that they include the feature row over the map's S
+    source nodes, its base and basis views, the pre-activation row and the
+    basis routine's powers, scatter indices and values, so that a check over
+    them is not vacuous."""
     arrays = []
 
     def collect(value):
@@ -544,11 +556,12 @@ def _step_buffers(step, model):
 
     for cell in step.__closure__:
         collect(cell.cell_contents)
-    n, K, q = model.n_nodes, model.K, model.grid.degree + 1
+    span = ref_span(model.mask)
+    n, S, K, q = model.n_nodes, span.stop - span.start, model.K, model.grid.degree + 1
     shapes = [(a.shape, a.dtype) for a in arrays]
-    assert shapes.count(((1, n), np.dtype(float))) >= 3
-    assert ((1, n * K), np.dtype(float)) in shapes
-    assert ((n, q), np.dtype(float)) in shapes and ((n, q), np.dtype(np.intp)) in shapes
+    for shape in ((1, S * (1 + K)), (S,), (S, K), (1, n), (n,)):
+        assert (shape, np.dtype(float)) in shapes
+    assert ((S, q), np.dtype(float)) in shapes and ((S, q), np.dtype(np.intp)) in shapes
     return arrays
 
 

@@ -20,7 +20,8 @@ from kafcm.cognitive_graph import (
     simulate,
 )
 from kafcm.datagen import Dataset, gen_yerkes
-from kafcm.spline_core import make_uniform_grid
+from kafcm.edge_functions import base_eval
+from kafcm.spline_core import basis_tensor, make_uniform_grid
 from kafcm.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -165,6 +166,22 @@ class TestPredictOneStep:
         for t in range(6):
             expected = kafcm_step(model, states[t])
             np.testing.assert_allclose(pred[t], expected, atol=1e-14)
+
+    def test_matches_step_when_an_output_feeds_an_edge(self):
+        """Output node 2 feeds an edge into input 0, so the stepper's source
+        span is every node while predict_one_step's is the input alone; the
+        outputs agree, whatever the stepper's output nodes hold."""
+        model = feedforward_model(seed=8, bounding="tanh", n=3)
+        model.mask[0, 2] = True
+        e = model.edges[0][2]
+        e.w_base, e.w_spline, e.alpha = 0.7, -0.4, np.linspace(-1.0, 1.0, model.K)
+        assert model.span() == slice(0, 3) and model.span(slice(1, 3)) == slice(0, 1)
+        rng = np.random.default_rng(4)
+        xs = rng.uniform(-1, 1, 9)
+        pred = predict_one_step(model, Dataset(inputs=xs, targets=np.zeros((9, 2))))
+        for t, x in enumerate(xs):
+            expected = kafcm_step(model, np.array([x, *rng.uniform(-1, 1, 2)]))[1:]
+            np.testing.assert_allclose(pred[t], expected, rtol=0, atol=1e-14)
 
     def test_standard_fcm(self):
         model = StandardFCM(weights=np.array([[0.0, 0.0], [0.5, 0.0]]), activation="tanh")
@@ -493,42 +510,56 @@ class TestOneBufferAdam:
         assert str(info.value) == "non-finite gradient at epoch 0, w_spline of edge (1, 0)"
 
 
+def reference_span(mask):
+    """The smallest contiguous range of columns with a True entry, or an empty slice."""
+    used = np.flatnonzero(mask.any(axis=0))
+    return slice(int(used[0]), int(used[-1]) + 1) if len(used) else slice(0, 0)
+
+
 def reference_train_gd(model, data, config):
     """The allocating KA-FCM epoch and Adam loop, one fresh array per
-    expression: the oracle the preallocated workspace must match bit for
-    bit. Returns (history, theta after the fit, gradient of epoch 0)."""
+    expression and one product each way over the output rows' source span
+    (F = [b(x) | B(x)] of its states, W = [w_base | w_spline * alpha]): the
+    oracle the preallocated workspace must match bit for bit. Returns
+    (history, theta after the fit, gradient of epoch 0)."""
     input_idx, output_idx = supervision_layout(model.n_nodes, data)
     rows = slice(int(output_idx[0]), int(output_idx[-1]) + 1)
+    span = reference_span(model.mask[rows])
     states = np.zeros((len(data), model.n_nodes))
     states[:, input_idx] = data.inputs
-    base, B = model.features(states)
+    x = states[:, span]
+    S, K = x.shape[1], model.K
+    F = np.hstack([base_eval(model.base, x), basis_tensor(model.grid, x)])
     targets = np.asarray(data.targets, dtype=float)
     mask = model.mask.ravel()
-    present = np.concatenate([mask, mask, np.repeat(mask, model.K)])
+    present = np.concatenate([mask, mask, np.repeat(mask, K)])
     theta = np.where(present, model.theta, 0.0)
     grad = np.zeros_like(theta)
-    w_base, w_spline, alpha = model.views(theta)
+    w_base, w_spline, alpha = (view[rows, span] for view in model.views(theta))
     g_wb, g_ws, g_al = model.views(grad)
-    row_mask = model.mask[rows].astype(float)
+    full_alpha = model.views(theta)[2]
+    block_mask = model.mask[rows, span].astype(float)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     history = np.empty(config.epochs)
     first_grad = None
     for epoch in range(config.epochs):
-        Ws = (w_spline[rows] * row_mask)[:, :, None] * alpha[rows]
-        pre = base @ (w_base[rows] * row_mask).T + B @ Ws.reshape(len(Ws), -1).T
+        Ws = (w_spline * block_mask)[:, :, None] * alpha
+        W = np.hstack([w_base * block_mask, Ws.reshape(len(Ws), -1)])
+        pre = F @ W.T
         resid = np.asarray(apply_bounding(model.bounding, pre)) - targets
         loss = float(np.mean(np.sum(resid**2, axis=1)))
         u = ((2.0 / len(resid)) * resid * bounding_grad(model.bounding, pre)).T
-        g_wb[rows] = (u @ base) * row_mask
-        C = (u @ B).reshape(len(u), model.n_nodes, model.K)
-        g_ws[rows] = (alpha[rows] * C).sum(axis=2)
+        G = u @ F
+        g_wb[rows, span] = np.where(model.mask[rows, span], G[:, :S], 0.0)
+        C = G[:, S:].reshape(len(u), S, K)
+        g_ws[rows, span] = (alpha * C).sum(axis=2)
         if config.lam > 0:
-            loss += config.lam * float(sum(np.abs(alpha[model.mask]).sum(axis=1)))
-            np.multiply(config.lam, np.sign(alpha), out=g_al)
-            g_al[rows] += w_spline[rows][:, :, None] * C
+            loss += config.lam * float(sum(np.abs(full_alpha[model.mask]).sum(axis=1)))
+            np.multiply(config.lam, np.sign(full_alpha), out=g_al)
+            g_al[rows, span] += w_spline[:, :, None] * C
         else:
-            g_al[rows] = w_spline[rows][:, :, None] * C
+            g_al[rows, span] = w_spline[:, :, None] * C
         history[epoch] = loss
         if first_grad is None:
             first_grad = grad.copy()
@@ -545,15 +576,42 @@ def reference_train_gd(model, data, config):
     return history, out, first_grad
 
 
+def span_case_mask(kind, n, d_in):
+    """The mask of a feedforward n-node map, inputs 0 .. d_in-1 and outputs
+    d_in .. n-1, whose output rows' source span is one of SPAN_CASES:
+    - "gapped": the outputs' sources are nodes 0 and d_in-1 only, so the
+      span covers the unused inputs between them (d_in >= 3);
+    - "empty-row": the last output row has no present edge (n - d_in >= 2);
+    - "empty-span": no edge into an output.
+    Each also has edges into inputs, from the last node and, with two inputs
+    or more, from node 0, which only the L1 term moves."""
+    mask = np.zeros((n, n), dtype=bool)
+    if kind == "gapped":
+        mask[d_in:, 0] = mask[n - 1, d_in - 1] = True
+    elif kind == "empty-row":
+        mask[d_in, :d_in] = True
+    mask[0, n - 1] = mask[min(1, d_in - 1), 0] = True
+    return mask
+
+
+SPAN_CASES = ("gapped", "empty-row", "empty-span")
+
+
 @st.composite
 def fit_cases(draw):
     """(model, data, config): a random map with absent edges, any bounding,
-    a feedforward or full-state layout, and lam zero or positive."""
+    a feedforward or full-state layout, and lam zero or positive; a
+    feedforward map may take one of span_case_mask's masks instead."""
     n = draw(st.integers(2, 5))
-    mask = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
-    mask[n - 1, 0] = True
-    bounding = draw(st.sampled_from(BOUNDING_KINDS))
     d_in = draw(st.integers(1, n - 1) | st.just(n))  # d_in == n supervises the full state
+    kinds = [k for k in SPAN_CASES if d_in < n and (k != "gapped" or d_in >= 3) and (k != "empty-row" or n - d_in >= 2)]
+    kind = draw(st.sampled_from([None] + kinds))
+    if kind is None:
+        mask = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
+        mask[n - 1, 0] = True
+    else:
+        mask = span_case_mask(kind, n, d_in)
+    bounding = draw(st.sampled_from(BOUNDING_KINDS))
     grid = make_uniform_grid(-1.0, 1.0, draw(st.integers(1, 6)), draw(st.integers(0, 3)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     model = new_kafcm(n, grid, mask=mask, bounding=bounding, seed=int(rng.integers(1 << 30)))
@@ -569,6 +627,19 @@ def fit_cases(draw):
     return model, data, config
 
 
+def assert_fit_bit_equal(model, data, config):
+    """model_gradient, train_gd's history and the fitted theta equal
+    reference_train_gd's bit for bit; returns model_gradient's result."""
+    ref_history, ref_theta, ref_grad = reference_train_gd(model, data, config)
+    grad = model_gradient(model, data, config.lam)
+    flat = np.concatenate([grad.d_w_base.ravel(), grad.d_w_spline.ravel(), grad.d_alpha.ravel()])
+    assert np.array_equal(flat.view(np.uint64), ref_grad.view(np.uint64))
+    _, history = train_gd(model, data, config)
+    assert np.array_equal(history.view(np.uint64), ref_history.view(np.uint64))
+    assert np.array_equal(model.theta.view(np.uint64), ref_theta.view(np.uint64))
+    return grad
+
+
 class TestEpochBitExact:
     """train_gd's preallocated epoch and in-place Adam against the plain
     allocating expressions."""
@@ -576,14 +647,32 @@ class TestEpochBitExact:
     @settings(max_examples=80, deadline=None)
     @given(fit_cases())
     def test_history_theta_and_gradient_are_bit_equal(self, case):
-        model, data, config = case
-        ref_history, ref_theta, ref_grad = reference_train_gd(model, data, config)
-        grad = model_gradient(model, data, config.lam)
-        flat = np.concatenate([grad.d_w_base.ravel(), grad.d_w_spline.ravel(), grad.d_alpha.ravel()])
-        assert np.array_equal(flat.view(np.uint64), ref_grad.view(np.uint64))
-        _, history = train_gd(model, data, config)
-        assert np.array_equal(history.view(np.uint64), ref_history.view(np.uint64))
-        assert np.array_equal(model.theta.view(np.uint64), ref_theta.view(np.uint64))
+        assert_fit_bit_equal(*case)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.02])
+    @pytest.mark.parametrize("kind", SPAN_CASES)
+    def test_span_cases(self, kind, lam):
+        """Each span case on a 6-node map with 3 inputs and K = 9 (past
+        NumPy's 8-way pairwise sum) is bit-equal to the reference; the
+        gradient is zero at masked entries, so outside the span, and with
+        lam > 0 the present input edges' alpha moves as the reference's."""
+        n, d_in = 6, 3
+        mask = span_case_mask(kind, n, d_in)
+        spans = {"gapped": slice(0, 3), "empty-row": slice(0, 3), "empty-span": slice(0, 0)}
+        model = new_kafcm(n, make_uniform_grid(-1.0, 1.0, 6, 3), mask=mask, bounding="tanh", seed=5)
+        assert model.span(slice(d_in, n)) == spans[kind]
+        rng = np.random.default_rng(6)
+        model.theta[:] = rng.normal(0.0, 0.5, model.theta.shape)
+        into_inputs = mask.copy()
+        into_inputs[d_in:] = False
+        alpha_in = model.alpha[into_inputs]
+        data = Dataset(rng.uniform(-1.3, 1.3, (30, d_in)), rng.uniform(-1.0, 1.0, (30, n - d_in)))
+        grad = assert_fit_bit_equal(model, data, TrainConfig(learning_rate=0.05, epochs=4, lam=lam))
+        for g in (grad.d_w_base, grad.d_w_spline, grad.d_alpha):
+            assert not g[~mask].any()
+        assert not grad.d_w_base[into_inputs].any() and not grad.d_w_spline[into_inputs].any()
+        assert np.array_equal(grad.d_alpha[into_inputs], lam * np.sign(alpha_in))
+        assert (model.alpha[into_inputs] != alpha_in).all() == (lam > 0)
 
 
 # ---------------------------------------------------------------- PSO
