@@ -506,7 +506,8 @@ def _model_path(config: ExperimentConfig) -> str:
 
 
 def save_history_csv(history, path) -> None:
-    write_csv(path, ("epoch", "loss"), enumerate(history))
+    # Python floats: csv_line writes the same bytes for them as for np.float64s, with less work a field
+    write_csv(path, ("epoch", "loss"), enumerate(np.asarray(history).tolist()))
 
 
 def cmd_generate(config: ExperimentConfig) -> int:

@@ -15,6 +15,7 @@ outside a squashed range.
 
 from __future__ import annotations
 
+import math
 import operator
 import time
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .edge_functions import _BASES, _ONE, _constant, _fresh_edge, _kind_entry, base_eval
-from .spline_core import KnotGrid, basis_evaluator, basis_tensor, make_uniform_grid
+from .spline_core import KnotGrid, _fill_basis_tensor, basis_evaluator, make_uniform_grid
 
 __all__ = [
     "BOUNDING_KINDS",
@@ -158,12 +159,14 @@ class KAFCMModel:
     def features(self, states: np.ndarray, span: slice) -> np.ndarray:
         """F = [b(x) | B(x)] of the span's columns x of states (T, N), a new
         (T, S*(1+K)) array for S nodes in span: x under the model's base in
-        the first S columns, then x's (T, S*K) basis tensor."""
+        the first S columns, then x's (T, S*K) basis tensor, written into F
+        a block of rows at a time (_fill_basis_tensor), so that the tensor is
+        never held twice."""
         x = states[:, span]
         S = x.shape[1]
         F = np.empty((len(x), S * (1 + self.K)))
         base_eval(self.base, x, F[:, :S])
-        F[:, S:] = basis_tensor(self.grid, x)
+        _fill_basis_tensor(self.grid, x, F[:, S:])
         return F
 
     def weights(self, rows: slice, span: slice) -> np.ndarray:
@@ -354,7 +357,10 @@ def simulate(model, c0, T: int) -> Trajectory:
     the trajectory's next row.
 
     Raises ValueError for a non-finite c0 and DivergenceError naming the
-    step and the first node when a step gives a non-finite state.
+    step and the first node when a step gives a non-finite state. Each step
+    is tested with one product, row . row, NaN or infinite if any entry is;
+    only then is the row scanned entry by entry, and if every entry is
+    finite (|x| > 1e154 overflows the product) the rollout goes on.
     """
     if T < 1:
         raise ValueError(f"T must be at least 1, got {T}")
@@ -364,7 +370,10 @@ def simulate(model, c0, T: int) -> Trajectory:
     states[0] = state
     finite = np.empty(model.n_nodes, dtype=bool)
     for t in range(T):
-        if np.count_nonzero(np.isfinite(step(states[t], states[t + 1]), finite)) < len(finite):
+        row = step(states[t], states[t + 1])
+        if math.isfinite(np.vdot(row, row)):
+            continue
+        if np.count_nonzero(np.isfinite(row, finite)) < len(finite):
             raise DivergenceError(f"non-finite state at step {t + 1}, node {int(np.argmin(finite))}")
     return Trajectory(states)
 

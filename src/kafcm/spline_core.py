@@ -237,25 +237,39 @@ BASIS_BLOCK_POINTS = 1024
 
 
 def basis_tensor(grid: KnotGrid, states: np.ndarray) -> np.ndarray:
-    """B of shape (T, N*K): row t is basis_matrix(grid, states[t]) flattened.
+    """B of shape (T, N*K): row t is basis_matrix(grid, states[t]) flattened."""
+    T, n = states.shape
+    return _fill_basis_tensor(grid, states, np.empty((T, n * grid.basis_count)))
 
-    Filled straight into B a block of rows (a contiguous (rows*N, K) view)
-    at a time, each of about BASIS_BLOCK_POINTS points or one row, which
-    bounds the work arrays however many rows the states have; one evaluator
-    serves the full blocks and another a shorter last block.
+
+def _fill_basis_tensor(grid: KnotGrid, states: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write basis_tensor(grid, states) into out, a (T, N*K) float array
+    whose rows may lie apart (a block of columns of a wider array), and
+    return it.
+
+    A block of rows at a time, each of about BASIS_BLOCK_POINTS points or
+    one row, which bounds the work arrays however many rows the states
+    have; one evaluator serves the full blocks and another a shorter last
+    block. A block whose rows are contiguous in out, every block of a
+    contiguous out, is filled straight through its (rows*N, K) view; any
+    other through one scratch block of that shape, which np.copyto moves in.
     """
     T, n = states.shape
     K = grid.basis_count
-    B = np.empty((T, n * K))
     rows = max(1, BASIS_BLOCK_POINTS // max(n, 1))
     size = None
     for t in range(0, T, rows):
-        block = states[t : t + rows].ravel()
+        block, dest = states[t : t + rows].ravel(), out[t : t + rows]
         if len(block) != size:
             size = len(block)
+            evaluate = scratch = None  # the last block's arrays go first
             evaluate = basis_evaluator(grid, size)
-        evaluate(block, B[t : t + rows].reshape(-1, K))
-    return B
+        if dest.flags.c_contiguous:
+            evaluate(block, dest.reshape(size, K))
+        else:
+            scratch = np.empty((size, K)) if scratch is None else scratch
+            np.copyto(dest, evaluate(block, scratch).reshape(dest.shape))
+    return out
 
 
 def basis_vector(grid: KnotGrid, x: float) -> np.ndarray:

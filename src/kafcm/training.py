@@ -15,6 +15,8 @@ gradients of the total loss.
 train_gd and baselines.mlp_train share one epoch loop, _descend; they
 differ only in the step (Adam or plain descent) on their copy of the flat
 buffer `theta`, which a fit writes back only once every epoch has run.
+Each epoch tests its buffers for non-finite entries with one product (see
+_descend), scanning them only when it is not finite.
 
 The loss and its gradients are dense, with no loop over edges, and read
 the model's own arrays through KAFCMModel.views, the one layout of theta.
@@ -34,13 +36,17 @@ An epoch allocates nothing: the forward, the backward and the Adam update
 fill one workspace of buffers allocated once per fit, which train_gd and
 model_gradient share (but for NumPy's ufunc buffer when more than one
 output row meets a span short of every node: the [rows, span] blocks of
-theta and of the gradient then have gaps between rows). At the recipe's
-sizes (N = 2 with T = 256, N = 5 with T = 958) an epoch's cost is NumPy
-call and allocation overhead, not arithmetic. The in-place steps keep the
-float operations of the plain allocating expressions and their order, so
-fits are bit-identical to that plain form, the tests' reference.
+theta and of the gradient then have gaps between rows). The workspace
+binds the epoch once per fit as a closure over those buffers, the blocks,
+F, W.T and u.T and the bounding's functions, as KAFCMModel.stepper binds a
+step, so an epoch looks up no attribute and no bounding kind. At the
+recipe's sizes (N = 2 with T = 256, N = 5 with T = 958) an epoch's cost is
+NumPy call overhead, not arithmetic. The in-place steps keep the float
+operations of the plain allocating expressions and their order, so fits
+are bit-identical to that plain form, the tests' reference.
 _squared_error is the loss of loss_rec, both trainers and the swarm;
-cognitive_graph.bounding_slope is sigma'.
+cognitive_graph.bounding_slope is sigma' (the KA-FCM epoch binds its
+table entry).
 """
 
 from __future__ import annotations
@@ -57,8 +63,8 @@ from .cognitive_graph import (
     KAFCMModel,
     StandardFCM,
     Trajectory,
+    _BOUNDING,
     apply_bounding,
-    bounding_slope,
 )
 from .datagen import Dataset, _as_columns
 
@@ -275,112 +281,113 @@ class ModelGradient:
 
 class _Workspace:
     """One fit: the features F of the data over the output rows' source span,
-    `present` (True at present edges' entries) and a copy `theta` of the
-    model's parameter buffer with the other entries at zero, the [rows,
-    span] blocks of its views and of a gradient buffer laid out like it, and
-    every array an epoch fills, allocated once so that an epoch allocates
-    none. Layouts all come from KAFCMModel.views.
+    `present` (True at present edges' entries), a copy `theta` of the
+    model's parameter buffer with the other entries at zero, a gradient
+    buffer `grad` laid out like it (`grads`, its views) and the epoch
+    loss_and_grads(), which returns the total loss at theta and fills grad.
+    Layouts all come from KAFCMModel.views.
 
     The zeros stay: their w_base gradient is never written, their others
     are products with zeros, and Adam moves nothing whose moments are 0.
-    So the forward's W is [w_base | w_spline * alpha] over the block,
-    unmasked (the same bits as masking them). Gradient entries outside the
-    block stay zero, but for the L1 term's, which covers every present edge.
+    So the forward's W is [w_base | w_spline * alpha] over the [rows, span]
+    block, unmasked (the same bits as masking them). Gradient entries
+    outside the block stay zero, but for the L1 term's, which covers every
+    present edge.
 
-    The epoch passes outputs positionally and scalar factors as 0-d arrays:
-    on arrays of a few dozen entries a ufunc call takes about 0.45 us (numpy
-    2.4 on a 2-core x86 VM), and a keyword `out` or a Python-float operand
-    adds about 0.15 us to it.
+    Only output rows shape the reconstruction loss, and only the span's
+    sources feed them, so the backward is the one product G = u.T @ F: its
+    first S columns give d w_base at present edges, and the rest is C,
+    (n_out, S, K), from which d alpha = w_spline * C and d w_spline = sum_k
+    alpha * C.
+
+    The epoch is a closure bound once per fit, as a stepper binds a step:
+    it holds the [rows, span] blocks of theta and of grad, every buffer it
+    fills (so that it allocates none), F, W.T and u.T, the bounding's
+    (sigma, sigma') pair, and whether the bounding is the identity and
+    whether the gapped-row twins exist. Outputs go positionally and scalar
+    factors as 0-d arrays: on arrays of a few dozen entries a ufunc call
+    takes about 0.45 us (numpy 2.4 on a 2-core x86 VM), and a keyword `out`
+    or a Python-float operand adds about 0.15 us to it.
     """
 
     def __init__(self, model: KAFCMModel, data: Dataset, lam: float):
-        self.model, self.lam = model, lam
+        self.model = model
         input_idx, output_idx = supervision_layout(model.n_nodes, data)
         rows = _output_rows(output_idx)
         span = model.span(rows)
-        self.features = model.features(_state_matrix(model.n_nodes, data, input_idx), span)
-        self.targets = np.asarray(data.targets, dtype=float)
+        features = model.features(_state_matrix(model.n_nodes, data, input_idx), span)
+        targets = np.asarray(data.targets, dtype=float)
         self.present = np.zeros(len(model.theta), dtype=bool)
         for view in model.views(self.present):
             view[model.mask] = True
         self.theta = np.where(self.present, model.theta, 0.0)
-        w_base, w_spline, self.alpha = model.views(self.theta)
-        self.block_params = w_base[rows, span], w_spline[rows, span], self.alpha[rows, span]
-        self.block_mask = model.mask[rows, span]
         self.grad = np.zeros_like(self.theta)
         self.grads = model.views(self.grad)
-        self.block_grads = tuple(g[rows, span] for g in self.grads)
-        (T, n_out), (S, K) = self.targets.shape, (self.block_mask.shape[1], model.K)
+        views = model.views(self.theta)
+        w_base, w_spline, alpha = (v[rows, span] for v in views)
+        g_wb, g_ws, g_al = (g[rows, span] for g in self.grads)
+        full_alpha, full_g_al = views[2], self.grads[2]
+        block_mask = model.mask[rows, span]
+        (T, n_out), (S, K) = targets.shape, (block_mask.shape[1], model.K)
         # W = [Wb | Ws] and G = u.T @ F, each (n_out, S*(1+K)), with their
         # (n_out, S) base and (n_out, S, K) spline blocks. With more than one
         # output row a block has a gap between rows, and a ufunc reads or
         # writes it through a buffer of up to 8192 entries each call, so Ws
         # and C, the spline block of G, are then contiguous twins that
         # np.copyto, which takes no buffer, moves into W and out of G
-        self.weights, self.G = np.empty((n_out, S * (1 + K))), np.empty((n_out, S * (1 + K)))
-        self.Wb, self.G_base = self.weights[:, :S], self.G[:, :S]
-        self.W_spline, self.G_spline = (a[:, S:].reshape(n_out, S, K) for a in (self.weights, self.G))
-        self.Ws, self.C = (v if v.flags.c_contiguous else np.empty(v.shape) for v in (self.W_spline, self.G_spline))
+        W, G = np.empty((n_out, S * (1 + K))), np.empty((n_out, S * (1 + K)))
+        Wb, G_base = W[:, :S], G[:, :S]
+        W_spline, G_spline = (a[:, S:].reshape(n_out, S, K) for a in (W, G))
+        gapped = not W_spline.flags.c_contiguous
+        Ws, C = (np.empty(W_spline.shape), np.empty(G_spline.shape)) if gapped else (W_spline, G_spline)
         # w_spline repeated along K (NumPy buffers a broadcast operand too)
         # and the backward's products
-        self.w_spline_k, self.prod = np.empty((n_out, S, K)), np.empty((n_out, S, K))
+        w_spline_col, w_spline_k, prod = w_spline[:, :, None], np.empty((n_out, S, K)), np.empty((n_out, S, K))
         # the forward's sum, sigma(pre), the residual, its square and u, the
         # upstream gradient, each (T, n_out)
-        self.pre, self.y, self.resid, self.sq, self.u = (np.empty((T, n_out)) for _ in range(5))
-        self.rowsum = np.empty(T)
-        self.two_over_T = np.array(2.0 / T)
+        pre, bounded, resid, sq, u = (np.empty((T, n_out)) for _ in range(5))
+        WT, uT, rowsum, two_over_T = W.T, u.T, np.empty(T), np.array(2.0 / T)
+        bound, slope = _BOUNDING[model.bounding]
+        identity = model.bounding == "identity"
         # the L1 term's per-edge sums and their running sum in edge order
-        N = model.n_nodes
-        self.edge_l1, self.l1_run = np.empty((N, N)), np.empty(N * N)
-        self.edge_l1_flat = self.edge_l1.reshape(-1)
+        edge_l1, l1_run = np.empty(model.mask.shape), np.empty(model.mask.size)
+        edge_l1_flat = edge_l1.reshape(-1)
 
-    def loss_and_grads(self) -> float:
-        """Total loss at the current parameters; fills self.grad.
+        def loss_and_grads() -> float:
+            np.copyto(Wb, w_base)
+            np.copyto(w_spline_k, w_spline_col)
+            np.multiply(w_spline_k, alpha, Ws)
+            if gapped:
+                np.copyto(W_spline, Ws)
+            np.dot(features, WT, pre)  # KAFCMModel.forward, with W.T bound
+            # y = sigma(pre) and u = (2/T) resid sigma'(pre), but the
+            # identity's y is pre and u * 1.0 is u; pre is spent once y holds
+            # sigma(pre) (resid and sq are not yet filled: smooth_clip's scratch)
+            y = pre if identity else bound(pre, bounded, (resid, sq))
+            loss = float(_squared_error(y, targets, resid, sq, rowsum))
+            np.multiply(two_over_T, resid, u)
+            if not identity:
+                np.multiply(u, slope(y, sq, pre), u)
+            np.dot(uT, features, G)
+            np.copyto(g_wb, G_base, where=block_mask)
+            if gapped:
+                np.copyto(C, G_spline)
+            np.add.reduce(np.multiply(alpha, C, prod), 2, None, g_ws)
+            if lam > 0:
+                # the penalty covers every present edge, also edges into
+                # inputs, as per-edge sums added in edge order like
+                # _l1_alpha's (an absent edge's sum, +0.0, leaves the
+                # running sum as it is)
+                np.add.reduce(np.abs(full_alpha, full_g_al), 2, None, edge_l1)
+                np.add.accumulate(edge_l1_flat, 0, None, l1_run)
+                loss += lam * float(l1_run[-1])
+                np.multiply(lam, np.sign(full_alpha, full_g_al), full_g_al)
+                np.add(g_al, np.multiply(w_spline_k, C, prod), g_al)
+            else:
+                np.multiply(w_spline_k, C, g_al)
+            return loss
 
-        Only output rows shape the reconstruction loss, and only the span's
-        sources feed them, so the backward is the one product G = u.T @ F:
-        its first S columns give d w_base at present edges, and the rest is
-        C, (n_out, S, K), from which d alpha = w_spline * C and d w_spline =
-        sum_k alpha * C.
-        """
-        m, lam = self.model, self.lam
-        w_base, w_spline, alpha = self.block_params
-        g_wb, g_ws, g_al = self.block_grads
-        pre, resid, sq, u, prod = self.pre, self.resid, self.sq, self.u, self.prod
-        C, w_spline_k = self.C, self.w_spline_k
-        np.copyto(self.Wb, w_base)
-        np.copyto(w_spline_k, w_spline[:, :, None])
-        np.multiply(w_spline_k, alpha, self.Ws)
-        if self.Ws is not self.W_spline:
-            np.copyto(self.W_spline, self.Ws)
-        m.forward(self.features, self.weights, pre)
-        # y = sigma(pre) and u = (2/T) resid sigma'(pre), but the identity's y
-        # is pre and u * 1.0 is u; pre is spent once y holds sigma(pre)
-        identity = m.bounding == "identity"
-        # (resid and sq are not yet filled: smooth_clip's scratch)
-        y = pre if identity else apply_bounding(m.bounding, pre, self.y, (resid, sq))
-        loss = float(_squared_error(y, self.targets, resid, sq, self.rowsum))
-        np.multiply(self.two_over_T, resid, u)
-        if not identity:
-            np.multiply(u, bounding_slope(m.bounding, y, sq, pre), u)
-        np.dot(u.T, self.features, self.G)
-        np.copyto(g_wb, self.G_base, where=self.block_mask)
-        if C is not self.G_spline:
-            np.copyto(C, self.G_spline)
-        np.add.reduce(np.multiply(alpha, C, prod), 2, None, g_ws)
-        if lam > 0:
-            # the penalty covers every present edge, also edges into inputs,
-            # as per-edge sums added in edge order like _l1_alpha's (an
-            # absent edge's sum, +0.0, leaves the running sum as it is)
-            full = self.grads[2]
-            np.add.reduce(np.abs(self.alpha, full), 2, None, self.edge_l1)
-            np.add.accumulate(self.edge_l1_flat, 0, None, self.l1_run)
-            loss += lam * float(self.l1_run[-1])
-            np.multiply(lam, np.sign(self.alpha, full), full)
-            np.add(g_al, np.multiply(w_spline_k, C, prod), g_al)
-        else:
-            np.multiply(w_spline_k, C, g_al)
-        return loss
+        self.loss_and_grads = loss_and_grads
 
     def non_finite_entry(self, flat: np.ndarray) -> str:
         """Where the first non-finite entry of a buffer laid out like theta
@@ -418,13 +425,18 @@ def _descend(ws, update, epochs: int, watch: np.ndarray) -> np.ndarray:
     """The epoch loop of train_gd and mlp_train; returns the loss history.
 
     Each epoch records the loss of ws.loss_and_grads(), which fills ws.grad,
-    and calls update(t), t = epoch + 1, to step ws.theta in place. watch is
-    a buffer that the update leaves non-finite wherever ws.grad is or the
-    step overflowed (ws.grad for plain descent, Adam's v), so one pass checks
-    both. A DivergenceError carries the partial history as .history.
+    and calls update(t), t = epoch + 1, to step ws.theta in place; both are
+    bound once, before the loop. watch is a buffer that the update leaves
+    non-finite wherever ws.grad is or the step overflowed (ws.grad for plain
+    descent, Adam's v), so one test covers both: the product watch . theta,
+    one np.vdot, is NaN or infinite if any entry of either buffer is (0 * inf
+    is NaN). Only then are the buffers scanned entry by entry, and if no
+    entry is non-finite the product merely overflowed and the loop goes on.
+    np.vdot, unlike np.dot, raises no RuntimeWarning on inf * 0. A
+    DivergenceError carries the partial history as .history.
     """
     history = np.empty(epochs)
-    finite = np.empty(len(ws.theta), dtype=bool)
+    loss_and_grads, theta, grad = ws.loss_and_grads, ws.theta, ws.grad
 
     def abort(message: str, epochs_done: int):
         err = DivergenceError(message)
@@ -432,17 +444,19 @@ def _descend(ws, update, epochs: int, watch: np.ndarray) -> np.ndarray:
         raise err
 
     for epoch in range(epochs):
-        loss = ws.loss_and_grads()
+        loss = loss_and_grads()
         if not math.isfinite(loss):
             abort(f"non-finite loss at epoch {epoch}", epoch)
         history[epoch] = loss
         update(epoch + 1)
-        if not np.logical_and.reduce(np.isfinite(watch, finite)):
-            if np.isfinite(ws.grad).all():
+        if math.isfinite(np.vdot(watch, theta)):
+            continue
+        if not np.isfinite(watch).all():
+            if np.isfinite(grad).all():
                 abort(f"gradient overflows the update at epoch {epoch}, {ws.non_finite_entry(watch)}", epoch + 1)
-            abort(f"non-finite gradient at epoch {epoch}, {ws.non_finite_entry(ws.grad)}", epoch + 1)
-        if not np.logical_and.reduce(np.isfinite(ws.theta, finite)):
-            abort(f"non-finite parameters after epoch {epoch}, {ws.non_finite_entry(ws.theta)}", epoch + 1)
+            abort(f"non-finite gradient at epoch {epoch}, {ws.non_finite_entry(grad)}", epoch + 1)
+        if not np.isfinite(theta).all():
+            abort(f"non-finite parameters after epoch {epoch}, {ws.non_finite_entry(theta)}", epoch + 1)
     return history
 
 

@@ -279,6 +279,43 @@ def test_basis_tensor_nan_in_a_later_block():
     assert same_bits(basis_tensor(grid, states), ref_basis_tensor(grid, states))
 
 
+def _traced_peak(run) -> int:
+    """The peak of memory traced while run() runs, after a first untraced
+    call warms every cache."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("span", [slice(0, 32), slice(1, 31)], ids=["all-nodes", "inner"])
+def test_features_hold_the_basis_tensor_once(span):
+    """At dense_map's shape (400 states, N = 32, G = 8, p = 3, so K = 11)
+    features writes the basis tensor into F a block of rows at a time, so
+    its peak is F plus the larger of one block's work arrays (basis_tensor
+    of one block of rows: the evaluator and a block of output, the size of
+    the scratch features fills) and the base's temporaries over the states,
+    which come and go before the first block, and a kilobyte for the call's
+    Python objects (views, the evaluator): never F plus a second tensor. F
+    is the base beside ref_basis_tensor, bit for bit."""
+    n, T = 32, 400
+    model = new_kafcm(n, make_uniform_grid(-1.0, 1.0, 8, 3), bounding="tanh", seed=67)
+    states = np.random.default_rng(68).uniform(-1.1, 1.1, (T, n))
+    x = states[:, span]
+    S, K = x.shape[1], model.K
+    F = model.features(states, span)
+    assert same_bits(F, np.hstack([ref_silu(x), ref_basis_tensor(model.grid, x)]))
+    block = x[: BASIS_BLOCK_POINTS // S]
+    block_peak = _traced_peak(lambda: basis_tensor(model.grid, block))
+    base_out = np.empty(F.shape)[:, :S]
+    base_peak = _traced_peak(lambda: silu(x, base_out))
+    peak = _traced_peak(lambda: model.features(states, span))
+    assert peak <= F.nbytes + max(block_peak, base_peak) + 1024, (peak - F.nbytes, block_peak, base_peak)
+
+
 # ---------------------------------------------------------------- silu
 
 SPECIAL = [0.0, -0.0, 1e3, -1e3, 710.0, -710.0, 36.0, -36.0, 1e-300, -1e-300, 5e-324, -5e-324]
@@ -444,6 +481,27 @@ def test_simulate_rollout_bits(model):
     for _ in range(200):
         ref.append(step(ref[-1]))
     assert same_bits(simulate(model, c0, 200).states, np.array(ref))
+
+
+def _holding_maps():
+    """Maps under which every state holds: a KA-FCM whose only edges are
+    self-loops with w_base 1 and w_spline 0, on the identity base and
+    bounding, and the standard FCM of the identity matrix."""
+    model = KAFCMModel(3, make_uniform_grid(-1.0, 1.0, 4, 3), np.eye(3, dtype=bool), "identity", "identity")
+    model.w_base[np.eye(3, dtype=bool)] = 1.0
+    return {"kafcm": model, "standard": StandardFCM(np.eye(3), "identity")}
+
+
+@pytest.mark.parametrize("kind", ["kafcm", "standard"])
+def test_simulate_runs_on_when_only_the_product_overflows(kind):
+    """simulate tests a step's row with one product, row . row; a finite row
+    whose product overflows (|x| > 1e154) is scanned, found finite, and the
+    rollout goes on, with no error and no warning."""
+    model = _holding_maps()[kind]
+    c0 = np.array([1e160, -1e160, 3.0])
+    assert np.vdot(c0, c0) == np.inf
+    states = simulate(model, c0, 5).states
+    assert same_bits(states, np.tile(c0, (6, 1)))
 
 
 @functools.cache

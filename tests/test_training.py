@@ -1,6 +1,7 @@
 """Tests for losses, gradients, trainers, and grid search."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from kafcm.training import (
     ADAM_BETA2,
     ADAM_EPS,
     GridRow,
+    _descend,
+    _Workspace,
     GridSearchSpace,
     PSOConfig,
     TrainConfig,
@@ -508,6 +511,145 @@ class TestOneBufferAdam:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as info:
             train_gd(model, data, TrainConfig(learning_rate=0.1, epochs=5))
         assert str(info.value) == "non-finite gradient at epoch 0, w_spline of edge (1, 0)"
+
+
+def scanned_descend(ws, update, epochs, watch):
+    """_descend's loop with its check as four entrywise scans a epoch, as it
+    was before the one-product test: the oracle for its history and errors."""
+    history = []
+
+    def abort(message):
+        err = DivergenceError(message)
+        err.history = np.array(history)
+        raise err
+
+    for epoch in range(epochs):
+        loss = ws.loss_and_grads()
+        if not math.isfinite(loss):
+            abort(f"non-finite loss at epoch {epoch}")
+        history.append(loss)
+        update(epoch + 1)
+        if not np.logical_and.reduce(np.isfinite(watch)):
+            if np.isfinite(ws.grad).all():
+                abort(f"gradient overflows the update at epoch {epoch}, {ws.non_finite_entry(watch)}")
+            abort(f"non-finite gradient at epoch {epoch}, {ws.non_finite_entry(ws.grad)}")
+        if not np.logical_and.reduce(np.isfinite(ws.theta)):
+            abort(f"non-finite parameters after epoch {epoch}, {ws.non_finite_entry(ws.theta)}")
+    return np.array(history)
+
+
+class StubWorkspace:
+    """theta, grad and a loss_and_grads that returns the next of `losses`;
+    non_finite_entry names the index of a buffer's first non-finite entry."""
+
+    def __init__(self, theta, grad, losses):
+        self.theta, self.grad = np.array(theta), np.array(grad)
+        self.loss_and_grads = iter(losses).__next__
+
+    def non_finite_entry(self, flat):
+        return f"entry {int(np.argmin(np.isfinite(flat)))}"
+
+
+def descend_outcome(descend, ws, update, epochs, watch):
+    """(history, None) of a run that finishes, (partial history, message) of one that raises."""
+    try:
+        return descend(ws, update, epochs, watch).tolist(), None
+    except DivergenceError as err:
+        return err.history.tolist(), str(err)
+
+
+class TestDescendCheck:
+    """_descend tests watch and theta with one product, watch . theta, and
+    scans them entry by entry only when it is not finite."""
+
+    def test_vdot_of_inf_and_zero_warns_of_nothing(self):
+        # the product must not warn: the tests turn a RuntimeWarning into a
+        # failure, and np.dot([inf], [0.]) warns "invalid value encountered in dot"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(np.vdot(np.array([np.inf]), np.array([0.0])))
+            assert math.isnan(np.vdot([np.inf], [0.0]))
+            # and it leaves no floating-point flag for the next ufunc to report
+            assert np.add(np.ones(3), 1.0).tolist() == [2.0, 2.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "theta, watch",
+        [
+            ([1e200, 1e200, 3.0], [1e200, 1e200, 0.0]),  # the product is +inf
+            ([1e200, -1e200, 3.0], [1e200, 1e200, 0.0]),  # inf - inf, NaN
+        ],
+        ids=["inf", "nan"],
+    )
+    def test_a_product_that_only_overflows_runs_every_epoch(self, theta, watch):
+        watch = np.array(watch)
+        assert not math.isfinite(np.vdot(watch, np.array(theta)))
+        losses = [4.0, 2.0, 1.0, 0.5, 0.25]
+        steps = []
+
+        def outcome(descend):
+            steps.clear()
+            ws = StubWorkspace(theta, [0.1, 0.2, 0.3], losses)
+            return descend_outcome(descend, ws, steps.append, len(losses), watch)
+
+        assert outcome(_descend) == outcome(scanned_descend) == (losses, None)
+        assert steps == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize(
+        "broken, message",
+        [
+            (("watch",), "gradient overflows the update at epoch 2, entry 1"),
+            # the update leaves watch non-finite where grad is
+            (("grad", "watch"), "non-finite gradient at epoch 2, entry 1"),
+            (("theta",), "non-finite parameters after epoch 2, entry 1"),
+        ],
+        ids=["watch", "grad", "theta"],
+    )
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_entry_over_a_zero_is_caught(self, broken, message, bad):
+        """A non-finite entry of one buffer where the other holds 0 (theta
+        and watch both do at entry 1) makes the product NaN, and the scans
+        name it as before."""
+
+        def outcome(descend):
+            ws = StubWorkspace([0.5, 0.0, 0.5], [0.1, 0.2, 0.3], [4.0, 2.0, 1.0, 0.5])
+            buffers = {"watch": np.zeros(3), "grad": ws.grad, "theta": ws.theta}
+
+            def update(t):
+                if t == 3:
+                    for name in broken:
+                        buffers[name][1] = bad
+
+            return descend_outcome(descend, ws, update, 4, buffers["watch"])
+
+        assert outcome(_descend) == outcome(scanned_descend) == ([4.0, 2.0, 1.0], message)
+
+    @pytest.mark.parametrize(
+        "broken, message",
+        [
+            (("watch",), r"gradient overflows the update at epoch 2, alpha of edge \(1, 0\) at k = 1"),
+            (("grad", "watch"), r"non-finite gradient at epoch 2, w_base of edge \(1, 0\)"),
+            (("theta",), r"non-finite parameters after epoch 2, w_spline of edge \(1, 0\)"),
+        ],
+        ids=["watch", "grad", "theta"],
+    )
+    def test_a_fit_names_the_group_edge_and_epoch(self, broken, message):
+        """A KA-FCM workspace: after the third update, inf in a present
+        edge's entry of one buffer where the other buffer holds 0."""
+        model = feedforward_model(seed=0, bounding="tanh")
+        ws = _Workspace(model, Dataset(np.linspace(-1, 1, 6), np.zeros(6)), 0.0)
+        w_base, w_spline, alpha = model.views(np.arange(len(ws.theta)))
+        entry = {"watch": alpha[1, 0, 1], "grad": w_base[1, 0], "theta": w_spline[1, 0]}[broken[0]]
+        buffers = {"watch": np.zeros_like(ws.theta), "grad": ws.grad, "theta": ws.theta}
+
+        def update(t):
+            if t == 3:
+                ws.theta[entry] = 0.0
+                for name in broken:
+                    buffers[name][entry] = np.inf
+
+        with pytest.raises(DivergenceError, match=f"^{message}$") as info:
+            _descend(ws, update, 5, buffers["watch"])
+        assert len(info.value.history) == 3
 
 
 def reference_span(mask):
