@@ -42,7 +42,7 @@ from kafcm.datagen import (
 )
 from kafcm.edge_functions import EdgeFunction, edge_eval, edge_grad, init_edge, silu
 from kafcm.metrics_eval import MetricsReport, compute_metrics
-from kafcm.spline_core import KnotGrid, basis_matrix, basis_vector, make_uniform_grid
+from kafcm.spline_core import KnotGrid, basis_matrix, make_uniform_grid
 from kafcm.symbolic import CandidateFit, EdgeCurve, fit_candidates, sample_edge
 from kafcm.training import (
     GridSearchSpace,
@@ -78,7 +78,6 @@ __all__ = [
     "TrainConfig",
     "Trajectory",
     "basis_matrix",
-    "basis_vector",
     "canonical_config",
     "compute_metrics",
     "default_mlp_config",

@@ -184,8 +184,8 @@ def mlp_gradient(params: MLPParams, data: Dataset) -> MLPParams:
     return _checked_gradient(_Workspace(params, X, Y)).grads
 
 
-def default_mlp_config(seed: int = 0) -> TrainConfig:
-    return TrainConfig(learning_rate=0.05, epochs=1500, lam=0.0, seed=seed)
+def default_mlp_config() -> TrainConfig:
+    return TrainConfig(learning_rate=0.05, epochs=1500, lam=0.0)
 
 
 def mlp_train(params: MLPParams, train: Dataset, config: TrainConfig):

@@ -94,7 +94,7 @@ class Experiment:
     fcm_encoding: str  # the standard FCM's default input encoding
     dataset: dict  # the dataset defaults, built by generate(**dataset, seed=seed)
     generate: Callable[..., Dataset]
-    dataset_types: dict  # the annotation of the generator parameter each dataset key feeds
+    dataset_types: dict  # the generator's annotations, typing the dataset keys (any but seed and return)
     canonical: tuple[int, float, int]  # the best published (grid_size, learning_rate, epochs)
     chronological: bool = False  # split in time order rather than shuffled
     targets: Callable[[Dataset], np.ndarray] = attrgetter("targets")  # what predictions are scored against
@@ -162,6 +162,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown fcm_encoding {self.fcm_encoding!r}")
         self.dataset = {**self.spec.dataset, **self.dataset}
         types = self.spec.dataset_types
+        unknown = set(self.dataset) - (set(types) - {"seed", "return"})
+        if unknown:
+            raise ConfigError(f"unknown dataset keys: {sorted(unknown)}")
         for key, value in self.dataset.items():
             if types.get(key) in _JSON_TYPES and not _is_a(types[key], value):
                 raise ConfigError(f"dataset: {key} must be of type {types[key]}, got {value!r}")
@@ -391,9 +394,21 @@ def load_model(path):
 def build_dataset(config: ExperimentConfig) -> Dataset:
     """The full (unsplit) dataset for an experiment, from its generator."""
     try:
-        return config.spec.generate(**config.dataset, seed=config.seed)
+        data = config.spec.generate(**config.dataset, seed=config.seed)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"dataset: {err}") from err
+    return _checked_shape(config, data, "generated dataset")
+
+
+def _checked_shape(config: ExperimentConfig, data: Dataset, where: str) -> Dataset:
+    """data itself, if its input and target widths are the experiment's map's."""
+    d_in, d_out = config.spec.n_in, config.spec.n_out
+    if data.inputs.shape[1] != d_in or data.targets.shape[1] != d_out:
+        raise ConfigError(
+            f"{where} has shape {data.inputs.shape[1]}-in/{data.targets.shape[1]}-out; "
+            f"experiment {config.experiment!r} needs {d_in}-in/{d_out}-out"
+        )
+    return data
 
 
 def split_for(config: ExperimentConfig, data: Dataset):
@@ -434,8 +449,7 @@ def fit_model(config: ExperimentConfig, model, train_data: Dataset):
     if config.model == "fcm":
         pso = config.pso if config.pso is not None else PSOConfig(seed=config.seed)
         return pso_train_fcm(model, view, pso)
-    cfg = default_mlp_config(seed=config.seed)
-    return mlp_train(model, view, cfg)
+    return mlp_train(model, view, default_mlp_config())
 
 
 def predict(config: ExperimentConfig, model, data: Dataset) -> np.ndarray:
@@ -489,16 +503,9 @@ def _dataset_path(config: ExperimentConfig) -> str:
     return config.data_path or os.path.join(config.out, "data.csv")
 
 
-def _load_dataset_checked(config: ExperimentConfig):
-    data = load_dataset(_dataset_path(config))
-    d_in, d_out = config.spec.n_in, config.spec.n_out
-    if data.inputs.shape[1] != d_in or data.targets.shape[1] != d_out:
-        raise ConfigError(
-            f"dataset at {_dataset_path(config)} has shape "
-            f"{data.inputs.shape[1]}-in/{data.targets.shape[1]}-out; "
-            f"experiment {config.experiment!r} needs {d_in}-in/{d_out}-out"
-        )
-    return data
+def _load_dataset_checked(config: ExperimentConfig) -> Dataset:
+    path = _dataset_path(config)
+    return _checked_shape(config, load_dataset(path), f"dataset at {path}")
 
 
 def _model_path(config: ExperimentConfig) -> str:

@@ -33,7 +33,6 @@ __all__ = [
     "StandardFCM",
     "Trajectory",
     "apply_bounding",
-    "bounding_grad",
     "bounding_slope",
     "fcm_step",
     "kafcm_step",
@@ -94,11 +93,6 @@ def bounding_slope(kind: str, y, out=None, tmp=None):
     """sigma'(x) from y = sigma(x): tanh 1 - y**2, smooth_clip 8 y (1 - y) and
     identity y**0 = 1, into out if given, with tmp for 1 - y (neither is y)."""
     return _kind_entry(_BOUNDING, "bounding", kind)[1](y, out, tmp)
-
-
-def bounding_grad(kind: str, x):
-    """d sigma / dx, elementwise: the slope of sigma(x)."""
-    return bounding_slope(kind, apply_bounding(kind, x))
 
 
 class KAFCMModel:

@@ -147,9 +147,6 @@ class MackeyGlassParams:
         if self.washout < 0:
             raise ValueError("washout must be non-negative")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def gen_mackey_glass(params: MackeyGlassParams) -> np.ndarray:
     """Integrate the delay equation; returns total_steps - washout samples
@@ -191,11 +188,8 @@ def gen_mackey_glass(params: MackeyGlassParams) -> np.ndarray:
     return samples[params.washout :]
 
 
-def lag_embed(series, lag: int, series_metadata: dict | None = None) -> Dataset:
-    """Windows of `lag` consecutive values predicting the next one.
-
-    series_metadata, when given, is recorded under the metadata's `series` key.
-    """
+def lag_embed(series, lag: int) -> Dataset:
+    """Windows of `lag` consecutive values predicting the next one."""
     series = np.asarray(series, dtype=float)
     lag = _check_count("lag", lag)
     if series.ndim != 1:
@@ -204,10 +198,7 @@ def lag_embed(series, lag: int, series_metadata: dict | None = None) -> Dataset:
         raise ValueError(f"series of length {len(series)} is too short for lag {lag}")
     inputs = np.stack([series[i : len(series) - lag + i] for i in range(lag)], axis=1)
     targets = series[lag:][:, None]
-    meta = {"generator": "lag_embed", "lag": lag}
-    if series_metadata is not None:
-        meta["series"] = series_metadata
-    return Dataset(inputs, targets, meta)
+    return Dataset(inputs, targets, {"generator": "lag_embed", "lag": lag})
 
 
 def gen_mackey(lag: int, seed: int = 0, **params) -> Dataset:
@@ -215,8 +206,9 @@ def gen_mackey(lag: int, seed: int = 0, **params) -> Dataset:
     integrator draws no randomness; seed is recorded with the parameters."""
     series_params = MackeyGlassParams(**params)
     series = gen_mackey_glass(series_params)
-    series_meta = {"generator": "mackey_glass", "params": series_params.to_dict(), "seed": seed}
-    return lag_embed(series, lag, series_metadata=series_meta)
+    data = lag_embed(series, lag)
+    data.metadata["series"] = {"generator": "mackey_glass", "params": asdict(series_params), "seed": seed}
+    return data
 
 
 def _split_sizes(n: int, fractions) -> list[int]:

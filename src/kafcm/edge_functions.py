@@ -15,12 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spline_core import (
-    KnotGrid,
-    basis_derivative_vector,
-    basis_matrix,
-    basis_vector,
-)
+from .spline_core import KnotGrid, basis_derivative_matrix, basis_matrix
 
 __all__ = [
     "BASE_KINDS",
@@ -157,7 +152,7 @@ def edge_grad(edge: EdgeFunction, x: float, upstream: float = 1.0) -> EdgeGradie
     The spline path is clamped, so its input gradient vanishes outside the
     open domain; at the domain boundary the one-sided interior limit is used.
     """
-    b = basis_vector(edge.grid, x)
+    b = basis_matrix(edge.grid, [x])[0]
     spline_val = float(b @ edge.alpha)
     d_w_base = upstream * base_eval(edge.base, x)
     d_w_spline = upstream * spline_val
@@ -165,7 +160,7 @@ def edge_grad(edge: EdgeFunction, x: float, upstream: float = 1.0) -> EdgeGradie
     d_in = edge.w_base * base_grad(edge.base, x)
     # degree-0 splines are piecewise constant: zero slope almost everywhere
     if edge.grid.degree >= 1 and edge.grid.domain_lo <= x <= edge.grid.domain_hi:
-        d_in += edge.w_spline * float(basis_derivative_vector(edge.grid, x) @ edge.alpha)
+        d_in += edge.w_spline * float(basis_derivative_matrix(edge.grid, [x])[0] @ edge.alpha)
     return EdgeGradient(float(d_w_base), float(d_w_spline), d_alpha, float(upstream * d_in))
 
 

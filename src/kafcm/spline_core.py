@@ -21,11 +21,9 @@ __all__ = [
     "KnotGrid",
     "make_uniform_grid",
     "basis_value",
-    "basis_vector",
     "basis_matrix",
     "basis_tensor",
     "basis_evaluator",
-    "basis_derivative_vector",
     "basis_derivative_matrix",
 ]
 
@@ -272,11 +270,6 @@ def _fill_basis_tensor(grid: KnotGrid, states: np.ndarray, out: np.ndarray) -> n
     return out
 
 
-def basis_vector(grid: KnotGrid, x: float) -> np.ndarray:
-    """Vector of the K basis values at a single point (clamped to the domain)."""
-    return basis_matrix(grid, [x])[0]
-
-
 def basis_derivative_matrix(grid: KnotGrid, xs) -> np.ndarray:
     """First derivatives of all K basis functions at each point of xs.
 
@@ -286,8 +279,3 @@ def basis_derivative_matrix(grid: KnotGrid, xs) -> np.ndarray:
     """
     xs = _points(xs)
     return basis_evaluator(grid, len(xs), derivative=True)(xs, np.empty((len(xs), grid.basis_count)))
-
-
-def basis_derivative_vector(grid: KnotGrid, x: float) -> np.ndarray:
-    """Derivatives of the K basis functions at a single point."""
-    return basis_derivative_matrix(grid, [x])[0]

@@ -233,38 +233,31 @@ def loss_total(model: KAFCMModel, pred, target, lam: float) -> float:
     return base + lam * _l1_alpha(model)
 
 
-def supervision_layout(n_nodes: int, data: Dataset):
-    """(input_indices, output_indices) for a dataset on an n-node model."""
+def supervision_layout(n_nodes: int, data: Dataset) -> tuple[slice, slice]:
+    """(input nodes, output nodes), two slices, for a dataset on an n-node model."""
     d_in = data.inputs.shape[1]
     d_out = data.targets.shape[1]
     if d_in == n_nodes and d_out == n_nodes:
-        idx = np.arange(n_nodes)
-        return idx, idx
+        return slice(0, n_nodes), slice(0, n_nodes)
     if d_in + d_out == n_nodes:
-        return np.arange(d_in), np.arange(d_in, n_nodes)
+        return slice(0, d_in), slice(d_in, n_nodes)
     raise ValueError(
         f"dataset with {d_in} inputs and {d_out} targets does not fit a {n_nodes}-node model"
     )
 
 
-def _state_matrix(n_nodes: int, data: Dataset, input_idx) -> np.ndarray:
+def _state_matrix(n_nodes: int, data: Dataset, inputs: slice) -> np.ndarray:
     states = np.zeros((len(data), n_nodes))
-    states[:, input_idx] = data.inputs
+    states[:, inputs] = data.inputs
     return states
-
-
-def _output_rows(output_idx) -> slice:
-    """supervision_layout's output nodes, always a contiguous range, as a slice."""
-    return slice(int(output_idx[0]), int(output_idx[-1]) + 1)
 
 
 def predict_one_step(model, data: Dataset) -> np.ndarray:
     """One-step predictions for the supervised (output) nodes, shape (T, d_out)."""
-    input_idx, output_idx = supervision_layout(model.n_nodes, data)
-    states = _state_matrix(model.n_nodes, data, input_idx)
+    inputs, rows = supervision_layout(model.n_nodes, data)
+    states = _state_matrix(model.n_nodes, data, inputs)
     if isinstance(model, StandardFCM):
-        return np.asarray(apply_bounding(model.activation, states @ model.weights.T))[:, output_idx]
-    rows = _output_rows(output_idx)
+        return np.asarray(apply_bounding(model.activation, states @ model.weights.T))[:, rows]
     span = model.span(rows)
     pre = model.forward(model.features(states, span), model.weights(rows, span))
     return np.asarray(apply_bounding(model.bounding, pre))
@@ -312,10 +305,9 @@ class _Workspace:
 
     def __init__(self, model: KAFCMModel, data: Dataset, lam: float):
         self.model = model
-        input_idx, output_idx = supervision_layout(model.n_nodes, data)
-        rows = _output_rows(output_idx)
+        inputs, rows = supervision_layout(model.n_nodes, data)
         span = model.span(rows)
-        features = model.features(_state_matrix(model.n_nodes, data, input_idx), span)
+        features = model.features(_state_matrix(model.n_nodes, data, inputs), span)
         targets = np.asarray(data.targets, dtype=float)
         self.present = np.zeros(len(model.theta), dtype=bool)
         for view in model.views(self.present):
@@ -520,10 +512,9 @@ def pso_train_fcm(model: StandardFCM, train: Dataset, config: PSOConfig):
     """
     n = model.n_nodes
     S = config.swarm_size
-    input_idx, output_idx = supervision_layout(n, train)
-    states = _state_matrix(n, train, input_idx)
+    inputs, rows = supervision_layout(n, train)
+    states = _state_matrix(n, train, inputs)
     targets = np.asarray(train.targets, dtype=float)
-    rows = _output_rows(output_idx)
     lo, hi = config.weight_bounds
     rng = np.random.default_rng(config.seed)
     dim = n * n

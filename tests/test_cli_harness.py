@@ -30,7 +30,7 @@ from kafcm.cli_harness import (
 )
 import kafcm.cli_harness as cli_harness
 from kafcm.cognitive_graph import DivergenceError, KAFCMModel, StandardFCM, new_kafcm, simulate
-from kafcm.datagen import yerkes_law
+from kafcm.datagen import gen_mackey, save_dataset, yerkes_law
 from kafcm.spline_core import make_uniform_grid
 from kafcm.training import GridSearchSpace, PSOConfig, TrainConfig, loss_rec, predict_one_step, train_gd
 
@@ -548,7 +548,7 @@ class TestCommands:
     def test_train_mlp_divergence_names_the_layer(self, tmp_path, capsys, monkeypatch):
         # an infinite step: inf * 0 puts NaN into every layer, W1 first; the
         # rate is set past TrainConfig's check, which rejects inf
-        def infinite_step_config(seed=0):
+        def infinite_step_config():
             config = TrainConfig(epochs=5)
             config.learning_rate = float("inf")
             return config
@@ -600,6 +600,25 @@ class TestCommands:
             data_path=str(tmp_path / "out" / "data.csv"),
         )
         assert main(["evaluate", "--config", bad]) == 2
+
+    def test_mackey_lag_other_than_four_is_a_config_error(self, tmp_path, capsys):
+        """The mackey map has 4 input nodes: generate and gridsearch refuse a
+        6-lag dataset before they write any file, and train names the data
+        file that holds one."""
+        cfg = write_config(tmp_path, experiment="mackey", dataset={**SMALL_MACKEY, "lag": 6})
+        shape = "has shape 6-in/1-out; experiment 'mackey' needs 4-in/1-out\n"
+        for command in ("generate", "gridsearch"):
+            capsys.readouterr()
+            assert main([command, "--config", cfg]) == 2
+            assert capsys.readouterr().err == f"config error: generated dataset {shape}"
+            assert not (tmp_path / "out").exists()
+        data_csv = tmp_path / "out" / "data.csv"
+        data_csv.parent.mkdir()
+        save_dataset(gen_mackey(6, total_steps=140, washout=20), data_csv)
+        capsys.readouterr()
+        assert main(["train", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"config error: dataset at {data_csv} {shape}"
+        assert sorted(os.listdir(data_csv.parent)) == ["data.csv", "data.json"]
 
     def test_extract_after_train(self, tmp_path):
         cfg = write_config(
@@ -830,6 +849,11 @@ class TestCommands:
             ("generate", {"dataset": {"n": "abc"}}, "dataset: n must be of type int, got 'abc'"),
             ("generate", {"dataset": {"n": 5.5}}, "dataset: n must be of type int, got 5.5"),
             ("generate", {"dataset": {"bogus": 1}}, "bogus"),
+            ("train", {"dataset": {"n": 60, "nosie_sd": 0.5}}, "config error: unknown dataset keys: ['nosie_sd']"),
+            ("evaluate", {"dataset": {"n": 60, "nosie_sd": 0.5}}, "config error: unknown dataset keys: ['nosie_sd']"),
+            ("extract", {"dataset": {"n": 60, "nosie_sd": 0.5}}, "config error: unknown dataset keys: ['nosie_sd']"),
+            ("generate", {"dataset": {"n": 60, "seed": 1, "return": 2}}, "unknown dataset keys: ['return', 'seed']"),
+            ("gridsearch", {"experiment": "mackey", "dataset": {"seed": 1}}, "unknown dataset keys: ['seed']"),
             ("gridsearch", {"experiment": "sine", "dataset": {"n": "abc"}}, "dataset: n must be of type int"),
             ("generate", {"experiment": "sine", "dataset": {"frequency": "x"}}, "dataset"),
             ("generate", {"experiment": "mackey", "dataset": {"lag": "4"}}, "dataset"),
@@ -877,7 +901,8 @@ class TestCommands:
             ("generate --seed -5", {}, "config error: --seed must be non-negative, got -5"),
         ],
         ids=["edge-short", "edge-text", "edge-string", "space-key", "space-scalar",
-             "yerkes-n-text", "yerkes-n-float", "yerkes-key", "sine-n-text", "sine-frequency", "mackey-lag",
+             "yerkes-n-text", "yerkes-n-float", "yerkes-key", "train-dataset-key", "evaluate-dataset-key",
+             "extract-dataset-key", "dataset-seed-and-return", "mackey-dataset-seed", "sine-n-text", "sine-frequency", "mackey-lag",
              "grid-size-float", "grid-size-text", "degree-bool", "seed-text", "curve-points-float",
              "epochs-float", "learning-rate-text", "lam-null", "train-scalar", "swarm-size-float",
              "iterations-bool", "inertia-text", "dataset-scalar", "out-number", "data-path-number",

@@ -14,7 +14,7 @@ from kafcm.cognitive_graph import (
     KAFCMModel,
     StandardFCM,
     apply_bounding,
-    bounding_grad,
+    bounding_slope,
     fcm_step,
     kafcm_step,
     new_kafcm,
@@ -46,7 +46,7 @@ class TestBounding:
         h = 1e-6
         for kind in ("smooth_clip", "tanh", "identity"):
             fd = (apply_bounding(kind, xs + h) - apply_bounding(kind, xs - h)) / (2 * h)
-            npt.assert_allclose(bounding_grad(kind, xs), fd, rtol=1e-5, atol=1e-9)
+            npt.assert_allclose(bounding_slope(kind, apply_bounding(kind, xs)), fd, rtol=1e-5, atol=1e-9)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown bounding"):

@@ -1,5 +1,7 @@
 """Generators, the delay-equation integrator, embedding, and splits."""
 
+from dataclasses import asdict
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -234,10 +236,10 @@ class TestLagEmbed:
 
     def test_regenerable_from_mackey_metadata(self):
         p = MackeyGlassParams(total_steps=60, washout=10)
-        series = gen_mackey_glass(p)
-        meta = {"generator": "mackey_glass", "params": p.to_dict(), "seed": 0}
-        a = lag_embed(series, 4, series_metadata=meta)
+        meta = {"generator": "mackey_glass", "params": asdict(p), "seed": 0}
+        a = gen_mackey(4, 0, total_steps=60, washout=10)
         assert a.metadata == {"generator": "lag_embed", "lag": 4, "series": meta}
+        npt.assert_array_equal(a.inputs, lag_embed(gen_mackey_glass(p), 4).inputs)
         b = gen_mackey(a.metadata["lag"], meta["seed"], **meta["params"])
         assert b.metadata == a.metadata
         npt.assert_array_equal(a.inputs, b.inputs)

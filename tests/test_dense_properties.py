@@ -43,20 +43,20 @@ def cases(draw):
 
 
 def oracle_states(model, data):
-    input_idx, _ = supervision_layout(model.n_nodes, data)
+    inputs, _ = supervision_layout(model.n_nodes, data)
     states = np.zeros((len(data), model.n_nodes))
-    states[:, input_idx] = data.inputs
+    states[:, inputs] = data.inputs
     return states
 
 
 def oracle_predict(model, data):
     """sigma(sum_j edge_eval(edges[i][j], x_j)) on the output nodes."""
-    _, output_idx = supervision_layout(model.n_nodes, data)
+    _, rows = supervision_layout(model.n_nodes, data)
     states = oracle_states(model, data)
     pre = np.zeros_like(states)
     for i, j, e in model.present_edges():
         pre[:, i] += edge_eval(e, states[:, j])
-    return np.asarray(apply_bounding(model.bounding, pre))[:, output_idx]
+    return np.asarray(apply_bounding(model.bounding, pre))[:, rows]
 
 
 def oracle_loss(model, data, lam):
@@ -119,8 +119,8 @@ def test_predict_matches_per_edge_oracle(case):
 @given(cases())
 def test_simulate_step_equals_prediction(case):
     model, data, _ = case
-    _, output_idx = supervision_layout(model.n_nodes, data)
+    _, rows = supervision_layout(model.n_nodes, data)
     predicted = predict_one_step(model, data)
     for t, state in enumerate(oracle_states(model, data)):
         stepped = simulate(model, state, 1).states[1]
-        np.testing.assert_allclose(stepped[output_idx], predicted[t], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stepped[rows], predicted[t], rtol=0, atol=1e-12)

@@ -12,7 +12,7 @@ from kafcm.edge_functions import (
     silu,
     silu_grad,
 )
-from kafcm.spline_core import basis_vector, make_uniform_grid
+from kafcm.spline_core import basis_matrix, make_uniform_grid
 
 
 def ternary_search_min(f, lo, hi, iters=200):
@@ -94,7 +94,7 @@ class TestEdgeEval:
         alpha = rng.normal(size=grid.basis_count)
         e = EdgeFunction(1.5, 0.7, alpha, grid)
         x = 2.5  # beyond the grid domain
-        expected = 1.5 * silu(x) + 0.7 * float(basis_vector(grid, 1.0) @ alpha)
+        expected = 1.5 * silu(x) + 0.7 * float(basis_matrix(grid, [1.0])[0] @ alpha)
         assert edge_eval(e, x) == pytest.approx(expected, rel=1e-12)
 
     def test_identity_base(self):
@@ -133,13 +133,13 @@ class TestEdgeGrad:
         grid = make_uniform_grid(-1, 1, 6, 3)
         e = EdgeFunction(1.0, 1.7, np.zeros(grid.basis_count), grid)
         g = edge_grad(e, 0.42, upstream=1.0)
-        npt.assert_allclose(g.d_alpha, 1.7 * basis_vector(grid, 0.42), rtol=1e-12)
+        npt.assert_allclose(g.d_alpha, 1.7 * basis_matrix(grid, [0.42])[0], rtol=1e-12)
 
     def test_gradient_locality(self):
         e = make_edge(8, G=10, p=3)
         g = edge_grad(e, 0.1, upstream=1.0)
         assert np.count_nonzero(g.d_alpha) <= e.grid.degree + 1
-        b = basis_vector(e.grid, 0.1)
+        b = basis_matrix(e.grid, [0.1])[0]
         npt.assert_array_equal(g.d_alpha[b == 0.0], 0.0)
 
     def test_finite_difference_agreement(self):

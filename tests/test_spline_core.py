@@ -13,11 +13,9 @@ from scipy.interpolate import BSpline
 
 from kafcm.spline_core import (
     basis_derivative_matrix,
-    basis_derivative_vector,
     basis_evaluator,
     basis_matrix,
     basis_value,
-    basis_vector,
     make_uniform_grid,
 )
 
@@ -134,16 +132,16 @@ class TestBasisVector:
 
     def test_clamping(self):
         g = make_uniform_grid(-1, 1, G=6, p=3)
-        npt.assert_array_equal(basis_vector(g, -1.0), basis_vector(g, -11.0))
-        npt.assert_array_equal(basis_vector(g, 1.0), basis_vector(g, 99.0))
+        npt.assert_array_equal(basis_matrix(g, [-1.0])[0], basis_matrix(g, [-11.0])[0])
+        npt.assert_array_equal(basis_matrix(g, [1.0])[0], basis_matrix(g, [99.0])[0])
 
     def test_right_endpoint_left_limit(self):
         g = make_uniform_grid(0, 1, G=1, p=0)
-        npt.assert_array_equal(basis_vector(g, 0.5), [1.0])
+        npt.assert_array_equal(basis_matrix(g, [0.5])[0], [1.0])
         # left limit: the last basis stays 1 at the right domain end
-        npt.assert_array_equal(basis_vector(g, 1.0), [1.0])
+        npt.assert_array_equal(basis_matrix(g, [1.0])[0], [1.0])
         g3 = make_uniform_grid(-1, 1, G=5, p=3)
-        npt.assert_allclose(basis_vector(g3, 1.0), basis_vector(g3, 1.0 - 1e-12), atol=1e-9)
+        npt.assert_allclose(basis_matrix(g3, [1.0])[0], basis_matrix(g3, [1.0 - 1e-12])[0], atol=1e-9)
 
     def test_continuity(self):
         rng = np.random.default_rng(9)
@@ -166,7 +164,7 @@ class TestBasisDerivative:
     def test_degree_zero_error(self):
         g = make_uniform_grid(0, 1, G=3, p=0)
         with pytest.raises(ValueError, match="degree-zero"):
-            basis_derivative_vector(g, 0.5)
+            basis_derivative_matrix(g, [0.5])
 
     def test_degree_zero_evaluator_error(self):
         g = make_uniform_grid(0, 1, G=3, p=0)
@@ -196,7 +194,7 @@ class TestBasisDerivative:
 
     def test_hat_slope(self):
         g = make_uniform_grid(0, 1, G=2, p=1)  # hats over {-0.5, 0, 0.5, 1, 1.5}
-        d = basis_derivative_vector(g, 0.25)
+        d = basis_derivative_matrix(g, [0.25])[0]
         # the hat rising on [0, 0.5] has slope 1/0.5 = 2
         assert d[1] == pytest.approx(2.0)
 
@@ -232,7 +230,7 @@ class TestBasisDerivative:
     def test_boundary_one_sided_limit(self):
         g = make_uniform_grid(-1, 1, G=5, p=3)
         npt.assert_allclose(
-            basis_derivative_vector(g, 1.0),
-            basis_derivative_vector(g, 1.0 - 1e-9),
+            basis_derivative_matrix(g, [1.0])[0],
+            basis_derivative_matrix(g, [1.0 - 1e-9])[0],
             atol=1e-6,
         )

@@ -15,7 +15,7 @@ from kafcm.cognitive_graph import (
     StandardFCM,
     Trajectory,
     apply_bounding,
-    bounding_grad,
+    bounding_slope,
     kafcm_step,
     new_kafcm,
     simulate,
@@ -130,15 +130,11 @@ class TestLossTotal:
 class TestSupervisionLayout:
     def test_feedforward_split(self):
         data = Dataset(inputs=np.zeros((4, 3)), targets=np.zeros((4, 2)))
-        inp, out = supervision_layout(5, data)
-        assert list(inp) == [0, 1, 2]
-        assert list(out) == [3, 4]
+        assert supervision_layout(5, data) == (slice(0, 3), slice(3, 5))
 
     def test_full_state(self):
         data = Dataset(inputs=np.zeros((4, 3)), targets=np.zeros((4, 3)))
-        inp, out = supervision_layout(3, data)
-        assert list(inp) == [0, 1, 2]
-        assert list(out) == [0, 1, 2]
+        assert supervision_layout(3, data) == (slice(0, 3), slice(0, 3))
 
     def test_mismatch_rejected(self):
         data = Dataset(inputs=np.zeros((4, 2)), targets=np.zeros((4, 2)))
@@ -664,11 +660,10 @@ def reference_train_gd(model, data, config):
     (F = [b(x) | B(x)] of its states, W = [w_base | w_spline * alpha]): the
     oracle the preallocated workspace must match bit for bit. Returns
     (history, theta after the fit, gradient of epoch 0)."""
-    input_idx, output_idx = supervision_layout(model.n_nodes, data)
-    rows = slice(int(output_idx[0]), int(output_idx[-1]) + 1)
+    inputs, rows = supervision_layout(model.n_nodes, data)
     span = reference_span(model.mask[rows])
     states = np.zeros((len(data), model.n_nodes))
-    states[:, input_idx] = data.inputs
+    states[:, inputs] = data.inputs
     x = states[:, span]
     S, K = x.shape[1], model.K
     F = np.hstack([base_eval(model.base, x), basis_tensor(model.grid, x)])
@@ -691,7 +686,7 @@ def reference_train_gd(model, data, config):
         pre = F @ W.T
         resid = np.asarray(apply_bounding(model.bounding, pre)) - targets
         loss = float(np.mean(np.sum(resid**2, axis=1)))
-        u = ((2.0 / len(resid)) * resid * bounding_grad(model.bounding, pre)).T
+        u = ((2.0 / len(resid)) * resid * bounding_slope(model.bounding, apply_bounding(model.bounding, pre))).T
         G = u @ F
         g_wb[rows, span] = np.where(model.mask[rows, span], G[:, :S], 0.0)
         C = G[:, S:].reshape(len(u), S, K)
@@ -824,14 +819,14 @@ def reference_pso(model, train, config):
     """Particle swarm that scores one particle per Python call: the oracle
     the swarm-batched fitness must match bit for bit."""
     n = model.n_nodes
-    input_idx, output_idx = supervision_layout(n, train)
+    inputs, rows = supervision_layout(n, train)
     states = np.zeros((len(train), n))
-    states[:, input_idx] = train.inputs
+    states[:, inputs] = train.inputs
     lo, hi = config.weight_bounds
     rng = np.random.default_rng(config.seed)
 
     def fitness(flat_w):
-        pred = np.asarray(apply_bounding(model.activation, states @ flat_w.reshape(n, n).T))[:, output_idx]
+        pred = np.asarray(apply_bounding(model.activation, states @ flat_w.reshape(n, n).T))[:, rows]
         return float(np.mean(np.sum((pred - train.targets) ** 2, axis=1)))
 
     pos = rng.uniform(lo, hi, (config.swarm_size, n * n))
