@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edge_functions import _BASES, _ONE, _constant, _fresh_edge, _kind_entry, base_eval
+from .edge_functions import _BASES, _ONE, _constant, _fresh_edge, _kind_entry
 from .spline_core import KnotGrid, _fill_basis_tensor, basis_evaluator, make_uniform_grid
 
 __all__ = [
@@ -150,18 +150,18 @@ class KAFCMModel:
         used = np.flatnonzero(self.mask[rows].any(axis=0))
         return slice(int(used[0]), int(used[-1]) + 1) if len(used) else slice(0, 0)
 
-    def features(self, states: np.ndarray, span: slice) -> np.ndarray:
-        """F = [b(x) | B(x)] of the span's columns x of states (T, N), a new
-        (T, S*(1+K)) array for S nodes in span: x under the model's base in
-        the first S columns, then x's (T, S*K) basis tensor, written into F
-        a block of rows at a time (_fill_basis_tensor), so that the tensor is
-        never held twice."""
+    def features(self, states: np.ndarray, span: slice, out=None) -> np.ndarray:
+        """F = [b(x) | B(x)] of the span's columns x of states (T, N), shape
+        (T, S*(1+K)) for S nodes in span: x under the model's base in the
+        first S columns, then x's (T, S*K) basis tensor. out, if given, is a
+        (T, S*(1+K)) float array whose rows may lie apart (the first columns
+        of a wider array) that receives F; otherwise F is a new array. Both
+        parts are written a block of rows at a time (_fill_basis_tensor), so
+        that neither the tensor nor the base's temporaries over the states
+        are ever held beside F."""
         x = states[:, span]
-        S = x.shape[1]
-        F = np.empty((len(x), S * (1 + self.K)))
-        base_eval(self.base, x, F[:, :S])
-        _fill_basis_tensor(self.grid, x, F[:, S:])
-        return F
+        F = np.empty((len(x), x.shape[1] * (1 + self.K))) if out is None else out
+        return _fill_basis_tensor(self.grid, x, F, _BASES[self.base][0])
 
     def weights(self, rows: slice, span: slice) -> np.ndarray:
         """W = [Wb | Ws], (rows, S*(1+K)), of the target nodes in `rows` and

@@ -240,28 +240,37 @@ def basis_tensor(grid: KnotGrid, states: np.ndarray) -> np.ndarray:
     return _fill_basis_tensor(grid, states, np.empty((T, n * grid.basis_count)))
 
 
-def _fill_basis_tensor(grid: KnotGrid, states: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _fill_basis_tensor(grid: KnotGrid, states: np.ndarray, out: np.ndarray, base=None) -> np.ndarray:
     """Write basis_tensor(grid, states) into out, a (T, N*K) float array
     whose rows may lie apart (a block of columns of a wider array), and
-    return it.
+    return it. With base, a base function fn(x, out, scratch) such as
+    edge_functions.silu, out is (T, N*(1+K)): base(states) in its first N
+    columns, then the tensor.
 
     A block of rows at a time, each of about BASIS_BLOCK_POINTS points or
     one row, which bounds the work arrays however many rows the states
-    have; one evaluator serves the full blocks and another a shorter last
-    block. A block whose rows are contiguous in out, every block of a
-    contiguous out, is filled straight through its (rows*N, K) view; any
-    other through one scratch block of that shape, which np.copyto moves in.
+    have; one evaluator, and one pair of base temporaries of the block's
+    shape, serve the full blocks and another a shorter last block. A block
+    whose rows are contiguous in out, every block of a contiguous out, is
+    filled straight through its (rows*N, K) view; any other through one
+    scratch block of that shape, which np.copyto moves in.
     """
     T, n = states.shape
     K = grid.basis_count
+    tensor = out if base is None else out[:, n:]
     rows = max(1, BASIS_BLOCK_POINTS // max(n, 1))
     size = None
     for t in range(0, T, rows):
-        block, dest = states[t : t + rows].ravel(), out[t : t + rows]
+        x, dest = states[t : t + rows], tensor[t : t + rows]
+        block = x.ravel()
         if len(block) != size:
             size = len(block)
-            evaluate = scratch = None  # the last block's arrays go first
+            evaluate = scratch = temps = None  # the last block's arrays go first
             evaluate = basis_evaluator(grid, size)
+            if base is not None:
+                temps = (np.empty(x.shape), np.empty(x.shape))
+        if base is not None:
+            base(x, out[t : t + rows, :n], temps)
         if dest.flags.c_contiguous:
             evaluate(block, dest.reshape(size, K))
         else:

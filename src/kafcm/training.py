@@ -32,6 +32,26 @@ are np.dot, which reaches the BLAS kernels of np.matmul without its ufunc
 dispatch and gives the same bits. The recipe's KA-FCM artifacts have the
 same bytes on one BLAS thread and on two (CI compares them).
 
+Under identity bounding the reconstruction loss is least squares in W, so
+a fit whose epochs outweigh one QR of [F | Y] (Golub & Van Loan, Matrix
+Computations, 5.3) runs every epoch on the compressed problem: with
+[F | Y] = Q R, F becomes R's leading (P, P) block R11 and the targets Y
+become Q1.T Y, the next n_out columns of R's first P rows, and
+||F W.T - Y||^2 = ||R11 W.T - Q1.T Y||^2 + rho, where rho = ||R22||^2 is
+the targets' square outside span(Q1), which holds range(F) also when F is
+rank-deficient (each source's B-splines sum to 1). The epoch keeps its one
+forward and one backward on these P rows in place of T, with u = (2/T)
+resid and the loss (sum resid^2 + rho) / T. A fit compresses when
+epochs (T - P - n_out) n_out > T (P + n_out), P = S*(1+K): the QR's
+~T P (P + n_out) flops against the P n_out per dropped row that each
+epoch's two products save. That holds for the three recipe fits and never
+for one epoch (model_gradient). Loss and gradient equal the T-row form's to
+rounding (within 1e-12 relative in the tests; the recipe fits' final
+losses moved by at most 4.4e-13 relative), not bit for bit. tanh and
+smooth_clip fits are not least squares in W, so they keep the T-row form
+and its bits, as an uncompressed identity fit does (rho is 0 and T the
+row count).
+
 An epoch allocates nothing: the forward, the backward and the Adam update
 fill one workspace of buffers allocated once per fit, which train_gd and
 model_gradient share (but for NumPy's ufunc buffer when more than one
@@ -44,7 +64,8 @@ recipe's sizes (N = 2 with T = 256, N = 5 with T = 958) an epoch's cost is
 NumPy call overhead, not arithmetic. The in-place steps keep the float
 operations of the plain allocating expressions and their order, so fits
 are bit-identical to that plain form, the tests' reference.
-_squared_error is the loss of loss_rec, both trainers and the swarm;
+_squared_error is the loss of loss_rec, the MLP trainer and the swarm,
+and the KA-FCM epoch takes its steps, adding rho before the mean;
 cognitive_graph.bounding_slope is sigma' (the KA-FCM epoch binds its
 table entry).
 """
@@ -274,6 +295,9 @@ class ModelGradient:
 
 class _Workspace:
     """One fit: the features F of the data over the output rows' source span,
+    or, for an identity-bounded fit of `epochs` epochs that compresses (see
+    the module docstring; `compressed` says whether it did), R11 and
+    Q1.T Y of the QR of [F | Y] and rho in place of F and the targets,
     `present` (True at present edges' entries), a copy `theta` of the
     model's parameter buffer with the other entries at zero, a gradient
     buffer `grad` laid out like it (`grads`, its views) and the epoch
@@ -293,6 +317,10 @@ class _Workspace:
     (n_out, S, K), from which d alpha = w_spline * C and d w_spline = sum_k
     alpha * C.
 
+    The compressed fit builds F into the first P columns of one (T, P +
+    n_out) array that also holds Y, so it holds F once beyond LAPACK's own
+    copy, and keeps only R11, Q1.T Y (contiguous copies) and rho.
+
     The epoch is a closure bound once per fit, as a stepper binds a step:
     it holds the [rows, span] blocks of theta and of grad, every buffer it
     fills (so that it allocates none), F, W.T and u.T, the bounding's
@@ -303,11 +331,11 @@ class _Workspace:
     or a Python-float operand adds about 0.15 us to it.
     """
 
-    def __init__(self, model: KAFCMModel, data: Dataset, lam: float):
+    def __init__(self, model: KAFCMModel, data: Dataset, lam: float, epochs: int = 1):
         self.model = model
         inputs, rows = supervision_layout(model.n_nodes, data)
         span = model.span(rows)
-        features = model.features(_state_matrix(model.n_nodes, data, inputs), span)
+        states = _state_matrix(model.n_nodes, data, inputs)
         targets = np.asarray(data.targets, dtype=float)
         self.present = np.zeros(len(model.theta), dtype=bool)
         for view in model.views(self.present):
@@ -321,13 +349,25 @@ class _Workspace:
         full_alpha, full_g_al = views[2], self.grads[2]
         block_mask = model.mask[rows, span]
         (T, n_out), (S, K) = targets.shape, (block_mask.shape[1], model.K)
+        P = S * (1 + K)
+        identity = model.bounding == "identity"
+        self.compressed = identity and epochs * (T - P - n_out) * n_out > T * (P + n_out)
+        if self.compressed:
+            FY = np.empty((T, P + n_out))
+            model.features(states, span, FY[:, :P])
+            FY[:, P:] = targets
+            R = np.linalg.qr(FY, mode="r")
+            features, targets, rho = R[:P, :P].copy(), R[:P, P:].copy(), float(np.square(R[P:, P:]).sum())
+        else:
+            features, rho = model.features(states, span), 0.0
+        n_rows = len(features)
         # W = [Wb | Ws] and G = u.T @ F, each (n_out, S*(1+K)), with their
         # (n_out, S) base and (n_out, S, K) spline blocks. With more than one
         # output row a block has a gap between rows, and a ufunc reads or
         # writes it through a buffer of up to 8192 entries each call, so Ws
         # and C, the spline block of G, are then contiguous twins that
         # np.copyto, which takes no buffer, moves into W and out of G
-        W, G = np.empty((n_out, S * (1 + K))), np.empty((n_out, S * (1 + K)))
+        W, G = np.empty((n_out, P)), np.empty((n_out, P))
         Wb, G_base = W[:, :S], G[:, :S]
         W_spline, G_spline = (a[:, S:].reshape(n_out, S, K) for a in (W, G))
         gapped = not W_spline.flags.c_contiguous
@@ -336,11 +376,10 @@ class _Workspace:
         # and the backward's products
         w_spline_col, w_spline_k, prod = w_spline[:, :, None], np.empty((n_out, S, K)), np.empty((n_out, S, K))
         # the forward's sum, sigma(pre), the residual, its square and u, the
-        # upstream gradient, each (T, n_out)
-        pre, bounded, resid, sq, u = (np.empty((T, n_out)) for _ in range(5))
-        WT, uT, rowsum, two_over_T = W.T, u.T, np.empty(T), np.array(2.0 / T)
+        # upstream gradient, each (rows of F, n_out)
+        pre, bounded, resid, sq, u = (np.empty((n_rows, n_out)) for _ in range(5))
+        WT, uT, rowsum, two_over_T = W.T, u.T, np.empty(n_rows), np.array(2.0 / T)
         bound, slope = _BOUNDING[model.bounding]
-        identity = model.bounding == "identity"
         # the L1 term's per-edge sums and their running sum in edge order
         edge_l1, l1_run = np.empty(model.mask.shape), np.empty(model.mask.size)
         edge_l1_flat = edge_l1.reshape(-1)
@@ -356,7 +395,10 @@ class _Workspace:
             # identity's y is pre and u * 1.0 is u; pre is spent once y holds
             # sigma(pre) (resid and sq are not yet filled: smooth_clip's scratch)
             y = pre if identity else bound(pre, bounded, (resid, sq))
-            loss = float(_squared_error(y, targets, resid, sq, rowsum))
+            # _squared_error's steps, with rho added to the sum over the rows
+            # and the mean taken over the T data rows (+ 0.0 keeps any bits)
+            np.subtract(y, targets, resid)
+            loss = (float(np.add.reduce(np.add.reduce(np.square(resid, sq), -1, None, rowsum))) + rho) / T
             np.multiply(two_over_T, resid, u)
             if not identity:
                 np.multiply(u, slope(y, sq, pre), u)
@@ -464,7 +506,7 @@ def train_gd(model: KAFCMModel, train: Dataset, config: TrainConfig):
     """
     if len(train) == 0:
         raise ValueError("empty training set")
-    ws = _Workspace(model, train, config.lam)
+    ws = _Workspace(model, train, config.lam, config.epochs)
     theta, grad = ws.theta, ws.grad
     m, v, step, scratch = (np.zeros_like(theta) for _ in range(4))
     # Adam's factors as 0-d arrays (see _Workspace); c1, c2 take the bias

@@ -294,26 +294,28 @@ def _traced_peak(run) -> int:
 @pytest.mark.parametrize("span", [slice(0, 32), slice(1, 31)], ids=["all-nodes", "inner"])
 def test_features_hold_the_basis_tensor_once(span):
     """At dense_map's shape (400 states, N = 32, G = 8, p = 3, so K = 11)
-    features writes the basis tensor into F a block of rows at a time, so
-    its peak is F plus the larger of one block's work arrays (basis_tensor
-    of one block of rows: the evaluator and a block of output, the size of
-    the scratch features fills) and the base's temporaries over the states,
-    which come and go before the first block, and a kilobyte for the call's
-    Python objects (views, the evaluator): never F plus a second tensor. F
-    is the base beside ref_basis_tensor, bit for bit."""
+    features writes the base and the basis tensor into F a block of rows at
+    a time, so its peak is F plus one block: the block's basis work
+    (basis_tensor of one block of rows: the evaluator and a block of
+    output, the size of the scratch features fills), the base of one block
+    into a block of F's base columns, and a kilobyte for the call's Python
+    objects. It is never F plus a second tensor or the base's temporaries
+    over every state, and twice the states leave the peak beyond F as it
+    is, to that kilobyte. F is the base beside ref_basis_tensor, bit for bit."""
     n, T = 32, 400
     model = new_kafcm(n, make_uniform_grid(-1.0, 1.0, 8, 3), bounding="tanh", seed=67)
-    states = np.random.default_rng(68).uniform(-1.1, 1.1, (T, n))
-    x = states[:, span]
+    states = np.random.default_rng(68).uniform(-1.1, 1.1, (2 * T, n))
+    x = states[:T, span]
     S, K = x.shape[1], model.K
-    F = model.features(states, span)
+    F = model.features(states[:T], span)
     assert same_bits(F, np.hstack([ref_silu(x), ref_basis_tensor(model.grid, x)]))
     block = x[: BASIS_BLOCK_POINTS // S]
     block_peak = _traced_peak(lambda: basis_tensor(model.grid, block))
-    base_out = np.empty(F.shape)[:, :S]
-    base_peak = _traced_peak(lambda: silu(x, base_out))
-    peak = _traced_peak(lambda: model.features(states, span))
-    assert peak <= F.nbytes + max(block_peak, base_peak) + 1024, (peak - F.nbytes, block_peak, base_peak)
+    base_out = np.empty((len(block), S * (1 + K)))[:, :S]
+    base_peak = _traced_peak(lambda: silu(block, base_out))
+    beyond = [_traced_peak(lambda: model.features(states[:rows], span)) - rows * F.nbytes // T for rows in (T, 2 * T)]
+    assert beyond[0] <= block_peak + base_peak + 1024, (beyond[0], block_peak, base_peak)
+    assert abs(beyond[1] - beyond[0]) <= 1024, beyond
 
 
 # ---------------------------------------------------------------- silu

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -654,11 +655,21 @@ def reference_span(mask):
     return slice(int(used[0]), int(used[-1]) + 1) if len(used) else slice(0, 0)
 
 
+def compresses(bounding, T, P, n_out, epochs):
+    """Whether a fit of T rows, P features and n_out targets runs on the
+    QR-compressed problem: an identity-bounded fit whose epochs save more
+    products than the QR costs."""
+    return bounding == "identity" and epochs * (T - P - n_out) * n_out > T * (P + n_out)
+
+
 def reference_train_gd(model, data, config):
     """The allocating KA-FCM epoch and Adam loop, one fresh array per
     expression and one product each way over the output rows' source span
     (F = [b(x) | B(x)] of its states, W = [w_base | w_spline * alpha]): the
-    oracle the preallocated workspace must match bit for bit. Returns
+    oracle the preallocated workspace must match bit for bit. A fit that
+    compresses runs on the QR of [F | Y] instead: F becomes R's first P rows
+    and columns, Y the next n_out columns of those rows, and the loss adds
+    rho, the square of R's last n_out rows, before dividing by T. Returns
     (history, theta after the fit, gradient of epoch 0)."""
     inputs, rows = supervision_layout(model.n_nodes, data)
     span = reference_span(model.mask[rows])
@@ -668,6 +679,11 @@ def reference_train_gd(model, data, config):
     S, K = x.shape[1], model.K
     F = np.hstack([base_eval(model.base, x), basis_tensor(model.grid, x)])
     targets = np.asarray(data.targets, dtype=float)
+    (T, n_out), P = targets.shape, F.shape[1]
+    rho = 0.0
+    if compresses(model.bounding, T, P, n_out, config.epochs):
+        R = np.linalg.qr(np.hstack([F, targets]), mode="r")
+        F, targets, rho = R[:P, :P], R[:P, P:], float(np.sum(R[P:, P:] ** 2))
     mask = model.mask.ravel()
     present = np.concatenate([mask, mask, np.repeat(mask, K)])
     theta = np.where(present, model.theta, 0.0)
@@ -685,8 +701,8 @@ def reference_train_gd(model, data, config):
         W = np.hstack([w_base * block_mask, Ws.reshape(len(Ws), -1)])
         pre = F @ W.T
         resid = np.asarray(apply_bounding(model.bounding, pre)) - targets
-        loss = float(np.mean(np.sum(resid**2, axis=1)))
-        u = ((2.0 / len(resid)) * resid * bounding_slope(model.bounding, apply_bounding(model.bounding, pre))).T
+        loss = (float(np.sum(np.sum(resid**2, axis=1))) + rho) / T
+        u = ((2.0 / T) * resid * bounding_slope(model.bounding, apply_bounding(model.bounding, pre))).T
         G = u @ F
         g_wb[rows, span] = np.where(model.mask[rows, span], G[:, :S], 0.0)
         C = G[:, S:].reshape(len(u), S, K)
@@ -735,12 +751,12 @@ SPAN_CASES = ("gapped", "empty-row", "empty-span")
 
 
 @st.composite
-def fit_cases(draw):
-    """(model, data, config): a random map with absent edges, any bounding,
-    a feedforward or full-state layout, and lam zero or positive; a
-    feedforward map may take one of span_case_mask's masks instead."""
-    n = draw(st.integers(2, 5))
-    d_in = draw(st.integers(1, n - 1) | st.just(n))  # d_in == n supervises the full state
+def layouts(draw, max_nodes):
+    """(n, d_in, mask): n nodes, d_in of them inputs (d_in == n supervises
+    the full state), and a random mask with the edge (n-1, 0) or, for a
+    feedforward map, one of span_case_mask's masks."""
+    n = draw(st.integers(2, max_nodes))
+    d_in = draw(st.integers(1, n - 1) | st.just(n))
     kinds = [k for k in SPAN_CASES if d_in < n and (k != "gapped" or d_in >= 3) and (k != "empty-row" or n - d_in >= 2)]
     kind = draw(st.sampled_from([None] + kinds))
     if kind is None:
@@ -748,6 +764,15 @@ def fit_cases(draw):
         mask[n - 1, 0] = True
     else:
         mask = span_case_mask(kind, n, d_in)
+    return n, d_in, mask
+
+
+@st.composite
+def fit_cases(draw):
+    """(model, data, config): a random map with absent edges, any bounding,
+    a feedforward or full-state layout, and lam zero or positive; a
+    feedforward map may take one of span_case_mask's masks instead."""
+    n, d_in, mask = draw(layouts(5))
     bounding = draw(st.sampled_from(BOUNDING_KINDS))
     grid = make_uniform_grid(-1.0, 1.0, draw(st.integers(1, 6)), draw(st.integers(0, 3)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -766,8 +791,11 @@ def fit_cases(draw):
 
 def assert_fit_bit_equal(model, data, config):
     """model_gradient, train_gd's history and the fitted theta equal
-    reference_train_gd's bit for bit; returns model_gradient's result."""
-    ref_history, ref_theta, ref_grad = reference_train_gd(model, data, config)
+    reference_train_gd's bit for bit; returns model_gradient's result.
+    model_gradient's one epoch never compresses, so its oracle is the
+    gradient of a one-epoch reference fit."""
+    ref_history, ref_theta, _ = reference_train_gd(model, data, config)
+    ref_grad = reference_train_gd(model, data, replace(config, epochs=1))[2]
     grad = model_gradient(model, data, config.lam)
     flat = np.concatenate([grad.d_w_base.ravel(), grad.d_w_spline.ravel(), grad.d_alpha.ravel()])
     assert np.array_equal(flat.view(np.uint64), ref_grad.view(np.uint64))
@@ -810,6 +838,62 @@ class TestEpochBitExact:
         assert not grad.d_w_base[into_inputs].any() and not grad.d_w_spline[into_inputs].any()
         assert np.array_equal(grad.d_alpha[into_inputs], lam * np.sign(alpha_in))
         assert (model.alpha[into_inputs] != alpha_in).all() == (lam > 0)
+
+
+@st.composite
+def compressed_cases(draw):
+    """(model, data, config): an identity-bounded map on a layout of up to 6
+    nodes, with the fewest rows T at which a fit of config.epochs epochs
+    compresses. Its inputs spread over the grid or take three levels only,
+    so that F's rank falls further below P than the B-splines' partition of
+    unity puts it, and basis columns with no point in their support are
+    zero."""
+    n, d_in, mask = draw(layouts(6))
+    grid = make_uniform_grid(-1.0, 1.0, draw(st.integers(1, 6)), draw(st.integers(0, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = new_kafcm(n, grid, mask=mask, bounding="identity", seed=int(rng.integers(1 << 30)))
+    model.theta[:] = rng.normal(0.0, 0.5, model.theta.shape)
+    d_out = n if d_in == n else n - d_in
+    span = model.span(slice(0, n) if d_in == n else slice(d_in, n))
+    P = (span.stop - span.start) * (1 + model.K)
+    epochs = (P + d_out) // d_out + draw(st.integers(1, 30))
+    T = epochs * d_out * (P + d_out) // (epochs * d_out - P - d_out) + 1
+    assert compresses("identity", T, P, d_out, epochs) and not compresses("identity", T - 1, P, d_out, epochs)
+    if draw(st.booleans()):
+        inputs = rng.uniform(-1.3, 1.3, (T, d_in))
+    else:
+        inputs = rng.choice([-0.5, 0.1, 0.7], (T, d_in))
+    data = Dataset(inputs, rng.uniform(-1.0, 1.0, (T, d_out)))
+    return model, data, TrainConfig(learning_rate=0.05, epochs=epochs, lam=draw(st.sampled_from([0.0, 0.02])))
+
+
+class TestCompressedFit:
+    """An identity-bounded fit whose epochs outweigh a QR of [F | Y] runs on
+    R: its loss and gradient equal the T-row form's to rounding, and every
+    other fit keeps the T-row form's bits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(compressed_cases())
+    def test_loss_and_gradient_equal_the_T_row_form(self, case):
+        """Loss and gradient at the initial parameters within 1e-12 of the
+        T-row workspace's, relative to the loss and to the gradient's
+        largest entry (the worst of 2000 draws: 6e-16 and 9e-15); one
+        row fewer does not compress; the compressed fit, a tanh and a
+        smooth_clip fit of the same map and data (which do not compress) and
+        model_gradient are bit-equal to reference_train_gd."""
+        model, data, config = case
+        ws = _Workspace(model, data, config.lam, config.epochs)
+        rows = _Workspace(model, data, config.lam)
+        assert ws.compressed and not rows.compressed
+        assert not _Workspace(model, Dataset(data.inputs[1:], data.targets[1:]), config.lam, config.epochs).compressed
+        loss, ref_loss = ws.loss_and_grads(), rows.loss_and_grads()
+        assert abs(loss - ref_loss) <= 1e-12 * ref_loss
+        assert np.abs(ws.grad - rows.grad).max() <= 1e-12 * np.abs(rows.grad).max()
+        for bounding in BOUNDING_KINDS:
+            other = new_kafcm(model.n_nodes, model.grid, mask=model.mask, bounding=bounding, seed=0)
+            other.theta[:] = model.theta
+            assert _Workspace(other, data, config.lam, config.epochs).compressed == (bounding == "identity")
+            assert_fit_bit_equal(other, data, config)
 
 
 # ---------------------------------------------------------------- PSO
